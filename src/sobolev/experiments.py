@@ -262,7 +262,7 @@ def cmd_least_squares(
     Zg, wg = build_same_measure(rule, [1.0, gamma])
     if top + 1 > Zg.m:
         raise ValueError(f"degree {top} needs spectral dimension > {Zg.m}")
-    Hg = solve_hessenberg(Zg, wg, top + 1, method=solver)
+    Hg = solve_hessenberg(Zg, wg, top + 1, method=solver, trace=trace)
 
     rows = []
     for d in degrees:
@@ -331,7 +331,7 @@ def cmd_penta(
     rule = golub_welsch(laguerre_jacobi(m + 1, alpha))
     Z, w = build_discrete_laguerre_sobolev(rule, c, M, N)
     Zs = Z.shift(c)
-    B = pentadiagonal_recurrence(Zs, w, m, solver=solver)
+    B = pentadiagonal_recurrence(Zs, w, m, solver=solver, trace=trace)
     bnorm = float(np.linalg.norm(B))
     offband = 0.0
     for i in range(m):
@@ -339,7 +339,7 @@ def cmd_penta(
             if abs(i - j) > 2:
                 offband = max(offband, abs(B[i, j]))
     reference = "arnoldi" if solver != "arnoldi" else "update-rot"
-    B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference)
+    B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
     rows = [
         {"i": i + 1, "j": j + 1, "re": B[i, j].real, "im": B[i, j].imag}
         for i in range(m)
@@ -387,10 +387,10 @@ def cmd_compare_solvers(
     worst_rot = 0.0
     for idx in range(count):
         Z, w = random_spectral_data(rng, max_m=max_m)
-        H_ref = arnoldi(Z, w, Z.m).H
+        H_ref = arnoldi(Z, w, Z.m, trace=trace).H
         scale = float(np.linalg.norm(H_ref))
-        H_hh, _ = update_solve(Z, w, strategy="householder")
-        H_rot, _ = update_solve(Z, w, strategy="rotations")
+        H_hh, _ = update_solve(Z, w, strategy="householder", trace=trace)
+        H_rot, _ = update_solve(Z, w, strategy="rotations", trace=trace)
         diff_hh = float(np.linalg.norm(H_hh - H_ref)) / scale
         diff_rot = float(np.linalg.norm(H_rot - H_ref)) / scale
         worst_hh = max(worst_hh, diff_hh)

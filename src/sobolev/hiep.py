@@ -14,7 +14,11 @@ iteration with modified Gram-Schmidt and one reorthogonalization sweep,
 and :func:`update_solve`, which merges single-block solutions one block
 at a time -- embed, inject the new weight with a plane rotation, restore
 the Hessenberg structure column by column, and rescale the subdiagonal to
-be real non-negative.
+be real non-negative.  The restoration chases a bulge of at most block
+size + 1 rows whose position follows from the indices, applying each
+small elimination kernel to the live slices of H only.
+:func:`solve_hessenberg` needs only H, so with the updating solvers it
+skips the accumulation of Q.
 """
 
 from __future__ import annotations
@@ -47,12 +51,7 @@ def _phase(value: complex) -> complex:
 
 def hessenberg_defect(H) -> float:
     """Largest magnitude strictly below the first subdiagonal."""
-    H = np.asarray(H)
-    worst = 0.0
-    for i in range(H.shape[1]):
-        if i + 2 < H.shape[0]:
-            worst = max(worst, float(np.max(np.abs(H[i + 2 :, i]))))
-    return worst
+    return float(np.abs(np.tril(H, -2)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -268,21 +267,56 @@ def _single_block_solution(block: JordanBlockSpec, beta: complex):
     return H, Q
 
 
-def _reduction_kernel(c: np.ndarray, strategy: str) -> np.ndarray:
-    """Unitary K with K c proportional to e_1, by reflector or rotations."""
-    r = c.size
-    if strategy == "householder":
-        return Householder.from_vector(c).matrix()
-    K = np.eye(r, dtype=complex)
-    v = c.copy()
+def _rotation_kernel(c: list) -> list:
+    """Rows of K = G_1 ... G_{r-1} with K c = (||c||, 0, ..., 0).
+
+    G_idx is the plane rotation of :meth:`PlaneRotation.annihilating` on
+    the pair (idx-1, idx); the chain runs bottom up.  Row idx of K is final
+    once G_idx is applied, and row idx-1 is a unit row until then, so only
+    the trailing part ``acc`` of the row being carried is kept.
+    """
+    r = len(c)
+    K = [None] * r
+    acc = [1.0]
+    g = c[-1]
     for idx in range(r - 1, 0, -1):
-        rot = PlaneRotation.annihilating(v[idx - 1], v[idx], idx - 1, idx, r)
-        v = rot.apply_left(v.reshape(-1, 1)).ravel()
-        K = rot.apply_left(K)
+        f = c[idx - 1]
+        norm = math.hypot(abs(f), abs(g))
+        a, b = (f / norm, -g / norm) if norm else (1.0, 0.0)
+        K[idx] = [0.0] * (idx - 1) + [b] + [a * x for x in acc]
+        cb = b.conjugate()
+        acc = [a.conjugate()] + [-cb * x for x in acc]
+        g = norm
+    K[0] = acc
     return K
 
 
-def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None):
+def _reflector_kernel(c: list) -> list:
+    """Rows of the reflector of :meth:`Householder.from_vector` for c."""
+    norm = math.sqrt(sum(abs(x) ** 2 for x in c))
+    y = list(c)
+    y[0] += (c[0] / abs(c[0]) if c[0] else 1.0) * norm
+    scale = 2.0 / sum(abs(x) ** 2 for x in y)
+    return [
+        [(a == b) - scale * ya * yb.conjugate() for b, yb in enumerate(y)]
+        for a, ya in enumerate(y)
+    ]
+
+
+_KERNELS = {"rotations": _rotation_kernel, "householder": _reflector_kernel}
+
+
+def _embed(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Block-diagonal [[A, 0], [0, B]], column-major for the column updates."""
+    n = A.shape[0]
+    out = np.zeros((n + B.shape[0],) * 2, dtype=complex, order="F")
+    out[:n, :n] = A
+    out[n:, n:] = B
+    return out
+
+
+def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
+                 *, _with_q: bool = True):
     """Solve the inverse problem by updating with one Jordan block at a time.
 
     Starting from the closed-form single-block solution, each further
@@ -293,6 +327,14 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     together with every nonzero below it, and (4) rescaled by a unimodular
     diagonal so the subdiagonal is real non-negative.
 
+    Merging a block of size s onto dimension d_prev leaves a bulge of at
+    most s + 1 rows: in column i the nonzeros sit in row i+1 and in rows
+    max(i+2, d_prev) .. d_prev+i+1, so the rows to reduce follow from
+    the indices alone.  Each elimination kernel is a small matrix applied
+    in place to the live slices, H[rows, i:] on the left and the leading
+    rows of H[:, rows] on the right.  After each merge H is checked to be
+    exactly Hessenberg, which shows the bulge window missed no entry.
+
     Parameters
     ----------
     Z, w : spectral data of the discretized product.
@@ -302,15 +344,20 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     Returns
     -------
-    (H, Q) : m x m Hessenberg matrix and unitary basis.
+    (H, Q) : m x m Hessenberg matrix and unitary basis.  Q is None when
+    the private flag ``_with_q`` is false; :func:`solve_hessenberg` sets
+    it because it only needs H, and calls through this function so that
+    a ``trace`` hook on it sees every updating solve.
     """
-    if strategy not in ("rotations", "householder"):
+    kernel_of = _KERNELS.get(strategy)
+    if kernel_of is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(Z.blocks) != w.betas.size:
         raise ValueError("weight count does not match block count")
 
-    znorm = Z.frobenius_norm()
+    tol = 1e-10 * max(Z.frobenius_norm(), 1.0)
     H, Q = _single_block_solution(Z.blocks[0], w.betas[0])
+    Q = Q if _with_q else None
     wnorm2 = abs(w.betas[0]) ** 2
 
     for bidx in range(1, len(Z.blocks)):
@@ -320,12 +367,8 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
         d_prev = H.shape[0]
         d = d_prev + block.size
-        Hn = np.zeros((d, d), dtype=complex)
-        Hn[:d_prev, :d_prev] = H
-        Hn[d_prev:, d_prev:] = Hb
-        Qn = np.zeros((d, d), dtype=complex)
-        Qn[:d_prev, :d_prev] = Q
-        Qn[d_prev:, d_prev:] = Qb
+        Hn = _embed(H, Hb)
+        Qn = None if Q is None else _embed(Q, Qb)
 
         # plane rotation turning the first basis column into w/||w||; the
         # phase of beta already sits in the first column of Qb, so both
@@ -333,28 +376,41 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
         prev_norm = math.sqrt(wnorm2)
         wnorm2 += abs(beta) ** 2
         cur_norm = math.sqrt(wnorm2)
-        rot = PlaneRotation(prev_norm / cur_norm, -abs(beta) / cur_norm, 0, d_prev, d)
-        Hn = rot.apply_left(rot.adjoint().apply_right(Hn))
-        Qn = rot.adjoint().apply_right(Qn)
+        pair = [0, d_prev]
+        R = np.array([[prev_norm, abs(beta)], [-abs(beta), prev_norm]]) / cur_norm
+        Hn[pair, :] = R @ Hn[pair, :]
+        Hn[:, pair] = Hn[:, pair] @ R.T
+        if Qn is not None:
+            Qn[:, pair] = Qn[:, pair] @ R.T
 
-        # column-by-column return to Hessenberg structure
+        # column-by-column return to Hessenberg structure inside the bulge;
+        # exact zeros in it need no elimination
         for i in range(d - 2):
-            rows = [i + 1] + [j for j in range(i + 2, d) if Hn[j, i] != 0]
-            if len(rows) == 1:
-                continue
-            c = Hn[rows, i]
-            K = _reduction_kernel(c, strategy)
-            Hn[rows, :] = K @ Hn[rows, :]
-            Hn[:, rows] = Hn[:, rows] @ K.conj().T
-            Qn[:, rows] = Qn[:, rows] @ K.conj().T
-            residual = float(np.max(np.abs(Hn[rows[1:], i])))
-            if residual > 1e-10 * max(znorm, 1.0):
+            hi = min(d, d_prev + i + 2)
+            rows = np.array([i + 1, *range(max(i + 2, d_prev), hi)])
+            column = Hn[rows, i].tolist()
+            if not all(column[1:]):
+                keep = [0] + [k for k in range(1, len(column)) if column[k]]
+                if len(keep) == 1:
+                    continue
+                rows, column = rows[keep], [column[k] for k in keep]
+            K = np.array(kernel_of(column), dtype=complex)
+            KH = K.conj().T
+            left = K @ Hn[rows, i:]
+            residual = max(map(abs, left[1:, 0].tolist()))
+            if residual > tol:
                 raise NumericalFailure(
                     "Hessenberg restoration left a residual above tolerance",
                     column=i + 1,
                     block=bidx,
                     residual=residual,
                 )
+            left[1:, 0] = 0.0
+            Hn[rows, i:] = left
+            top = min(d, hi + 1)
+            Hn[:top, rows] = Hn[:top, rows] @ KH
+            if Qn is not None:
+                Qn[:, rows] = Qn[:, rows] @ KH
             if trace is not None:
                 trace(
                     {
@@ -365,16 +421,24 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                         "residual": residual,
                     }
                 )
-            Hn[rows[1:], i] = 0.0
+
+        if np.tril(Hn, -2).any():
+            raise NumericalFailure(
+                "Hessenberg restoration missed an entry outside the bulge window",
+                block=bidx,
+                defect=hessenberg_defect(Hn),
+            )
 
         # unimodular rescaling: subdiagonal real non-negative, first column kept
-        phases = np.ones(d, dtype=complex)
-        for i in range(d - 1):
-            phases[i + 1] = _phase(Hn[i + 1, i]) * phases[i]
+        sub = np.diagonal(Hn, -1)
+        size = np.abs(sub)
+        steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
+        phases = np.cumprod(np.concatenate(([1.0], steps)))
         Hn = phases.conj()[:, None] * Hn * phases[None, :]
-        for i in range(d - 1):
-            Hn[i + 1, i] = Hn[i + 1, i].real
-        Qn = Qn * phases[None, :]
+        idx = np.arange(d - 1)
+        Hn[idx + 1, idx] = Hn[idx + 1, idx].real
+        if Qn is not None:
+            Qn = Qn * phases[None, :]
 
         H, Q = Hn, Qn
 
@@ -386,15 +450,13 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = "
 
     ``method`` is one of "arnoldi", "update-hh" (updating with Householder
     reflectors) or "update-rot" (updating with plane rotations).  The
-    updating solvers compute the full m x m matrix and truncate; the
-    result is the same by uniqueness of the solution.
+    updating solvers compute the full m x m matrix, without accumulating
+    Q, and truncate; the result is the same by uniqueness of the solution.
     """
     if method == "arnoldi":
         return arnoldi(Z, w, k, trace=trace).H
-    if method == "update-hh":
-        H, _ = update_solve(Z, w, strategy="householder", trace=trace)
-    elif method == "update-rot":
-        H, _ = update_solve(Z, w, strategy="rotations", trace=trace)
-    else:
+    strategy = {"update-hh": "householder", "update-rot": "rotations"}.get(method)
+    if strategy is None:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
+    H, _ = update_solve(Z, w, strategy=strategy, trace=trace, _with_q=False)
     return H[:k, :k]

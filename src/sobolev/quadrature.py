@@ -78,6 +78,8 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         if nodes.size and np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not np.all(weights > 0):

@@ -179,7 +179,7 @@ def hermite_least_squares(
 
 
 def pentadiagonal_recurrence(
-    Z: JordanOperator, w: WeightVector, m: int, solver: str = "update-rot"
+    Z: JordanOperator, w: WeightVector, m: int, solver: str = "update-rot", trace=None
 ) -> np.ndarray:
     """Matrix of the five-term recurrence induced by a squared argument.
 
@@ -187,7 +187,7 @@ def pentadiagonal_recurrence(
     block sits at eigenvalue zero, Z^2 is diagonal and the polynomials
     satisfy a five-term recurrence in x^2.  Its matrix is the leading
     m x m section of H_{m+1}^2, Hermitian and pentadiagonal up to the
-    solver's accuracy.
+    solver's accuracy.  ``trace`` is passed on to the solver.
     """
     if m < 1:
         raise ValueError("recurrence dimension m must be at least 1")
@@ -195,5 +195,5 @@ def pentadiagonal_recurrence(
         raise ValueError(
             f"need spectral data of dimension at least {m + 1}, got {Z.m}"
         )
-    H = solve_hessenberg(Z, w, m + 1, method=solver)
+    H = solve_hessenberg(Z, w, m + 1, method=solver, trace=trace)
     return (H @ H)[:m, :m]

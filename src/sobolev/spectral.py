@@ -16,6 +16,7 @@ matrix form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,12 +85,15 @@ class JordanBlockSpec:
     superdiag: np.ndarray
 
     def __post_init__(self):
+        z = complex(self.z)
         superdiag = np.atleast_1d(np.asarray(self.superdiag, dtype=complex))
         if superdiag.ndim != 1:
             raise ValueError("superdiag must be a 1-d sequence")
+        if not (cmath.isfinite(z) and np.all(np.isfinite(superdiag))):
+            raise ValueError("block eigenvalue and scalings must be finite")
         if superdiag.size and np.any(superdiag == 0):
             raise ValueError("superdiagonal scalings must be nonzero")
-        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "superdiag", superdiag)
 
     @property
@@ -164,6 +168,8 @@ class WeightVector:
         betas = np.atleast_1d(np.asarray(self.betas, dtype=complex))
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("betas must form a non-empty 1-d sequence")
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("block weights must be finite")
         if np.any(betas == 0):
             raise ValueError("all block weights must be nonzero")
         object.__setattr__(self, "betas", betas)

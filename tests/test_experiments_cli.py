@@ -240,6 +240,23 @@ class TestCli:
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step"}
 
+    def test_penta_trace_covers_both_solves(self, capsys):
+        assert main(["penta", "--m", "3", "--trace"]) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        # the update-rot solve and its Arnoldi cross-check
+        assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
+
+    def test_compare_solvers_trace_covers_every_solver(self, capsys):
+        assert main(["compare-solvers", "--count", "2", "--max-m", "6", "--trace"]) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
+
+    def test_non_finite_argument_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["penta", "--c", "nan"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_least_squares_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "errors.csv"
         main([

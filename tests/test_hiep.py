@@ -9,15 +9,25 @@ from sobolev import (
     Householder,
     JordanBlockSpec,
     JordanOperator,
+    NumericalFailure,
     PlaneRotation,
     WeightVector,
     arnoldi,
+    build_same_measure,
     coefficients,
+    golub_welsch,
     hessenberg_defect,
+    legendre_jacobi,
     solve_hessenberg,
     update_solve,
 )
+from sobolev import hiep
 from sobolev.experiments import random_spectral_data
+
+
+def legendre_instance(m=12, gamma=0.01):
+    """Real same-measure Legendre data with one derivative term (2x2 blocks)."""
+    return build_same_measure(golub_welsch(legendre_jacobi(m)), [1.0, gamma])
 
 
 def check_contract(Z, w, H, Q):
@@ -164,6 +174,33 @@ class TestHouseholder:
             Householder.from_vector([0.0, 0.0])
 
 
+class TestEliminationKernels:
+    """The updating loop builds its kernels as small arrays; they must equal
+    the rotation chain and the reflector of the public classes."""
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_rotation_chain(self, r):
+        rng = np.random.default_rng(r)
+        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        expected = np.eye(r, dtype=complex)
+        v = c.copy()
+        for idx in range(r - 1, 0, -1):
+            rot = PlaneRotation.annihilating(v[idx - 1], v[idx], idx - 1, idx, r)
+            v = rot.apply_left(v.reshape(-1, 1)).ravel()
+            expected = rot.apply_left(expected)
+        K = np.array(hiep._rotation_kernel(c.tolist()))
+        assert_allclose(K, expected, atol=1e-15)
+        assert_allclose(K @ c, [np.linalg.norm(c)] + [0.0] * (r - 1), atol=1e-14)
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_reflector(self, r):
+        rng = np.random.default_rng(10 + r)
+        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        c[0] = 0.0 if r == 5 else c[0]
+        K = np.array(hiep._reflector_kernel(c.tolist()))
+        assert_allclose(K, Householder.from_vector(c).matrix(), atol=1e-15)
+
+
 class TestUpdateSolve:
     def test_single_real_block(self):
         # one block needs no restoration: H bidiagonal, Q the flip matrix
@@ -205,6 +242,24 @@ class TestUpdateSolve:
         assert all(e["event"] == "update-restore" for e in events)
         assert all(e["residual"] <= 1e-10 * Z.frobenius_norm() for e in events)
 
+    def test_bulge_window_covers_every_column(self):
+        # merging a 2x2 block onto dimension d_prev restores columns
+        # 1..d-2, each with a kernel of at most block size + 1 rows
+        Z, w = legendre_instance(m=8)
+        events = []
+        update_solve(Z, w, trace=events.append)
+        assert len(events) == sum(d - 2 for d in range(4, Z.m + 1, 2))
+        assert {e["eliminated"] for e in events} <= {1, 2}
+
+    def test_residual_check_raises(self, monkeypatch):
+        # a kernel that eliminates nothing must trip the per-column check
+        monkeypatch.setitem(
+            hiep._KERNELS, "rotations", lambda c: np.eye(len(c)).tolist()
+        )
+        Z, w = random_spectral_data(np.random.default_rng(4), max_m=10)
+        with pytest.raises(NumericalFailure, match="residual"):
+            update_solve(Z, w)
+
 
 class TestSolverContract:
     @pytest.mark.parametrize("strategy", ["rotations", "householder"])
@@ -212,6 +267,13 @@ class TestSolverContract:
     def test_update(self, strategy, seed):
         Z, w = random_spectral_data(np.random.default_rng(seed), max_m=40)
         H, Q = update_solve(Z, w, strategy=strategy)
+        check_contract(Z, w, H, Q)
+
+    @pytest.mark.parametrize("strategy", ["rotations", "householder"])
+    def test_update_real_same_measure(self, strategy):
+        Z, w = legendre_instance()
+        H, Q = update_solve(Z, w, strategy=strategy)
+        assert H.dtype == Q.dtype == np.complex128
         check_contract(Z, w, H, Q)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -231,6 +293,18 @@ class TestCrossMethod:
         H_hh, _ = update_solve(Z, w, strategy="householder")
         assert np.linalg.norm(H_rot - H_arn) <= 1e-11 * scale
         assert np.linalg.norm(H_hh - H_arn) <= 1e-11 * scale
+
+
+class TestPhaseInvariance:
+    """H depends on w only up to a unimodular factor: w -> e^{i theta} w."""
+
+    @pytest.mark.parametrize("method", ["arnoldi", "update-hh", "update-rot"])
+    def test_real_instance_rotated_weights(self, method):
+        Z, w = legendre_instance()
+        turned = WeightVector(np.exp(0.7j) * w.betas)
+        H = solve_hessenberg(Z, w, Z.m, method=method)
+        Ht = solve_hessenberg(Z, turned, Z.m, method=method)
+        assert np.linalg.norm(Ht - H) <= 1e-11 * np.linalg.norm(H)
 
 
 class TestBreakdownIndex:
@@ -274,13 +348,16 @@ class TestColumnPolynomialCorrespondence:
 
 class TestSolveHessenberg:
     def test_truncation_matches_full_solution(self):
-        Z, w = random_spectral_data(np.random.default_rng(42), max_m=20)
-        k = Z.m // 2
-        full, _ = update_solve(Z, w)
-        for method in ("arnoldi", "update-hh", "update-rot"):
-            Hk = solve_hessenberg(Z, w, k, method=method)
-            assert Hk.shape == (k, k)
-            assert np.linalg.norm(Hk - full[:k, :k]) <= 1e-11 * np.linalg.norm(full)
+        for Z, w in (
+            random_spectral_data(np.random.default_rng(42), max_m=20),
+            legendre_instance(),
+        ):
+            k = Z.m // 2
+            full, _ = update_solve(Z, w)
+            for method in ("arnoldi", "update-hh", "update-rot"):
+                Hk = solve_hessenberg(Z, w, k, method=method)
+                assert Hk.shape == (k, k)
+                assert np.linalg.norm(Hk - full[:k, :k]) <= 1e-11 * np.linalg.norm(full)
 
     def test_rejects_unknown_method(self):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
@@ -299,3 +376,22 @@ class TestHessenbergDefect:
     def test_zero_for_hessenberg(self):
         A = np.triu(np.ones((5, 5)), -1)
         assert hessenberg_defect(A) == 0.0
+
+    def test_rectangular(self):
+        tall = np.triu(np.ones((6, 3)), -1)
+        tall[5, 2] = -0.5
+        assert hessenberg_defect(tall) == 0.5
+        wide = np.triu(np.ones((3, 6), dtype=complex), -1)
+        assert hessenberg_defect(wide) == 0.0
+        wide[2, 0] = 2.0j
+        assert hessenberg_defect(wide) == 2.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 4), (4, 1), (5, 3), (3, 5), (6, 6)])
+    def test_matches_columnwise_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = 0.0
+        for i in range(A.shape[1]):
+            if i + 2 < A.shape[0]:
+                expected = max(expected, float(np.max(np.abs(A[i + 2 :, i]))))
+        assert hessenberg_defect(A) == expected

@@ -61,6 +61,14 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             QuadratureRule(nodes, weights)
 
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [([0.0, np.nan], [1.0, 1.0]), ([-np.inf, 0.0], [1.0, 1.0]), ([0.0, 1.0], [np.inf, 1.0])],
+    )
+    def test_rejects_non_finite(self, nodes, weights):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(nodes, weights)
+
 
 class TestLegendreJacobi:
     def test_n1(self):

@@ -92,6 +92,14 @@ class TestJordanBlockSpec:
         with pytest.raises(ValueError):
             JordanBlockSpec(0.0, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "z, superdiag",
+        [(np.nan, [1.0]), (complex(1.0, np.inf), []), (0.0, [1.0, np.inf]), (0.0, [np.nan])],
+    )
+    def test_rejects_non_finite(self, z, superdiag):
+        with pytest.raises(ValueError, match="finite"):
+            JordanBlockSpec(z, superdiag)
+
 
 class TestJordanOperator:
     def test_dense_assembly_and_offsets(self):
@@ -137,6 +145,11 @@ class TestWeightVector:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             WeightVector([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector([1.0, bad])
 
     def test_rejects_count_mismatch(self):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
