@@ -5,6 +5,10 @@ althammer-roots, least-squares, penta, compare-solvers.  Results print to
 stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
 spectral data as JSON next to --out; --trace streams per-step solver
 events as JSON lines on stderr.
+
+Invalid arguments end in a usage error (exit code 2).  A solver that
+fails its numerical contract ends in exit code 3, with its message and
+its diagnostic fields as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import NumericalFailure
 from .experiments import (
     cmd_althammer_roots,
     cmd_compare_solvers,
@@ -25,6 +30,8 @@ from .experiments import (
 )
 from .hiep import SOLVER_NAMES
 from .spectral import spectral_to_json
+
+EXIT_NUMERICAL_FAILURE = 3
 
 
 def _parse_degrees(text: str):
@@ -198,6 +205,10 @@ def main(argv=None) -> int:
             )
     except ValueError as exc:
         parser.error(str(exc))
+    except NumericalFailure as exc:
+        print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
+        print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
 
     text = report_to_csv(report) if args.fmt == "csv" else report_to_json(report)
     if args.out is not None:

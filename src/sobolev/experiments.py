@@ -138,6 +138,8 @@ def cmd_laguerre_roots(
     by an n_quad-point Gauss-Laguerre rule."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if k_max < 1:
+        raise ValueError(f"k_max={k_max} must be at least 1")
     start = time.perf_counter()
     rule = golub_welsch(laguerre_jacobi(n_quad, alpha))
     Z, w = build_same_measure(rule, [1.0, gamma])
@@ -178,6 +180,8 @@ def cmd_althammer_roots(
     [-1, 1]."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if n < 1:
+        raise ValueError(f"degree n={n} must be at least 1")
     if n > 2 * n_quad:
         raise ValueError(f"degree n={n} exceeds rule capacity 2*n_quad={2 * n_quad}")
     start = time.perf_counter()
@@ -189,22 +193,18 @@ def cmd_althammer_roots(
         {"index": i + 1, "root_re": r.real, "root_im": r.imag}
         for i, r in enumerate(roots)
     ]
-    gaps = [
-        abs(roots[i] - roots[j])
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    ]
+    gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(n, 1)]
     diagnostics = {
         "m": Z.m,
         "max_abs_imag": float(np.max(np.abs(roots.imag))),
         "min_real": float(np.min(roots.real)),
         "max_real": float(np.max(roots.real)),
-        "min_pair_gap": float(min(gaps)) if gaps else float("inf"),
+        "min_pair_gap": float(gaps.min(initial=np.inf)),
         "n_imag_violations": int(np.sum(np.abs(roots.imag) > 1e-6)),
         "n_range_violations": int(
             np.sum((roots.real < -1.0 - 1e-8) | (roots.real > 1.0 + 1e-8))
         ),
-        "n_gap_violations": int(sum(1 for g in gaps if g <= 1e-10)),
+        "n_gap_violations": int(np.count_nonzero(gaps <= 1e-10)),
     }
     report = ExperimentReport(
         experiment="althammer-roots",
@@ -333,11 +333,9 @@ def cmd_penta(
     Zs = Z.shift(c)
     B = pentadiagonal_recurrence(Zs, w, m, solver=solver, trace=trace)
     bnorm = float(np.linalg.norm(B))
-    offband = 0.0
-    for i in range(m):
-        for j in range(m):
-            if abs(i - j) > 2:
-                offband = max(offband, abs(B[i, j]))
+    offband = max(
+        np.abs(np.triu(B, 3)).max(initial=0.0), np.abs(np.tril(B, -3)).max(initial=0.0)
+    )
     reference = "arnoldi" if solver != "arnoldi" else "update-rot"
     B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
     rows = [

@@ -109,7 +109,12 @@ class JordanBlockSpec:
 
 @dataclass(frozen=True)
 class JordanOperator:
-    """Block-diagonal Jordan matrix stored as its list of blocks."""
+    """Block-diagonal Jordan matrix stored as its list of blocks.
+
+    The diagonal and superdiagonal bands of the dense matrix are built
+    once at construction; the superdiagonal band holds a zero at every
+    block boundary.
+    """
 
     blocks: tuple
 
@@ -122,12 +127,16 @@ class JordanOperator:
         eigs = [b.z for b in blocks]
         if len(set(eigs)) != len(eigs):
             raise ValueError("block eigenvalues must be pairwise distinct")
+        diag = np.repeat(np.asarray(eigs, dtype=complex), [b.size for b in blocks])
+        sup = np.concatenate([np.append(b.superdiag[::-1], 0.0) for b in blocks])
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(self, "_sup", sup[:-1])
 
     @property
     def m(self) -> int:
         """Total dimension."""
-        return sum(b.size for b in self.blocks)
+        return self._diag.size
 
     def offsets(self):
         """Row offset of each block in the dense matrix."""
@@ -352,17 +361,12 @@ def inner_product_direct(p: PolyCoeffs, q: PolyCoeffs, spec: SobolevProductSpec)
 
 
 def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
-    """Apply Z to a vector blockwise in O(m)."""
+    """Apply Z to a vector in O(m) from its diagonal and superdiagonal bands."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (Z.m,):
         raise ValueError(f"vector length {x.shape} does not match dimension {Z.m}")
-    y = np.empty_like(x)
-    for off, b in zip(Z.offsets(), Z.blocks):
-        seg = x[off : off + b.size]
-        out = b.z * seg
-        if b.size > 1:
-            out[:-1] += b.superdiag[::-1] * seg[1:]
-        y[off : off + b.size] = out
+    y = Z._diag * x
+    y[:-1] += Z._sup * x[1:]
     return y
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sobolev import (
+    NumericalFailure,
     build_same_measure,
     golub_welsch,
     hessenberg_eigenvalues,
@@ -56,6 +57,35 @@ class TestHessenbergEigenvalues:
         A = np.ones((4, 4))
         with pytest.raises(ValueError):
             hessenberg_eigenvalues(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        H = random_hessenberg(np.random.default_rng(3), 4)
+        H[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hessenberg_eigenvalues(H)
+
+    def test_lapack_failure_becomes_numerical_failure(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(NumericalFailure) as exc:
+            hessenberg_eigenvalues(np.eye(3))
+        assert exc.value.details == {"n": 3}
+        assert "did not converge" in str(exc.value)
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1.0, 1e8])
+    def test_backward_error_on_sobolev_section(self, gamma):
+        # each eigenvalue is exact for some H + E with ||E|| <= 10 n eps ||H||
+        rule = golub_welsch(legendre_jacobi(30))
+        Z, w = build_same_measure(rule, [1.0, gamma])
+        n = 40
+        H = solve_hessenberg(Z, w, n, method="arnoldi")[:n, :n]
+        bound = 10 * n * np.finfo(float).eps * np.linalg.norm(H, 2)
+        for lam in hessenberg_eigenvalues(H).eigenvalues:
+            sigma_min = np.linalg.svd(H - lam * np.eye(n), compute_uv=False)[-1]
+            assert sigma_min <= bound
 
     def test_table_configuration_second_degree(self):
         rule = golub_welsch(laguerre_jacobi(10, -0.5))

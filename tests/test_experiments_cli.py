@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sobolev import spectral_from_json
-from sobolev.cli import _parse_degrees, main
+import sobolev.experiments
+from sobolev import NumericalFailure, spectral_from_json
+from sobolev.cli import EXIT_NUMERICAL_FAILURE, _parse_degrees, main
 from sobolev.experiments import (
     ExperimentReport,
     cmd_althammer_roots,
@@ -98,6 +99,10 @@ class TestCmdLaguerreRoots:
         with pytest.raises(ValueError):
             cmd_laguerre_roots(k_max=21)  # exceeds spectral dimension 20
 
+    def test_rejects_empty_root_table(self):
+        with pytest.raises(ValueError, match="k_max=0"):
+            cmd_laguerre_roots(k_max=0)
+
 
 class TestCmdAlthammerRoots:
     def test_small_run_has_no_violations(self):
@@ -122,6 +127,21 @@ class TestCmdAlthammerRoots:
     def test_rejects_overlong_degree(self):
         with pytest.raises(ValueError):
             cmd_althammer_roots(n=13, gamma=1.0, n_quad=6)
+
+    def test_rejects_empty_degree(self):
+        with pytest.raises(ValueError, match="n=0"):
+            cmd_althammer_roots(n=0)
+
+    def test_gap_diagnostics_match_pair_loop(self):
+        report, _ = cmd_althammer_roots()
+        roots = np.array([complex(r["root_re"], r["root_im"]) for r in report.rows])
+        gaps = [
+            abs(roots[i] - roots[j])
+            for i in range(len(roots))
+            for j in range(i + 1, len(roots))
+        ]
+        assert report.diagnostics["min_pair_gap"] == float(min(gaps))
+        assert report.diagnostics["n_gap_violations"] == sum(g <= 1e-10 for g in gaps)
 
 
 class TestCmdLeastSquares:
@@ -165,6 +185,20 @@ class TestCmdPenta:
     def test_single_entry(self):
         report, _ = cmd_penta(m=1)
         assert len(report.rows) == 1
+
+    def test_offband_diagnostic_matches_entry_loop(self):
+        report, _ = cmd_penta()
+        m = report.config["m"]
+        B = np.zeros((m, m), dtype=complex)
+        for row in report.rows:
+            B[row["i"] - 1, row["j"] - 1] = complex(row["re"], row["im"])
+        offband = 0.0
+        for i in range(m):
+            for j in range(m):
+                if abs(i - j) > 2:
+                    offband = max(offband, abs(B[i, j]))
+        assert offband > 0.0  # rounding leaves the off-band entries nonzero
+        assert report.diagnostics["offband_rel"] == offband / float(np.linalg.norm(B))
 
     def test_arnoldi_driver_cross_checks_against_updating(self):
         report, _ = cmd_penta(solver="arnoldi")
@@ -272,6 +306,36 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,root_re,root_im"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["althammer-roots", "--n", "0"], "n=0"),
+            (["laguerre-roots", "--k-max", "0"], "k_max=0"),
+        ],
+    )
+    def test_empty_root_request_is_a_usage_error(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+
+    def test_numerical_failure_is_reported_without_traceback(self, capsys, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            raise NumericalFailure("breakdown in column 4", column=4, residual=1e-3)
+
+        monkeypatch.setattr(sobolev.experiments, "solve_hessenberg", failing_solve)
+        code = main(["laguerre-roots", "--k-max", "3"])
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert code not in (0, 2)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "breakdown in column 4" in captured.err
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record == {"error": "breakdown in column 4", "column": 4, "residual": 1e-3}
 
     def test_bad_arguments_exit_with_usage_error(self):
         with pytest.raises(SystemExit):

@@ -30,6 +30,7 @@ from sobolev import (
     spectral_from_json,
     spectral_to_json,
 )
+from sobolev.experiments import random_spectral_data
 
 
 def random_jordan(rng, max_m=12, max_block=4):
@@ -312,6 +313,16 @@ class TestInnerProductDirect:
             )
 
 
+def _matvec_operators():
+    """Random operators, then one 1x1 block, one 4x4 block, nine 1x1 blocks."""
+    rng = np.random.default_rng(2024)
+    ops = [random_spectral_data(rng)[0] for _ in range(6)]
+    ops.append(JordanOperator((JordanBlockSpec(0.3 - 1.1j, []),)))
+    ops.append(JordanOperator((JordanBlockSpec(-0.7 + 0.2j, [1.5, -0.4j, 2.0 + 1.0j]),)))
+    ops.append(JordanOperator(tuple(JordanBlockSpec(z, []) for z in np.linspace(-1, 1, 9))))
+    return ops
+
+
 class TestJordanMatvec:
     def test_scalar_block(self):
         Z = JordanOperator((JordanBlockSpec(2.0, []),))
@@ -332,6 +343,20 @@ class TestJordanMatvec:
         Z = JordanOperator((JordanBlockSpec(0.0, [1.0]),))
         with pytest.raises(ValueError):
             jordan_matvec(Z, [1.0])
+
+    @pytest.mark.parametrize("Z", _matvec_operators())
+    def test_matches_dense_product(self, Z):
+        rng = np.random.default_rng(Z.m)
+        x = rng.standard_normal(Z.m) + 1j * rng.standard_normal(Z.m)
+        ref = Z.dense() @ x
+        got = jordan_matvec(Z, x)
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("Z", _matvec_operators())
+    def test_rejects_wrong_length_for_any_operator(self, Z):
+        for length in (Z.m - 1, Z.m + 1):
+            with pytest.raises(ValueError):
+                jordan_matvec(Z, np.ones(length))
 
 
 class TestJordanPolyColumn:
