@@ -87,58 +87,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
+    def add_command(name, run, summary):
+        # no flag defaults here: each default lives in the driver's signature
+        p = sub.add_parser(
+            name, parents=[common], help=summary, argument_default=argparse.SUPPRESS
+        )
+        p.set_defaults(run=run)
+        return p
+
+    p = add_command(
         "laguerre-roots",
-        parents=[common],
-        help="smallest roots of Laguerre-type Sobolev polynomials",
+        cmd_laguerre_roots,
+        "smallest roots of Laguerre-type Sobolev polynomials",
     )
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=-0.5)
-    p.add_argument("--n-quad", type=int, default=10)
-    p.add_argument("--k-max", type=int, default=10)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--n-quad", type=int)
+    p.add_argument("--k-max", type=int)
 
-    p = sub.add_parser(
+    p = add_command(
         "althammer-roots",
-        parents=[common],
-        help="all roots of a Legendre-plus-derivative polynomial",
+        cmd_althammer_roots,
+        "all roots of a Legendre-plus-derivative polynomial",
     )
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--gamma", type=float, default=100.0)
-    p.add_argument("--n-quad", type=int, default=60)
+    p.add_argument("--n", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--n-quad", type=int)
 
-    p = sub.add_parser(
+    p = add_command(
         "least-squares",
-        parents=[common],
-        help="Hermite least-squares error curves for a Gaussian bump",
+        cmd_least_squares,
+        "Hermite least-squares error curves for a Gaussian bump",
     )
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--m", type=int, default=201)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--m", type=int)
     p.add_argument(
         "--degrees",
         type=_parse_degrees,
-        default=list(range(1, 202, 10)),
         help="comma list or start:stop[:step] (default 1:201:10)",
     )
 
-    p = sub.add_parser(
-        "penta",
-        parents=[common],
-        help="pentadiagonal five-term recurrence matrix",
-    )
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=-1.0)
-    p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--N", type=float, default=1.0)
+    p = add_command("penta", cmd_penta, "pentadiagonal five-term recurrence matrix")
+    p.add_argument("--m", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--M", type=float)
+    p.add_argument("--N", type=float)
 
-    p = sub.add_parser(
+    p = add_command(
         "compare-solvers",
-        parents=[common],
-        help="cross-validate the solvers on random spectral data",
+        cmd_compare_solvers,
+        "cross-validate the solvers on random spectral data",
     )
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-m", type=int, default=40)
-    p.add_argument("--seed", type=int, default=20260826)
+    p.add_argument("--count", type=int)
+    p.add_argument("--max-m", type=int)
+    p.add_argument("--seed", type=int)
 
     return parser
 
@@ -149,60 +152,19 @@ def _stderr_trace(record: dict):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    trace = _stderr_trace if args.trace else None
+    options = vars(parser.parse_args(argv))
+    command, run = options.pop("command"), options.pop("run")
+    out, fmt = options.pop("out"), options.pop("fmt")
+    dump_spectral = options.pop("dump_spectral")
+    options["trace"] = _stderr_trace if options["trace"] else None
 
-    if args.dump_spectral and args.out is None:
+    if dump_spectral and out is None:
         parser.error("--dump-spectral requires --out")
+    if command == "least-squares" and out is not None:
+        options["svg_path"] = out.with_name(out.stem + ".svg")
 
     try:
-        if args.command == "laguerre-roots":
-            report, data = cmd_laguerre_roots(
-                gamma=args.gamma,
-                alpha=args.alpha,
-                n_quad=args.n_quad,
-                k_max=args.k_max,
-                solver=args.solver,
-                trace=trace,
-            )
-        elif args.command == "althammer-roots":
-            report, data = cmd_althammer_roots(
-                n=args.n,
-                gamma=args.gamma,
-                n_quad=args.n_quad,
-                solver=args.solver,
-                trace=trace,
-            )
-        elif args.command == "least-squares":
-            svg_path = None
-            if args.out is not None:
-                svg_path = args.out.with_name(args.out.stem + ".svg")
-            report, data = cmd_least_squares(
-                gamma=args.gamma,
-                m=args.m,
-                degrees=args.degrees,
-                solver=args.solver,
-                trace=trace,
-                svg_path=svg_path,
-            )
-        elif args.command == "penta":
-            report, data = cmd_penta(
-                m=args.m,
-                alpha=args.alpha,
-                c=args.c,
-                M=args.M,
-                N=args.N,
-                solver=args.solver,
-                trace=trace,
-            )
-        else:
-            report, data = cmd_compare_solvers(
-                count=args.count,
-                max_m=args.max_m,
-                seed=args.seed,
-                solver=args.solver,
-                trace=trace,
-            )
+        report, data = run(**options)
     except ValueError as exc:
         parser.error(str(exc))
     except NumericalFailure as exc:
@@ -210,18 +172,18 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
-    text = report_to_csv(report) if args.fmt == "csv" else report_to_json(report)
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+    text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
+    if out is not None:
+        out.write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
 
-    if args.dump_spectral:
+    if dump_spectral:
         if data is None:
             print("no spectral data to dump for this command", file=sys.stderr)
         else:
-            path = args.out.with_name(args.out.stem + ".spectral.json")
+            path = out.with_name(out.stem + ".spectral.json")
             path.write_text(
                 json.dumps(spectral_to_json(*data), indent=2) + "\n", encoding="utf-8"
             )

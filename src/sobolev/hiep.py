@@ -452,9 +452,18 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = "
     reflectors) or "update-rot" (updating with plane rotations).  The
     updating solvers compute the full m x m matrix, without accumulating
     Q, and truncate; the result is the same by uniqueness of the solution.
+    The result is exactly k x k: an Arnoldi breakdown before column k
+    raises NumericalFailure with the breakdown ``column`` and ``k``.
     """
     if method == "arnoldi":
-        return arnoldi(Z, w, k, trace=trace).H
+        H = arnoldi(Z, w, k, trace=trace).H
+        if H.shape[0] < k:
+            raise NumericalFailure(
+                "Arnoldi iteration broke down before k columns",
+                column=H.shape[0],
+                k=k,
+            )
+        return H
     strategy = {"update-hh": "householder", "update-rot": "rotations"}.get(method)
     if strategy is None:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")

@@ -1,16 +1,30 @@
 """Tests for the experiment drivers and the command line interface."""
 
 import argparse
+import inspect
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sobolev.cli
 import sobolev.experiments
-from sobolev import NumericalFailure, spectral_from_json
-from sobolev.cli import EXIT_NUMERICAL_FAILURE, _parse_degrees, main
+import sobolev.sop
+from sobolev import (
+    NumericalFailure,
+    arnoldi,
+    build_same_measure,
+    golub_welsch,
+    hermite_least_squares,
+    legendre_jacobi,
+    solve_hessenberg,
+    spectral_from_json,
+    update_solve,
+)
+from sobolev.cli import EXIT_NUMERICAL_FAILURE, _parse_degrees, build_parser, main
 from sobolev.experiments import (
     ExperimentReport,
     cmd_althammer_roots,
@@ -18,6 +32,7 @@ from sobolev.experiments import (
     cmd_laguerre_roots,
     cmd_least_squares,
     cmd_penta,
+    random_spectral_data,
     report_to_csv,
     report_to_json,
 )
@@ -163,6 +178,70 @@ class TestCmdLeastSquares:
         Zg, _ = data
         assert Zg.m == 30
 
+    @pytest.mark.parametrize("solver", ["arnoldi", "update-rot"])
+    def test_rows_equal_per_degree_fits(self, solver):
+        # reference: one hermite_least_squares fit per degree and family,
+        # each measuring its own errors on the grid
+        def bump(x):
+            return np.exp(-100.0 * (x - 0.2) ** 2)
+
+        def bump_prime(x):
+            return -200.0 * (x - 0.2) * bump(x)
+
+        m, gamma, degrees, grid = 15, 0.01, [1, 7, 14, 20], 401
+        report, _ = cmd_least_squares(
+            gamma=gamma, m=m, degrees=degrees, solver=solver, grid_points=grid
+        )
+        rule = golub_welsch(legendre_jacobi(m))
+        fv, fpv = bump(rule.nodes), bump_prime(rule.nodes)
+        Z0, w0 = build_same_measure(rule, [1.0])
+        Zg, wg = build_same_measure(rule, [1.0, gamma])
+        H0 = solve_hessenberg(Z0, w0, m, method=solver)
+        Hg = solve_hessenberg(Zg, wg, max(degrees) + 1, method=solver)
+        expected = []
+        for d in degrees:
+            d0 = min(d, m - 1)
+            fit0 = hermite_least_squares(
+                H0, w0.norm(), rule.nodes, rule.weights, fv, fpv,
+                0.0, d0, bump, bump_prime, grid,
+            )
+            fitg = hermite_least_squares(
+                Hg, wg.norm(), rule.nodes, rule.weights, fv, fpv,
+                gamma, d, bump, bump_prime, grid,
+            )
+            expected.append(
+                {
+                    "degree": d,
+                    "value_error_plain": fit0.value_error,
+                    "deriv_error_plain": fit0.deriv_error,
+                    "value_error_sobolev": fitg.value_error,
+                    "deriv_error_sobolev": fitg.deriv_error,
+                    "effective_degree_plain": d0,
+                }
+            )
+        assert report.rows == expected
+        assert [list(row) for row in report.rows] == [list(row) for row in expected]
+
+    @pytest.mark.parametrize("degrees", [[1], [14], [20, 3, 9], list(range(1, 30, 2))])
+    def test_one_fit_and_one_grid_evaluation_per_family(self, monkeypatch, degrees):
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # hermite_least_squares evaluates the basis on the nodes through sop
+        counted(sobolev.sop, "evaluate")
+        counted(sobolev.experiments, "evaluate")
+        counted(sobolev.experiments, "hermite_least_squares")
+        cmd_least_squares(m=15, degrees=degrees, grid_points=101)
+        assert calls == {"evaluate": 4, "hermite_least_squares": 2}
+
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
             cmd_least_squares(m=15, degrees=[0, 5])
@@ -222,6 +301,24 @@ class TestCmdCompareSolvers:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             cmd_compare_solvers(count=0)
+
+    def test_rejects_too_small_max_m(self):
+        with pytest.raises(ValueError, match="max_m=1"):
+            cmd_compare_solvers(max_m=1)
+
+    def test_rows_equal_updating_solves_with_q(self):
+        report, _ = cmd_compare_solvers(count=4, max_m=12, seed=3)
+        rng = np.random.default_rng(3)
+        for row in report.rows:
+            Z, w = random_spectral_data(rng, max_m=12)
+            H_ref = arnoldi(Z, w, Z.m).H
+            scale = float(np.linalg.norm(H_ref))
+            for strategy, key in (
+                ("householder", "rel_diff_update_hh"),
+                ("rotations", "rel_diff_update_rot"),
+            ):
+                H, _ = update_solve(Z, w, strategy=strategy)
+                assert row[key] == float(np.linalg.norm(H - H_ref)) / scale
 
 
 class TestCli:
@@ -312,6 +409,7 @@ class TestCli:
         [
             (["althammer-roots", "--n", "0"], "n=0"),
             (["laguerre-roots", "--k-max", "0"], "k_max=0"),
+            (["compare-solvers", "--max-m", "1"], "max_m=1"),
         ],
     )
     def test_empty_root_request_is_a_usage_error(self, capsys, argv, name):
@@ -344,3 +442,78 @@ class TestCli:
             main(["no-such-command"])
         with pytest.raises(SystemExit):
             main(["least-squares", "--degrees", "nope"])
+
+    def test_arnoldi_breakdown_is_a_numerical_failure(self, capsys):
+        code = main(["laguerre-roots", "--gamma", "1e300", "--solver", "arnoldi"])
+        assert code == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["column"] == 2
+        assert record["k"] == 10
+
+
+DISPATCH = [
+    ("laguerre-roots", "cmd_laguerre_roots", ["--k-max", "3"], "k_max", 3),
+    ("althammer-roots", "cmd_althammer_roots", ["--n-quad", "7"], "n_quad", 7),
+    ("least-squares", "cmd_least_squares", ["--degrees", "1,3"], "degrees", [1, 3]),
+    ("penta", "cmd_penta", ["--M", "2.5"], "M", 2.5),
+    ("compare-solvers", "cmd_compare_solvers", ["--max-m", "6"], "max_m", 6),
+]
+
+
+@pytest.mark.parametrize("command, driver, flag, param, value", DISPATCH)
+class TestCliDispatch:
+    @staticmethod
+    def _record_calls(monkeypatch, driver):
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            return ExperimentReport(experiment="fake", config={}, rows=[]), None
+
+        monkeypatch.setattr(sobolev.cli, driver, fake)
+        return calls
+
+    def test_defaults_are_the_driver_defaults(
+        self, monkeypatch, capsys, command, driver, flag, param, value
+    ):
+        calls = self._record_calls(monkeypatch, driver)
+        assert main([command]) == 0
+        assert calls == [{"solver": "update-rot", "trace": None}]
+
+    def test_flag_arrives_under_parameter_name(
+        self, monkeypatch, capsys, command, driver, flag, param, value
+    ):
+        calls = self._record_calls(monkeypatch, driver)
+        assert main([command, *flag, "--solver", "arnoldi"]) == 0
+        assert calls == [{"solver": "arnoldi", "trace": None, param: value}]
+
+    def test_out_adds_svg_path_for_least_squares_only(
+        self, monkeypatch, capsys, tmp_path, command, driver, flag, param, value
+    ):
+        calls = self._record_calls(monkeypatch, driver)
+        assert main([command, "--out", str(tmp_path / "r.csv")]) == 0
+        expected = {"solver": "update-rot", "trace": None}
+        if command == "least-squares":
+            expected["svg_path"] = tmp_path / "r.svg"
+        assert calls == [expected]
+
+    def test_every_flag_names_a_driver_parameter(
+        self, command, driver, flag, param, value
+    ):
+        [subparsers] = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        parameters = inspect.signature(getattr(sobolev.experiments, driver)).parameters
+        own = [
+            a for a in subparsers.choices[command]._actions
+            if a.dest not in ("help", "solver", "out", "fmt", "dump_spectral", "trace")
+        ]
+        assert own
+        for action in own:
+            assert action.dest in parameters
+            assert action.default is argparse.SUPPRESS

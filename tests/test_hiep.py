@@ -17,6 +17,7 @@ from sobolev import (
     coefficients,
     golub_welsch,
     hessenberg_defect,
+    laguerre_jacobi,
     legendre_jacobi,
     solve_hessenberg,
     update_solve,
@@ -363,6 +364,15 @@ class TestSolveHessenberg:
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
         with pytest.raises(ValueError):
             solve_hessenberg(Z, WeightVector([1.0]), 1, method="lanczos")
+
+    def test_arnoldi_breakdown_before_k_raises(self):
+        # a derivative weight of 1e300 makes the breakdown tolerance
+        # 1e-13 * ||Z||_F swallow the residual of the second column
+        Z, w = build_same_measure(golub_welsch(laguerre_jacobi(10, -0.5)), [1.0, 1e300])
+        assert arnoldi(Z, w, 10).H.shape == (2, 2)
+        with pytest.raises(NumericalFailure, match="broke down") as exc:
+            solve_hessenberg(Z, w, 10, method="arnoldi")
+        assert exc.value.details == {"column": 2, "k": 10}
 
 
 class TestHessenbergDefect:
