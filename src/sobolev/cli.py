@@ -6,9 +6,9 @@ stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
 spectral data as JSON next to --out; --trace streams per-step solver
 events as JSON lines on stderr.
 
-Invalid arguments end in a usage error (exit code 2).  A solver that
-fails its numerical contract ends in exit code 3, with its message and
-its diagnostic fields as one JSON object on stderr.
+Invalid arguments end in the subcommand's usage error (exit code 2).  A
+solver that fails its numerical contract ends in exit code 3, with its
+message and its diagnostic fields as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name, parents=[common], help=summary, argument_default=argparse.SUPPRESS
         )
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, error=p.error)
         return p
 
     p = add_command(
@@ -153,20 +153,20 @@ def _stderr_trace(record: dict):
 def main(argv=None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
-    command, run = options.pop("command"), options.pop("run")
+    command, run, error = options.pop("command"), options.pop("run"), options.pop("error")
     out, fmt = options.pop("out"), options.pop("fmt")
     dump_spectral = options.pop("dump_spectral")
     options["trace"] = _stderr_trace if options["trace"] else None
 
     if dump_spectral and out is None:
-        parser.error("--dump-spectral requires --out")
+        error("--dump-spectral requires --out")
     if command == "least-squares" and out is not None:
         options["svg_path"] = out.with_name(out.stem + ".svg")
 
     try:
         report, data = run(**options)
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc))
     except NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)

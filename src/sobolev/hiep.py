@@ -11,12 +11,13 @@ product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 
 Two independent methods are implemented: :func:`arnoldi`, a Krylov
 iteration with modified Gram-Schmidt and one reorthogonalization sweep,
-and :func:`update_solve`, which merges single-block solutions one block
-at a time -- embed, inject the new weight with a plane rotation, restore
-the Hessenberg structure column by column, and rescale the subdiagonal to
-be real non-negative.  The restoration chases a bulge of at most block
-size + 1 rows whose position follows from the indices, applying each
-small elimination kernel to the live slices of H only.
+and :func:`update_solve`, which lays every single-block solution out on
+the block diagonal of one m x m workspace and merges the blocks one at a
+time in its leading section -- inject the new weight with a plane
+rotation, restore the Hessenberg structure column by column, and rescale
+the subdiagonal to be real non-negative.  The restoration chases a bulge
+of at most block size + 1 rows whose position follows from the indices,
+applying each small elimination kernel in place to the live slices of H.
 :func:`solve_hessenberg` needs only H, so with the updating solvers it
 skips the accumulation of Q.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .spectral import JordanBlockSpec, JordanOperator, WeightVector, jordan_matvec
+from .spectral import JordanOperator, WeightVector, jordan_matvec
 
 __all__ = [
     "ArnoldiResult",
@@ -246,27 +247,6 @@ class Householder:
         return A - np.outer(A @ y, (2.0 / (y.conj() @ y)) * y.conj())
 
 
-def _single_block_solution(block: JordanBlockSpec, beta: complex):
-    """Closed-form solution for one Jordan block with weight beta e_last.
-
-    H is lower bidiagonal with the block eigenvalue on the diagonal and
-    the scaling magnitudes on the subdiagonal; Q is the flip matrix with
-    per-column phases chosen so that Q e_1 = (beta/|beta|) e_last and the
-    subdiagonal of H comes out real positive.
-    """
-    s = block.size
-    H = block.z * np.eye(s, dtype=complex)
-    for i in range(s - 1):
-        H[i + 1, i] = abs(block.superdiag[i])
-    Q = np.zeros((s, s), dtype=complex)
-    d = _phase(beta)
-    for j in range(s):
-        Q[s - 1 - j, j] = d
-        if j < s - 1:
-            d *= _phase(block.superdiag[j])
-    return H, Q
-
-
 def _rotation_kernel(c: list) -> list:
     """Rows of K = G_1 ... G_{r-1} with K c = (||c||, 0, ..., 0).
 
@@ -306,26 +286,18 @@ def _reflector_kernel(c: list) -> list:
 _KERNELS = {"rotations": _rotation_kernel, "householder": _reflector_kernel}
 
 
-def _embed(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Block-diagonal [[A, 0], [0, B]], column-major for the column updates."""
-    n = A.shape[0]
-    out = np.zeros((n + B.shape[0],) * 2, dtype=complex, order="F")
-    out[:n, :n] = A
-    out[n:, n:] = B
-    return out
-
-
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
                  *, _with_q: bool = True):
     """Solve the inverse problem by updating with one Jordan block at a time.
 
-    Starting from the closed-form single-block solution, each further
-    block is (1) embedded block-diagonally, (2) tied to the existing
-    solution by a plane rotation that turns the first basis column into
-    the enlarged normalized weight vector, (3) brought back to Hessenberg
-    form column by column, eliminating in column i the subdiagonal entry
-    together with every nonzero below it, and (4) rescaled by a unimodular
-    diagonal so the subdiagonal is real non-negative.
+    (1) The closed-form single-block solutions are laid out once on the
+    block diagonal of one m x m workspace for H (and one for Q).  Each
+    further block then merges in place into the leading d x d section:
+    (2) a plane rotation turns the first basis column into the enlarged
+    normalized weight vector, (3) column by column, the subdiagonal entry
+    and every nonzero below it are eliminated to restore Hessenberg form,
+    and (4) a unimodular diagonal rescales the subdiagonal to be real
+    non-negative.
 
     Merging a block of size s onto dimension d_prev leaves a bulge of at
     most s + 1 rows: in column i the nonzeros sit in row i+1 and in rows
@@ -356,47 +328,49 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
         raise ValueError("weight count does not match block count")
 
     tol = 1e-10 * max(Z.frobenius_norm(), 1.0)
-    H, Q = _single_block_solution(Z.blocks[0], w.betas[0])
-    Q = Q if _with_q else None
+    m = Z.m
+    H = np.zeros((m, m), dtype=complex, order="F")
+    Q = np.zeros((m, m), dtype=complex, order="F") if _with_q else None
+    # single-block solutions: H lower bidiagonal with the scaling magnitudes
+    # below the eigenvalue; Q the flip matrix with the phases that make
+    # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive
+    for off, block, beta in zip(Z.offsets(), Z.blocks, w.betas):
+        s = block.size
+        phase = _phase(beta)
+        for j in range(s):
+            H[off + j, off + j] = block.z
+            if Q is not None:
+                Q[off + s - 1 - j, off + j] = phase
+            if j < s - 1:
+                H[off + j + 1, off + j] = abs(block.superdiag[j])
+                phase *= _phase(block.superdiag[j])
+
+    d = Z.blocks[0].size
     wnorm2 = abs(w.betas[0]) ** 2
-
     for bidx in range(1, len(Z.blocks)):
-        block = Z.blocks[bidx]
         beta = w.betas[bidx]
-        Hb, Qb = _single_block_solution(block, beta)
-
-        d_prev = H.shape[0]
-        d = d_prev + block.size
-        Hn = _embed(H, Hb)
-        Qn = None if Q is None else _embed(Q, Qb)
+        d_prev, d = d, d + Z.blocks[bidx].size
 
         # plane rotation turning the first basis column into w/||w||; the
-        # phase of beta already sits in the first column of Qb, so both
-        # parameters are real
+        # phase of beta already sits in the first column of the block's Q,
+        # so both parameters are real
         prev_norm = math.sqrt(wnorm2)
         wnorm2 += abs(beta) ** 2
         cur_norm = math.sqrt(wnorm2)
         pair = [0, d_prev]
         R = np.array([[prev_norm, abs(beta)], [-abs(beta), prev_norm]]) / cur_norm
-        Hn[pair, :] = R @ Hn[pair, :]
-        Hn[:, pair] = Hn[:, pair] @ R.T
-        if Qn is not None:
-            Qn[:, pair] = Qn[:, pair] @ R.T
+        H[pair, :d] = R @ H[pair, :d]
+        H[:d, pair] = H[:d, pair] @ R.T
+        if Q is not None:
+            Q[:d, pair] = Q[:d, pair] @ R.T
 
-        # column-by-column return to Hessenberg structure inside the bulge;
-        # exact zeros in it need no elimination
+        # column-by-column return to Hessenberg structure inside the bulge
         for i in range(d - 2):
             hi = min(d, d_prev + i + 2)
             rows = np.array([i + 1, *range(max(i + 2, d_prev), hi)])
-            column = Hn[rows, i].tolist()
-            if not all(column[1:]):
-                keep = [0] + [k for k in range(1, len(column)) if column[k]]
-                if len(keep) == 1:
-                    continue
-                rows, column = rows[keep], [column[k] for k in keep]
-            K = np.array(kernel_of(column), dtype=complex)
+            K = np.array(kernel_of(H[rows, i].tolist()), dtype=complex)
             KH = K.conj().T
-            left = K @ Hn[rows, i:]
+            left = K @ H[rows, i:d]
             residual = max(map(abs, left[1:, 0].tolist()))
             if residual > tol:
                 raise NumericalFailure(
@@ -406,11 +380,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                     residual=residual,
                 )
             left[1:, 0] = 0.0
-            Hn[rows, i:] = left
+            H[rows, i:d] = left
             top = min(d, hi + 1)
-            Hn[:top, rows] = Hn[:top, rows] @ KH
-            if Qn is not None:
-                Qn[:, rows] = Qn[:, rows] @ KH
+            H[:top, rows] = H[:top, rows] @ KH
+            if Q is not None:
+                Q[:d, rows] = Q[:d, rows] @ KH
             if trace is not None:
                 trace(
                     {
@@ -422,25 +396,24 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                     }
                 )
 
-        if np.tril(Hn, -2).any():
+        if np.tril(H[:d, :d], -2).any():
             raise NumericalFailure(
                 "Hessenberg restoration missed an entry outside the bulge window",
                 block=bidx,
-                defect=hessenberg_defect(Hn),
+                defect=hessenberg_defect(H[:d, :d]),
             )
 
         # unimodular rescaling: subdiagonal real non-negative, first column kept
-        sub = np.diagonal(Hn, -1)
+        sub = np.diagonal(H[:d, :d], -1)
         size = np.abs(sub)
         steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
         phases = np.cumprod(np.concatenate(([1.0], steps)))
-        Hn = phases.conj()[:, None] * Hn * phases[None, :]
+        # contiguous copies: the products on the strided sections round differently
+        H[:d, :d] = phases.conj()[:, None] * H[:d, :d].copy(order="F") * phases[None, :]
         idx = np.arange(d - 1)
-        Hn[idx + 1, idx] = Hn[idx + 1, idx].real
-        if Qn is not None:
-            Qn = Qn * phases[None, :]
-
-        H, Q = Hn, Qn
+        H[idx + 1, idx] = H[idx + 1, idx].real
+        if Q is not None:
+            Q[:d, :d] = Q[:d, :d].copy(order="F") * phases[None, :]
 
     return H, Q
 

@@ -47,6 +47,9 @@ class JacobiCoefficients:
             raise ValueError("recurrence coefficients must be 1-d sequences")
         if offdiag.size != max(diag.size - 1, 0):
             raise ValueError("offdiag must have one entry less than diag")
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))
+                and math.isfinite(self.moment0)):
+            raise ValueError("recurrence coefficients and moment0 must be finite")
         if offdiag.size and not np.all(offdiag > 0):
             raise ValueError("offdiagonal recurrence coefficients must be positive")
         if not self.moment0 > 0:
@@ -110,18 +113,22 @@ def laguerre_jacobi(n: int, alpha: float = 0.0) -> JacobiCoefficients:
     """Recurrence data of the generalized Laguerre measure x^alpha e^{-x}.
 
     diag_k = 2k + alpha + 1, offdiag_k = sqrt(k (k + alpha)); the total
-    mass is Gamma(alpha + 1), evaluated in log space so large alpha does
-    not overflow.
+    mass is Gamma(alpha + 1), so alpha must be finite and small enough
+    (about 170.6 at most) for that mass to fit the double range.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if not (alpha > -1.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
+    try:
+        moment0 = math.exp(math.lgamma(alpha + 1.0))
+    except OverflowError:
+        raise ValueError(f"alpha={alpha} is too large: Gamma(alpha + 1) overflows") from None
     k = np.arange(float(n))
     diag = 2.0 * k + alpha + 1.0
     kk = np.arange(1.0, n)
     offdiag = np.sqrt(kk * (kk + alpha))
-    return JacobiCoefficients(diag, offdiag, math.exp(math.lgamma(alpha + 1.0)))
+    return JacobiCoefficients(diag, offdiag, moment0)
 
 
 def _recurrence_weights(jac, nodes):

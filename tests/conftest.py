@@ -5,11 +5,14 @@ summary hook prints them all at the end of the run so the pass/fail
 status of every criterion is visible in one place.
 """
 
+import tempfile
+
 import numpy as np
 
 from sobolev import JordanBlockSpec, JordanOperator, WeightVector
 
 ACCEPTANCE_LINES = []
+_hypothesis_home = None
 
 
 def log_criterion(line: str):
@@ -21,6 +24,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def pytest_configure(config):
+    """Point Hypothesis's storage at a temporary directory.
+
+    Even without an example database, Hypothesis caches the constants of
+    the local source files at collection, which would otherwise leave a
+    ``.hypothesis/`` directory in the checkout.
+    """
+    global _hypothesis_home
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 def gentle_jordan(rng, max_m=12):

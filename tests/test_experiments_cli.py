@@ -388,6 +388,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["171", "1e308", "inf"])
+    def test_unusable_alpha_is_a_usage_error(self, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["laguerre-roots", "--alpha", alpha])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "alpha" in captured.err
+
     def test_least_squares_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "errors.csv"
         main([
@@ -418,6 +426,7 @@ class TestCli:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert name in captured.err
+        assert captured.err.startswith(f"usage: sobolev {argv[0]}")
         assert captured.out == ""
 
     def test_numerical_failure_is_reported_without_traceback(self, capsys, monkeypatch):

@@ -360,6 +360,17 @@ class TestSolveHessenberg:
                 assert Hk.shape == (k, k)
                 assert np.linalg.norm(Hk - full[:k, :k]) <= 1e-11 * np.linalg.norm(full)
 
+    @pytest.mark.parametrize(
+        "method, strategy", [("update-hh", "householder"), ("update-rot", "rotations")]
+    )
+    def test_q_and_no_q_paths_share_arithmetic(self, method, strategy):
+        for Z, w in (
+            random_spectral_data(np.random.default_rng(7), max_m=30),
+            legendre_instance(),
+        ):
+            H, _ = update_solve(Z, w, strategy=strategy)
+            assert np.array_equal(H, solve_hessenberg(Z, w, Z.m, method=method))
+
     def test_rejects_unknown_method(self):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
         with pytest.raises(ValueError):

@@ -34,6 +34,11 @@ class TestJacobiCoefficients:
             ([0.0, 0.0], [1.0, 1.0], 2.0), # length mismatch
             ([0.0], [], 0.0),              # zero mass
             ([0.0], [], -1.0),             # negative mass
+            ([np.nan], [], 1.0),           # NaN diagonal
+            ([0.0, np.inf], [1.0], 2.0),   # infinite diagonal
+            ([0.0, 0.0], [np.inf], 2.0),   # infinite coupling
+            ([0.0], [], np.inf),           # infinite mass
+            ([0.0], [], np.nan),           # NaN mass
         ],
     )
     def test_invalid_inputs(self, diag, offdiag, moment0):
@@ -106,7 +111,10 @@ class TestLaguerreJacobi:
         assert_allclose(jac.diag, [0.5])
         assert jac.moment0 == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 
-    @pytest.mark.parametrize("alpha", [-1.0, -2.0])
+    @pytest.mark.parametrize(
+        "alpha",
+        [-1.0, -2.0, np.nan, np.inf, 171.0, 1e308],  # Gamma(alpha + 1) overflows at the last two
+    )
     def test_rejects_alpha_at_or_below_minus_one(self, alpha):
         with pytest.raises(ValueError):
             laguerre_jacobi(3, alpha)
