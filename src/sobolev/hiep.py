@@ -12,14 +12,13 @@ product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 Two independent methods are implemented: :func:`arnoldi`, a Krylov
 iteration with modified Gram-Schmidt and one reorthogonalization sweep,
 and :func:`update_solve`, which lays every single-block solution out on
-the block diagonal of one m x m workspace and merges the blocks one at a
-time in its leading section -- inject the new weight with a plane
-rotation, restore the Hessenberg structure column by column, and rescale
-the subdiagonal to be real non-negative.  The restoration chases a bulge
-of at most block size + 1 rows whose position follows from the indices,
-applying each small elimination kernel in place to the live slices of H.
-:func:`solve_hessenberg` needs only H, so with the updating solvers it
-skips the accumulation of Q.
+the block diagonal of one workspace and merges the blocks into its
+leading section: inject the new weight with a plane rotation, then chase
+the bulge down column by column.  The merges run as a wavefront, each
+one step behind the previous, so one batched step restores a column of
+every merge in flight; real data run in float64, and one rescaling at
+the end makes the subdiagonal real non-negative.  :func:`solve_hessenberg`
+needs only H, so with the updating solvers it skips the accumulation of Q.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     Each step applies Z to the newest basis vector, orthogonalizes by
     modified Gram-Schmidt against all previous vectors, and repeats the
     orthogonalization once to keep ``Q^H Q`` near the identity also for
-    dimensions in the hundreds.  Breakdown (residual below
-    1e-13 * ||Z||_F) truncates the result; for valid spectral data it can
-    only occur at the full dimension m.
+    dimensions in the hundreds.  Breakdown (residual below 1e-13 times
+    ||Z q_col||, the norm before orthogonalization) truncates the result;
+    for valid spectral data it can only occur at the full dimension m.
 
     Parameters
     ----------
@@ -92,7 +91,6 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
         raise ValueError(f"column count k={k} must lie in 1..{m}")
     wd = w.dense(Z)
     wnorm = float(np.linalg.norm(wd))
-    tol = 1e-13 * Z.frobenius_norm()
 
     Q = np.zeros((m, k), dtype=complex)
     Hext = np.zeros((k + 1, k), dtype=complex)
@@ -102,6 +100,7 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     q_next = None
     for col in range(k):
         v = jordan_matvec(Z, Q[:, col])
+        tol = 1e-13 * float(np.linalg.norm(v))
         basis = Q[:, : col + 1]
         h = basis.conj().T @ v
         v = v - basis @ h
@@ -247,43 +246,63 @@ class Householder:
         return A - np.outer(A @ y, (2.0 / (y.conj() @ y)) * y.conj())
 
 
-def _rotation_kernel(c: list) -> list:
-    """Rows of K = G_1 ... G_{r-1} with K c = (||c||, 0, ..., 0).
+def _rotation_kernels(V: np.ndarray) -> np.ndarray:
+    """Batched K = G_1 ... G_{r-1} with K v = (||v||, 0, ..., 0) for each row v of V.
 
     G_idx is the plane rotation of :meth:`PlaneRotation.annihilating` on
-    the pair (idx-1, idx); the chain runs bottom up.  Row idx of K is final
-    once G_idx is applied, and row idx-1 is a unit row until then, so only
-    the trailing part ``acc`` of the row being carried is kept.
+    the pair (idx-1, idx); the chain runs bottom up and carries the norm of
+    the part below.  Row idx-1 of K is a unit row until G_idx is applied.
+    A pair whose lower entry is exactly zero gets the identity instead, so
+    trailing zero padding leaves exact identity rows and columns in K.
     """
-    r = len(c)
-    K = [None] * r
-    acc = [1.0]
-    g = c[-1]
+    B, r = V.shape
+    K = np.zeros((B, r, r), dtype=V.dtype)
+    K[:, -1, -1] = 1.0
+    g = V[:, -1]
     for idx in range(r - 1, 0, -1):
-        f = c[idx - 1]
-        norm = math.hypot(abs(f), abs(g))
-        a, b = (f / norm, -g / norm) if norm else (1.0, 0.0)
-        K[idx] = [0.0] * (idx - 1) + [b] + [a * x for x in acc]
-        cb = b.conjugate()
-        acc = [a.conjugate()] + [-cb * x for x in acc]
-        g = norm
-    K[0] = acc
+        f = V[:, idx - 1]
+        norm = np.hypot(np.abs(f), np.abs(g))
+        live = g != 0
+        safe = np.where(live, norm, 1.0)
+        a = np.where(live, f / safe, 1.0)
+        b = -g / safe
+        lower = K[:, idx, idx:]
+        K[:, idx - 1, idx:] = -b.conj()[:, None] * lower
+        K[:, idx - 1, idx - 1] = a.conj()
+        K[:, idx, idx:] = a[:, None] * lower
+        K[:, idx, idx - 1] = b
+        g = np.where(live, norm, f)
     return K
 
 
-def _reflector_kernel(c: list) -> list:
-    """Rows of the reflector of :meth:`Householder.from_vector` for c."""
-    norm = math.sqrt(sum(abs(x) ** 2 for x in c))
-    y = list(c)
-    y[0] += (c[0] / abs(c[0]) if c[0] else 1.0) * norm
-    scale = 2.0 / sum(abs(x) ** 2 for x in y)
-    return [
-        [(a == b) - scale * ya * yb.conjugate() for b, yb in enumerate(y)]
-        for a, ya in enumerate(y)
-    ]
+def _reflector_kernels(V: np.ndarray) -> np.ndarray:
+    """Batched reflectors of :meth:`Householder.from_vector`, one per row of V;
+    zero padding stays zero in y and so gives exact identity rows and columns."""
+    head = V[:, 0]
+    size = np.abs(head)
+    y = V.copy()
+    y[:, 0] += np.divide(head, size, out=np.ones_like(head), where=size > 0) * np.linalg.norm(V, axis=1)
+    scale = 2.0 / np.sum(np.abs(y) ** 2, axis=1)
+    return np.eye(V.shape[1]) - scale[:, None, None] * y[:, :, None] * y[:, None, :].conj()
 
 
-_KERNELS = {"rotations": _rotation_kernel, "householder": _reflector_kernel}
+_KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}
+
+
+def _wavefront(ends: np.ndarray, m: int, r: int):
+    """Windows of all (merge j, column c) pairs in step order, padded to r
+    indices with m, and the bounds of each step's rows; merge j restores
+    column c at step t = j - 1 + c."""
+    count = ends[1:] - 2
+    j = np.repeat(np.arange(1, len(ends)), count)
+    c = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
+    order = np.argsort(j + c, kind="stable")
+    j, c = j[order], c[order]
+    lo = np.maximum(c + 2, ends[j - 1])
+    hi = np.minimum(ends[j], ends[j - 1] + c + 2)
+    tail = lo[:, None] + np.arange(r - 1)
+    wins = np.column_stack((c + 1, np.where(tail < hi[:, None], tail, m)))
+    return wins, np.searchsorted(j + c - 1, np.arange(len(ends) + m - 2))
 
 
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
@@ -291,46 +310,49 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     """Solve the inverse problem by updating with one Jordan block at a time.
 
     (1) The closed-form single-block solutions are laid out once on the
-    block diagonal of one m x m workspace for H (and one for Q).  Each
-    further block then merges in place into the leading d x d section:
-    (2) a plane rotation turns the first basis column into the enlarged
-    normalized weight vector, (3) column by column, the subdiagonal entry
-    and every nonzero below it are eliminated to restore Hessenberg form,
-    and (4) a unimodular diagonal rescales the subdiagonal to be real
-    non-negative.
+    block diagonal of one workspace for H (and one for Q).  Block j then
+    merges into the leading d_j x d_j section: (2) a plane rotation on
+    (0, d_{j-1}) turns the first basis column into the enlarged weight
+    vector, and (3) column by column, the entries below the subdiagonal
+    are eliminated.  In column c they sit in the window of row c+1 and
+    rows max(c+2, d_{j-1}) .. d_{j-1}+c+1, which follows from the indices.
 
-    Merging a block of size s onto dimension d_prev leaves a bulge of at
-    most s + 1 rows: in column i the nonzeros sit in row i+1 and in rows
-    max(i+2, d_prev) .. d_prev+i+1, so the rows to reduce follow from
-    the indices alone.  Each elimination kernel is a small matrix applied
-    in place to the live slices, H[rows, i:] on the left and the leading
-    rows of H[:, rows] on the right.  After each merge H is checked to be
-    exactly Hessenberg, which shows the bulge window missed no entry.
+    The merges run as a wavefront: merge j starts one step after merge
+    j-1 and restores one column per step.  Windows in flight are
+    disjoint and no merge writes the column another one reads, so each
+    step builds all kernels in one batched call from the state at its
+    start and applies them with one batched left and one batched right
+    product.  Windows are padded with a scratch index m, whose row and
+    column stay zero.  Real data (z, scalings and weights) run in
+    float64.  After the last step, H is checked to be exactly Hessenberg
+    and (4) one unimodular diagonal makes its subdiagonal non-negative.
 
     Parameters
     ----------
     Z, w : spectral data of the discretized product.
     strategy : "rotations" or "householder" -- how the per-column
         elimination kernel is built.
-    trace : optional callable receiving one dict per elimination step.
+    trace : optional callable receiving one dict per merge and column.
 
     Returns
     -------
-    (H, Q) : m x m Hessenberg matrix and unitary basis.  Q is None when
-    the private flag ``_with_q`` is false; :func:`solve_hessenberg` sets
-    it because it only needs H, and calls through this function so that
-    a ``trace`` hook on it sees every updating solve.
+    (H, Q) : m x m complex Hessenberg matrix and unitary basis.  Q is
+    None when the private flag ``_with_q`` is false; :func:`solve_hessenberg`
+    sets it because it only needs H, and calls through this function so
+    that a ``trace`` hook on it sees every updating solve.
     """
-    kernel_of = _KERNELS.get(strategy)
-    if kernel_of is None:
+    kernels_of = _KERNELS.get(strategy)
+    if kernels_of is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(Z.blocks) != w.betas.size:
         raise ValueError("weight count does not match block count")
 
     tol = 1e-10 * max(Z.frobenius_norm(), 1.0)
     m = Z.m
-    H = np.zeros((m, m), dtype=complex, order="F")
-    Q = np.zeros((m, m), dtype=complex, order="F") if _with_q else None
+    real = not (w.betas.imag.any() or any(b.z.imag or b.superdiag.imag.any() for b in Z.blocks))
+    # row and column m are the scratch index that pads every window
+    H = np.zeros((m + 1, m + 1), dtype=complex)
+    Q = np.zeros((m + 1, m + 1), dtype=complex) if _with_q else None
     # single-block solutions: H lower bidiagonal with the scaling magnitudes
     # below the eigenvalue; Q the flip matrix with the phases that make
     # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive
@@ -344,77 +366,74 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             if j < s - 1:
                 H[off + j + 1, off + j] = abs(block.superdiag[j])
                 phase *= _phase(block.superdiag[j])
+    if real:
+        H, Q = H.real.copy(), (None if Q is None else Q.real.copy())
 
-    d = Z.blocks[0].size
-    wnorm2 = abs(w.betas[0]) ** 2
-    for bidx in range(1, len(Z.blocks)):
-        beta = w.betas[bidx]
-        d_prev, d = d, d + Z.blocks[bidx].size
-
-        # plane rotation turning the first basis column into w/||w||; the
-        # phase of beta already sits in the first column of the block's Q,
-        # so both parameters are real
-        prev_norm = math.sqrt(wnorm2)
-        wnorm2 += abs(beta) ** 2
-        cur_norm = math.sqrt(wnorm2)
-        pair = [0, d_prev]
-        R = np.array([[prev_norm, abs(beta)], [-abs(beta), prev_norm]]) / cur_norm
-        H[pair, :d] = R @ H[pair, :d]
-        H[:d, pair] = H[:d, pair] @ R.T
-        if Q is not None:
-            Q[:d, pair] = Q[:d, pair] @ R.T
-
-        # column-by-column return to Hessenberg structure inside the bulge
-        for i in range(d - 2):
-            hi = min(d, d_prev + i + 2)
-            rows = np.array([i + 1, *range(max(i + 2, d_prev), hi)])
-            K = np.array(kernel_of(H[rows, i].tolist()), dtype=complex)
-            KH = K.conj().T
-            left = K @ H[rows, i:d]
-            residual = max(map(abs, left[1:, 0].tolist()))
-            if residual > tol:
-                raise NumericalFailure(
-                    "Hessenberg restoration left a residual above tolerance",
-                    column=i + 1,
-                    block=bidx,
-                    residual=residual,
-                )
-            left[1:, 0] = 0.0
-            H[rows, i:d] = left
-            top = min(d, hi + 1)
-            H[:top, rows] = H[:top, rows] @ KH
+    ends = np.cumsum([b.size for b in Z.blocks])
+    norms = np.sqrt(np.cumsum(np.abs(w.betas) ** 2))
+    wins, bounds = _wavefront(ends, m, max(b.size for b in Z.blocks) + 1)
+    for t in range(len(ends) + m - 3):
+        newest = min(t + 1, len(ends) - 1)
+        dmax = ends[newest]
+        if newest == t + 1:
+            # plane rotation turning the first basis column into w/||w||; the
+            # phase of beta already sits in the first column of the block's Q,
+            # so both parameters are real
+            pair = [0, ends[newest - 1]]
+            R = np.array([[norms[newest - 1], abs(w.betas[newest])],
+                          [-abs(w.betas[newest]), norms[newest - 1]]]) / norms[newest]
+            H[pair, :dmax] = R @ H[pair, :dmax]
+            H[:dmax, pair] = H[:dmax, pair] @ R.T
             if Q is not None:
-                Q[:d, rows] = Q[:d, rows] @ KH
-            if trace is not None:
-                trace(
-                    {
-                        "event": "update-restore",
-                        "block": bidx + 1,
-                        "column": i + 1,
-                        "eliminated": len(rows) - 1,
-                        "residual": residual,
-                    }
-                )
-
-        if np.tril(H[:d, :d], -2).any():
+                Q[:dmax, pair] = Q[:dmax, pair] @ R.T
+        win = wins[bounds[t]:bounds[t + 1]]
+        if not win.size:
+            continue
+        col = win[:, :1] - 1
+        V = H[win, col]
+        K = kernels_of(V)
+        residual = np.abs(K[:, 1:] @ V[:, :, None]).max(axis=(1, 2))
+        if (residual > tol).any():
+            bad = int(np.argmax(residual > tol))
             raise NumericalFailure(
-                "Hessenberg restoration missed an entry outside the bulge window",
-                block=bidx,
-                defect=hessenberg_defect(H[:d, :d]),
+                "Hessenberg restoration left a residual above tolerance",
+                column=int(col[bad, 0]) + 1,
+                block=t + 1 - int(col[bad, 0]),
+                residual=float(residual[bad]),
             )
-
-        # unimodular rescaling: subdiagonal real non-negative, first column kept
-        sub = np.diagonal(H[:d, :d], -1)
-        size = np.abs(sub)
-        steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
-        phases = np.cumprod(np.concatenate(([1.0], steps)))
-        # contiguous copies: the products on the strided sections round differently
-        H[:d, :d] = phases.conj()[:, None] * H[:d, :d].copy(order="F") * phases[None, :]
-        idx = np.arange(d - 1)
-        H[idx + 1, idx] = H[idx + 1, idx].real
+        # the columns left of the newest merge's are zero in every window
+        H[win, col[-1, 0]:dmax] = K @ H[win, col[-1, 0]:dmax]
+        H[win[:, 1:], col] = 0.0
+        KH = K.conj().transpose(0, 2, 1)
+        H[:dmax, win] = (H[:dmax, win].transpose(1, 0, 2) @ KH).transpose(1, 0, 2)
         if Q is not None:
-            Q[:d, :d] = Q[:d, :d].copy(order="F") * phases[None, :]
+            Q[:dmax, win] = (Q[:dmax, win].transpose(1, 0, 2) @ KH).transpose(1, 0, 2)
+        if trace is not None:
+            for c, eliminated, res in zip(col[:, 0].tolist(), (win[:, 1:] < m).sum(axis=1).tolist(),
+                                          residual.tolist()):
+                trace({"event": "update-restore", "block": t + 2 - c, "column": c + 1,
+                       "eliminated": eliminated, "residual": res})
 
+    H = H[:m, :m]
+    if np.tril(H, -2).any():
+        raise NumericalFailure(
+            "Hessenberg restoration missed an entry outside the bulge window",
+            defect=hessenberg_defect(H),
+        )
+    # unimodular rescaling: subdiagonal real non-negative, first column kept;
+    # the running product is renormalized so its rounding cannot accumulate
+    sub = np.diagonal(H, -1)
+    size = np.abs(sub)
+    steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
+    phases = np.cumprod(np.concatenate(([1.0], steps)))
+    phases /= np.abs(phases)
+    H *= phases
+    H *= phases.conj()[:, None]
+    H = H.astype(complex, copy=False)
+    idx = np.arange(m - 1)
+    H[idx + 1, idx] = size
+    if Q is not None:
+        Q = (Q[:m, :m] * phases).astype(complex, copy=False)
     return H, Q
 
 

@@ -8,8 +8,16 @@ status of every criterion is visible in one place.
 import tempfile
 
 import numpy as np
+import pytest
 
-from sobolev import JordanBlockSpec, JordanOperator, WeightVector
+from sobolev import (
+    JordanBlockSpec,
+    JordanOperator,
+    WeightVector,
+    build_same_measure,
+    golub_welsch,
+    legendre_jacobi,
+)
 
 ACCEPTANCE_LINES = []
 _hypothesis_home = None
@@ -66,3 +74,45 @@ def gentle_jordan(rng, max_m=12):
         betas.append(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()))
         dim += size
     return JordanOperator(tuple(blocks)), WeightVector(np.asarray(betas))
+
+
+def hessenberg_reference(Z, w):
+    """H of real spectral data (Z, w) by Householder reduction in long double.
+
+    The bordered matrix [[0, 0], [w, Z]] is reduced to Hessenberg form by
+    reflectors on the indices 1, 2, ...; the first one maps w to a
+    multiple of e_1, so the trailing block is Q^T Z Q with Q e_1 = w/||w||
+    up to sign (Golub & Van Loan, Matrix Computations, section 7.4).  The
+    subdiagonal is then made non-negative by a diagonal of signs.
+    """
+    Zd, wd = Z.dense(), w.dense(Z)
+    if Zd.imag.any() or wd.imag.any():
+        raise ValueError("the long-double reference takes real spectral data only")
+    n = Z.m
+    B = np.zeros((n + 1, n + 1), dtype=np.longdouble)
+    B[1:, 0] = wd.real
+    B[1:, 1:] = Zd.real
+    for k in range(n - 1):
+        u = B[k + 1 :, k].copy()
+        u[0] += np.copysign(np.sqrt(u @ u), u[0])
+        scale = 2 / (u @ u)
+        B[k + 1 :, k:] -= np.outer(u, scale * (u @ B[k + 1 :, k:]))
+        B[:, k + 1 :] -= np.outer(B[:, k + 1 :] @ u, scale * u)
+    H = np.triu(B[1:, 1:], -1)
+    signs = np.cumprod(np.concatenate(([1], np.sign(np.diagonal(H, -1)))))
+    return signs[:, None] * H * signs
+
+
+@pytest.fixture(scope="session")
+def legendre_references():
+    """Long-double H of the two products of the least-squares experiment:
+    Gauss-Legendre m=201 alone (dimension 201) and with the derivative
+    term gamma=0.01 (dimension 402, the benchmark's solve input)."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is no wider than float64 here, so it cannot "
+                    "serve as a reference for float64 solvers")
+    rule = golub_welsch(legendre_jacobi(201))
+    return {
+        "plain": hessenberg_reference(*build_same_measure(rule, [1.0])),
+        "sobolev": hessenberg_reference(*build_same_measure(rule, [1.0, 0.01])),
+    }

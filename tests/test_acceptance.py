@@ -27,6 +27,7 @@ from sobolev import (
 )
 from sobolev.hiep import SOLVER_NAMES
 from sobolev.experiments import (
+    _fit_errors,
     cmd_althammer_roots,
     cmd_compare_solvers,
     cmd_laguerre_roots,
@@ -236,33 +237,56 @@ class TestAcceptance:
             f"off-band {worst_offband:.2e}, cross-solver {worst_cross:.2e}",
         )
 
-    def test_08_least_squares_error_curves(self):
+    def test_08_least_squares_error_curves(self, legendre_references):
         start = time.perf_counter()
         report, _ = cmd_least_squares(gamma=0.01, m=201)
         elapsed = time.perf_counter() - start
         dominance_ok = True
-        worst_ratio = 0.0
         for row in report.rows:
             if row["degree"] >= 51:
                 dominance_ok &= (
                     row["deriv_error_sobolev"] <= row["deriv_error_plain"]
                 )
-            vp, vs = row["value_error_plain"], row["value_error_sobolev"]
-            worst_ratio = max(worst_ratio, max(vp, vs) / min(vp, vs))
-        # the two value curves track each other; the worst observed ratio
-        # is 4.6 at degree 91 (confirmed against an independent dense
-        # weighted least-squares solve), so the bound is pinned at 5
-        ratio_ok = worst_ratio <= 5.0
-        last = report.rows[-1]
-        plateau = max(last["value_error_plain"], last["value_error_sobolev"])
-        plateau_ok = plateau <= 1e-11  # first-run level ~2e-14, pinned
-        ok = dominance_ok and ratio_ok and plateau_ok and elapsed < 60.0
+        # the same fits from the long-double H of both products; each
+        # reference curve falls to a rounding floor (~1.3e-15), and the
+        # degrees where both stay above ten times it are resolved
+        rule = golub_welsch(legendre_jacobi(201))
+        ref_plain = _fit_errors(
+            legendre_references["plain"].astype(complex),
+            build_same_measure(rule, [1.0])[1].norm(), rule, 0.0,
+            [row["effective_degree_plain"] for row in report.rows], 2001, "plain",
+        )
+        ref_sobolev = _fit_errors(
+            legendre_references["sobolev"].astype(complex),
+            build_same_measure(rule, [1.0, 0.01])[1].norm(), rule, 0.01,
+            [row["degree"] for row in report.rows], 2001, "sobolev",
+        )
+        vp = np.array([row["value_error_plain"] for row in report.rows])
+        vs = np.array([row["value_error_sobolev"] for row in report.rows])
+        ep = np.array([e["value_error_plain"] for e in ref_plain])
+        es = np.array([e["value_error_sobolev"] for e in ref_sobolev])
+        floor_p, floor_s = ep.min(), es.min()
+        resolved = (ep > 10 * floor_p) & (es > 10 * floor_s)
+        # on the resolved degrees the value curves track each other: the
+        # reference ratio peaks at 5.49 (degree 111), so the bound is 6;
+        # past them the ratio compares rounding noise and is not bounded
+        worst_ratio = float(np.max(np.maximum(vp, vs) / np.minimum(vp, vs), where=resolved,
+                                   initial=0.0))
+        ratio_ok = resolved.any() and worst_ratio <= 6.0
+        # each value curve stays near the reference curve plus its floor
+        excess_p = float(np.max(vp / (ep + floor_p)))
+        excess_s = float(np.max(vs / (es + floor_s)))
+        curves_ok = excess_p <= 12.0 and excess_s <= 2.0
+        plateau = max(vp[-1], vs[-1])
+        plateau_ok = plateau <= 1e-13
+        ok = dominance_ok and ratio_ok and curves_ok and plateau_ok and elapsed < 60.0
         check(
             8,
             "least-squares error curves",
             ok,
-            f"deriv dominance {dominance_ok}, value ratio {worst_ratio:.2f}, "
-            f"plateau {plateau:.1e}, {elapsed:.1f} s",
+            f"deriv dominance {dominance_ok}, value ratio {worst_ratio:.2f} on "
+            f"{int(resolved.sum())} resolved degrees, curve excess {excess_p:.2f} / "
+            f"{excess_s:.2f}, plateau {plateau:.1e}, {elapsed:.1f} s",
         )
 
     def test_09_quadrature_exactness(self):

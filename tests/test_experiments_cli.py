@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import sobolev.cli
 import sobolev.experiments
+import sobolev.hiep
 import sobolev.sop
 from sobolev import (
     NumericalFailure,
@@ -452,14 +453,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["least-squares", "--degrees", "nope"])
 
-    def test_arnoldi_breakdown_is_a_numerical_failure(self, capsys):
-        code = main(["laguerre-roots", "--gamma", "1e300", "--solver", "arnoldi"])
+    def test_arnoldi_follows_huge_derivative_weight(self, capsys):
+        # ~1e150 scalings: the scale-aware breakdown test keeps all 10 columns
+        tables = {}
+        for solver in ("arnoldi", "update-rot"):
+            code = main(["laguerre-roots", "--gamma", "1e300", "--solver", solver])
+            assert code == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            tables[solver] = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert tables["arnoldi"].shape == (10, 3)
+        assert_allclose(tables["arnoldi"], tables["update-rot"], rtol=0.0, atol=1e-8)
+
+    def test_arnoldi_breakdown_is_a_numerical_failure(self, capsys, monkeypatch):
+        # Z q_3 made to lie in span(q_1) breaks the iteration down at column 3
+        matvec = sobolev.hiep.jordan_matvec
+        calls = []
+
+        def breaking_matvec(Z, x):
+            calls.append(x)
+            return calls[0].copy() if len(calls) == 3 else matvec(Z, x)
+
+        monkeypatch.setattr(sobolev.hiep, "jordan_matvec", breaking_matvec)
+        code = main(["laguerre-roots", "--solver", "arnoldi"])
         assert code == EXIT_NUMERICAL_FAILURE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
         record = json.loads(captured.err.strip().splitlines()[-1])
-        assert record["column"] == 2
+        assert record["column"] == 3
         assert record["k"] == 10
 
 

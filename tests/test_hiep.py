@@ -176,30 +176,53 @@ class TestHouseholder:
 
 
 class TestEliminationKernels:
-    """The updating loop builds its kernels as small arrays; they must equal
-    the rotation chain and the reflector of the public classes."""
+    """The updating loop builds its kernels batched, one per row of V; they
+    must equal the rotation chain and the reflector of the public classes,
+    and act as the identity on trailing zero padding."""
+
+    @staticmethod
+    def batch(r, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+        V[1, 0] = 0.0
+        return V
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_rotation_chain(self, r):
-        rng = np.random.default_rng(r)
-        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        expected = np.eye(r, dtype=complex)
-        v = c.copy()
-        for idx in range(r - 1, 0, -1):
-            rot = PlaneRotation.annihilating(v[idx - 1], v[idx], idx - 1, idx, r)
-            v = rot.apply_left(v.reshape(-1, 1)).ravel()
-            expected = rot.apply_left(expected)
-        K = np.array(hiep._rotation_kernel(c.tolist()))
-        assert_allclose(K, expected, atol=1e-15)
-        assert_allclose(K @ c, [np.linalg.norm(c)] + [0.0] * (r - 1), atol=1e-14)
+        V = self.batch(r, r)
+        K = hiep._rotation_kernels(V)
+        for c, Kc in zip(V, K):
+            expected = np.eye(r, dtype=complex)
+            v = c.copy()
+            for idx in range(r - 1, 0, -1):
+                rot = PlaneRotation.annihilating(v[idx - 1], v[idx], idx - 1, idx, r)
+                v = rot.apply_left(v.reshape(-1, 1)).ravel()
+                expected = rot.apply_left(expected)
+            assert_allclose(Kc, expected, atol=1e-15)
+            assert_allclose(Kc @ c, [np.linalg.norm(c)] + [0.0] * (r - 1), atol=1e-14)
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_reflector(self, r):
-        rng = np.random.default_rng(10 + r)
-        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        c[0] = 0.0 if r == 5 else c[0]
-        K = np.array(hiep._reflector_kernel(c.tolist()))
-        assert_allclose(K, Householder.from_vector(c).matrix(), atol=1e-15)
+        V = self.batch(r, 10 + r)
+        for c, Kc in zip(V, hiep._reflector_kernels(V)):
+            assert_allclose(Kc, Householder.from_vector(c).matrix(), atol=1e-15)
+
+    @pytest.mark.parametrize("kernels", [hiep._rotation_kernels, hiep._reflector_kernels])
+    @pytest.mark.parametrize("r, pad", [(2, 1), (3, 2), (2, 3)])
+    def test_padding_gives_exact_identity(self, kernels, r, pad):
+        V = self.batch(r, 20 + r)
+        K = kernels(V)
+        Kp = kernels(np.hstack([V, np.zeros((len(V), pad))]))
+        assert np.array_equal(Kp[:, :r, :r], K)
+        assert np.array_equal(Kp[:, r:, :], np.broadcast_to(np.eye(r + pad)[r:], (len(V), pad, r + pad)))
+        assert np.array_equal(Kp[:, :, r:], np.broadcast_to(np.eye(r + pad)[:, r:], (len(V), r + pad, pad)))
+
+    def test_real_batch_stays_real(self):
+        V = np.random.default_rng(30).standard_normal((3, 4))
+        for kernels in (hiep._rotation_kernels, hiep._reflector_kernels):
+            K = kernels(V)
+            assert K.dtype == np.float64
+            assert_allclose(np.abs(K @ V[:, :, None])[:, 1:], 0.0, atol=1e-15)
 
 
 class TestUpdateSolve:
@@ -255,7 +278,7 @@ class TestUpdateSolve:
     def test_residual_check_raises(self, monkeypatch):
         # a kernel that eliminates nothing must trip the per-column check
         monkeypatch.setitem(
-            hiep._KERNELS, "rotations", lambda c: np.eye(len(c)).tolist()
+            hiep._KERNELS, "rotations", lambda V: np.broadcast_to(np.eye(V.shape[1]), V.shape + V.shape[1:])
         )
         Z, w = random_spectral_data(np.random.default_rng(4), max_m=10)
         with pytest.raises(NumericalFailure, match="residual"):
@@ -306,6 +329,19 @@ class TestPhaseInvariance:
         H = solve_hessenberg(Z, w, Z.m, method=method)
         Ht = solve_hessenberg(Z, turned, Z.m, method=method)
         assert np.linalg.norm(Ht - H) <= 1e-11 * np.linalg.norm(H)
+
+
+class TestLongDoubleReference:
+    """Both updating solvers against a long-double Householder reduction on
+    the benchmark's solve input (Legendre m=201, gamma=0.01, dimension 402),
+    on the leading 202 x 202 section that the solve workload keeps."""
+
+    @pytest.mark.parametrize("method", ["update-rot", "update-hh"])
+    def test_leading_section(self, legendre_references, method):
+        Z, w = legendre_instance(m=201)
+        reference = legendre_references["sobolev"][:202, :202].astype(float)
+        H = solve_hessenberg(Z, w, 202, method=method)
+        assert np.linalg.norm(H - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 class TestBreakdownIndex:
@@ -376,14 +412,34 @@ class TestSolveHessenberg:
         with pytest.raises(ValueError):
             solve_hessenberg(Z, WeightVector([1.0]), 1, method="lanczos")
 
-    def test_arnoldi_breakdown_before_k_raises(self):
-        # a derivative weight of 1e300 makes the breakdown tolerance
-        # 1e-13 * ||Z||_F swallow the residual of the second column
+    def test_arnoldi_breakdown_follows_the_column_scale(self):
+        # a derivative weight of 1e300 puts ~1e150 scalings into Z; the
+        # breakdown test against ||Z q_col|| still sees the first 10 columns
         Z, w = build_same_measure(golub_welsch(laguerre_jacobi(10, -0.5)), [1.0, 1e300])
-        assert arnoldi(Z, w, 10).H.shape == (2, 2)
+        res = arnoldi(Z, w, 10)
+        Q, H = res.Q, res.H
+        assert H.shape == (10, 10)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(10)) <= 1e-12 * 10
+        assert np.linalg.norm(Q.conj().T @ Z.dense() @ Q - H) <= 1e-11 * Z.frobenius_norm()
+        assert np.linalg.norm(Q[:, 0] - w.dense(Z) / w.norm()) <= 1e-13
+        assert np.all(np.diagonal(H, -1).imag == 0.0)
+        assert np.all(np.diagonal(H, -1).real > 0.0)
+        assert np.array_equal(solve_hessenberg(Z, w, 10, method="arnoldi"), H)
+
+    def test_arnoldi_breakdown_before_k_raises(self, monkeypatch):
+        # Z q_3 made to lie in span(q_1) breaks the iteration down at column 3
+        matvec = hiep.jordan_matvec
+
+        def breaking_matvec(Z, x):
+            calls.append(x)
+            return calls[0].copy() if len(calls) == 3 else matvec(Z, x)
+
+        calls = []
+        monkeypatch.setattr(hiep, "jordan_matvec", breaking_matvec)
+        Z, w = legendre_instance()
         with pytest.raises(NumericalFailure, match="broke down") as exc:
             solve_hessenberg(Z, w, 10, method="arnoldi")
-        assert exc.value.details == {"column": 2, "k": 10}
+        assert exc.value.details == {"column": 3, "k": 10}
 
 
 class TestHessenbergDefect:

@@ -5,7 +5,9 @@ relations hold exactly in exact arithmetic:
 
 * H(cZ + tI) = c H(Z) + tI for real c > 0 and complex t, with the same Q;
 * H does not change when w is scaled by s e^{i theta}, s > 0;
-* the updating solvers agree with Arnoldi.
+* the updating solvers agree with Arnoldi;
+* H does not change when the blocks of Z are permuted together with w
+  (a permutation similarity), on graded weights from 2e-31 to 0.7.
 
 Hypothesis runs derandomized and without an example database, so each
 run draws the same examples (``conftest.py`` keeps its other storage out
@@ -17,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobolev import JordanBlockSpec, JordanOperator, WeightVector, solve_hessenberg
+from sobolev import (
+    JordanBlockSpec,
+    JordanOperator,
+    WeightVector,
+    build_same_measure,
+    golub_welsch,
+    laguerre_jacobi,
+    solve_hessenberg,
+)
 from sobolev.experiments import random_spectral_data
 
 METHODS = ["arnoldi", "update-hh", "update-rot"]
@@ -72,3 +82,20 @@ def test_updating_solvers_agree_with_arnoldi(method, seed):
     Z, w = instance(seed)
     H_arn = solve_hessenberg(Z, w, Z.m, method="arnoldi")
     assert relative_error(solve_hessenberg(Z, w, Z.m, method=method), H_arn) <= TOL
+
+
+# Laguerre n_quad=40, alpha=-1/2, gamma=1: 40 blocks of size 2 (m=80)
+LAGUERRE = build_same_measure(golub_welsch(laguerre_jacobi(40, -0.5)), [1.0, 1.0])
+
+
+# update-hh is left out: with graded weights its reflector kernel loses the
+# tiny weights in some block orders (off by up to 0.15), an open defect
+@pytest.mark.parametrize("method", ["arnoldi", "update-rot"])
+@PROPERTY_SETTINGS
+@given(order=st.permutations(range(len(LAGUERRE[0].blocks))))
+def test_block_order_leaves_H_unchanged(method, order):
+    Z, w = LAGUERRE
+    permuted = JordanOperator(tuple(Z.blocks[i] for i in order))
+    H = solve_hessenberg(Z, w, Z.m, method=method)
+    Hp = solve_hessenberg(permuted, WeightVector(w.betas[list(order)]), Z.m, method=method)
+    assert relative_error(Hp, H) <= 1e-13
