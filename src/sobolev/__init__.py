@@ -35,8 +35,6 @@ from .spectral import (
 )
 from .hiep import (
     ArnoldiResult,
-    Householder,
-    PlaneRotation,
     arnoldi,
     hessenberg_defect,
     solve_hessenberg,
@@ -81,8 +79,6 @@ __all__ = [
     "arnoldi",
     "update_solve",
     "solve_hessenberg",
-    "PlaneRotation",
-    "Householder",
     "hessenberg_defect",
     "Spectrum",
     "hessenberg_eigenvalues",

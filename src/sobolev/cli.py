@@ -6,9 +6,10 @@ stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
 spectral data as JSON next to --out; --trace streams per-step solver
 events as JSON lines on stderr.
 
-Invalid arguments end in the subcommand's usage error (exit code 2).  A
-solver that fails its numerical contract ends in exit code 3, with its
-message and its diagnostic fields as one JSON object on stderr.
+Invalid arguments, and an --out path that cannot be written, end in the
+subcommand's usage error (exit code 2).  A solver that fails its
+numerical contract ends in exit code 3, with its message and its
+diagnostic fields as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     report_to_csv,
     report_to_json,
 )
-from .hiep import SOLVER_NAMES
+from .hiep import DEFAULT_SOLVER, SOLVER_NAMES
 from .spectral import spectral_to_json
 
 EXIT_NUMERICAL_FAILURE = 3
@@ -64,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--solver",
         choices=SOLVER_NAMES,
-        default="update-rot",
-        help="inverse-problem solver (default: update-rot)",
+        default=DEFAULT_SOLVER,
+        help=f"inverse-problem solver (default: {DEFAULT_SOLVER})",
     )
     common.add_argument("--out", type=Path, help="write the result to this file")
     common.add_argument(
@@ -150,6 +151,19 @@ def _stderr_trace(record: dict):
     print(json.dumps(record), file=sys.stderr)
 
 
+def _cannot_write(exc: OSError) -> str:
+    return f"cannot write {exc.filename}: {exc.strerror or exc}"
+
+
+def _write(path: Path, text: str, error) -> None:
+    """Write text to path and say so; an unwritable path is a usage error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        error(_cannot_write(exc))
+    print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
@@ -167,6 +181,9 @@ def main(argv=None) -> int:
         report, data = run(**options)
     except ValueError as exc:
         error(str(exc))
+    except OSError as exc:
+        # the least-squares driver writes its SVG next to --out
+        error(_cannot_write(exc))
     except NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)
@@ -174,8 +191,7 @@ def main(argv=None) -> int:
 
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
     if out is not None:
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
+        _write(out, text, error)
     else:
         sys.stdout.write(text)
 
@@ -184,10 +200,7 @@ def main(argv=None) -> int:
             print("no spectral data to dump for this command", file=sys.stderr)
         else:
             path = out.with_name(out.stem + ".spectral.json")
-            path.write_text(
-                json.dumps(spectral_to_json(*data), indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"wrote {path}")
+            _write(path, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .eigen import hessenberg_eigenvalues, smallest_root
-from .hiep import arnoldi, solve_hessenberg
+from .hiep import DEFAULT_SOLVER, arnoldi, solve_hessenberg
 from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
 from .sop import evaluate, hermite_least_squares, pentadiagonal_recurrence
 from .spectral import (
@@ -130,7 +130,7 @@ def cmd_laguerre_roots(
     alpha: float = -0.5,
     n_quad: int = 10,
     k_max: int = 10,
-    solver: str = "update-rot",
+    solver: str = DEFAULT_SOLVER,
     trace=None,
 ):
     """Smallest roots of p_k, k = 1..k_max, for the product
@@ -172,7 +172,7 @@ def cmd_althammer_roots(
     n: int = 60,
     gamma: float = 100.0,
     n_quad: int = 60,
-    solver: str = "update-rot",
+    solver: str = DEFAULT_SOLVER,
     trace=None,
 ):
     """All roots of the degree-n polynomial for the Legendre-plus-derivative
@@ -259,7 +259,7 @@ def cmd_least_squares(
     gamma: float = 0.01,
     m: int = 201,
     degrees=None,
-    solver: str = "update-rot",
+    solver: str = DEFAULT_SOLVER,
     trace=None,
     svg_path=None,
     grid_points: int = 2001,
@@ -338,7 +338,7 @@ def cmd_penta(
     c: float = -1.0,
     M: float = 1.0,
     N: float = 1.0,
-    solver: str = "update-rot",
+    solver: str = DEFAULT_SOLVER,
     trace=None,
 ):
     """Banded matrix of the five-term recurrence for the Laguerre product
@@ -382,7 +382,7 @@ def cmd_compare_solvers(
     count: int = 100,
     max_m: int = 40,
     seed: int = 20260826,
-    solver: str = "update-rot",
+    solver: str = DEFAULT_SOLVER,
     trace=None,
 ):
     """Cross-validate the three solvers on random spectral data.

@@ -10,7 +10,7 @@ H is the recurrence matrix of the Sobolev orthonormal polynomials of the
 product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 
 Two independent methods are implemented: :func:`arnoldi`, a Krylov
-iteration with modified Gram-Schmidt and one reorthogonalization sweep,
+iteration with classical Gram-Schmidt and one reorthogonalization sweep,
 and :func:`update_solve`, which lays every single-block solution out on
 the block diagonal of one workspace and merges the blocks into its
 leading section: inject the new weight with a plane rotation, then chase
@@ -23,7 +23,6 @@ needs only H, so with the updating solvers it skips the accumulation of Q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,11 @@ __all__ = [
     "arnoldi",
     "update_solve",
     "solve_hessenberg",
-    "PlaneRotation",
-    "Householder",
     "hessenberg_defect",
 ]
 
 SOLVER_NAMES = ("arnoldi", "update-hh", "update-rot")
+DEFAULT_SOLVER = "update-rot"
 
 
 def _phase(value: complex) -> complex:
@@ -74,7 +72,7 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     """Run k steps of the Arnoldi iteration on (Z, w).
 
     Each step applies Z to the newest basis vector, orthogonalizes by
-    modified Gram-Schmidt against all previous vectors, and repeats the
+    classical Gram-Schmidt against all previous vectors, and repeats the
     orthogonalization once to keep ``Q^H Q`` near the identity also for
     dimensions in the hundreds.  Breakdown (residual below 1e-13 times
     ||Z q_col||, the norm before orthogonalization) truncates the result;
@@ -142,118 +140,16 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
 
 
-@dataclass(frozen=True)
-class PlaneRotation:
-    """Unitary plane rotation acting on the coordinate pair (i, j).
-
-    The 2x2 kernel is ``[[conj(a), -conj(b)], [b, a]]`` with
-    |a|^2 + |b|^2 = 1, embedded in an identity of size ``dim``.
-    """
-
-    a: complex
-    b: complex
-    i: int
-    j: int
-    dim: int
-
-    def __post_init__(self):
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-14:
-            raise ValueError("rotation parameters must satisfy |a|^2+|b|^2 = 1")
-        if not (0 <= self.i < self.dim and 0 <= self.j < self.dim):
-            raise ValueError("coordinate indices out of range")
-        if self.i == self.j:
-            raise ValueError("coordinate indices must differ")
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-
-    @classmethod
-    def annihilating(cls, f: complex, g: complex, i: int, j: int, dim: int):
-        """Rotation mapping (f, g) on (i, j) to (r, 0) with r = ||(f,g)|| >= 0."""
-        r = math.hypot(abs(f), abs(g))
-        if r == 0.0:
-            return cls(1.0, 0.0, i, j, dim)
-        return cls(f / r, -g / r, i, j, dim)
-
-    def kernel(self) -> np.ndarray:
-        return np.array(
-            [[np.conj(self.a), -np.conj(self.b)], [self.b, self.a]], dtype=complex
-        )
-
-    def adjoint(self) -> "PlaneRotation":
-        return PlaneRotation(np.conj(self.a), -self.b, self.i, self.j, self.dim)
-
-    def matrix(self) -> np.ndarray:
-        P = np.eye(self.dim, dtype=complex)
-        P[np.ix_((self.i, self.j), (self.i, self.j))] = self.kernel()
-        return P
-
-    def apply_left(self, A: np.ndarray) -> np.ndarray:
-        """Return P @ A without materializing P."""
-        A = np.array(A, dtype=complex, copy=True)
-        rows = A[(self.i, self.j), :]
-        A[(self.i, self.j), :] = self.kernel() @ rows
-        return A
-
-    def apply_right(self, A: np.ndarray) -> np.ndarray:
-        """Return A @ P without materializing P."""
-        A = np.array(A, dtype=complex, copy=True)
-        cols = A[:, (self.i, self.j)]
-        A[:, (self.i, self.j)] = cols @ self.kernel()
-        return A
-
-
-@dataclass(frozen=True)
-class Householder:
-    """Reflector R = I - 2 y y^H / (y^H y) sending a vector to a multiple of e_1."""
-
-    y: np.ndarray
-    alpha: complex
-
-    @classmethod
-    def from_vector(cls, c) -> "Householder":
-        """Reflector with R c = -alpha e_1, alpha = ||c|| e^{i arg(c_1)}.
-
-        The sign of alpha matches the phase of c_1 so that forming
-        y = c + alpha e_1 never cancels.
-        """
-        c = np.atleast_1d(np.asarray(c, dtype=complex))
-        norm = float(np.linalg.norm(c))
-        if norm == 0.0:
-            raise ValueError("cannot build a reflector from the zero vector")
-        alpha = _phase(c[0]) * norm
-        y = c.copy()
-        y[0] += alpha
-        return cls(y=y, alpha=alpha)
-
-    @property
-    def dim(self) -> int:
-        return self.y.size
-
-    def matrix(self) -> np.ndarray:
-        y = self.y
-        return np.eye(self.dim, dtype=complex) - 2.0 * np.outer(y, y.conj()) / (
-            y.conj() @ y
-        )
-
-    def apply_left(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        y = self.y
-        return A - np.outer(y, (2.0 / (y.conj() @ y)) * (y.conj() @ A))
-
-    def apply_right(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        y = self.y
-        return A - np.outer(A @ y, (2.0 / (y.conj() @ y)) * y.conj())
-
-
 def _rotation_kernels(V: np.ndarray) -> np.ndarray:
     """Batched K = G_1 ... G_{r-1} with K v = (||v||, 0, ..., 0) for each row v of V.
 
-    G_idx is the plane rotation of :meth:`PlaneRotation.annihilating` on
-    the pair (idx-1, idx); the chain runs bottom up and carries the norm of
-    the part below.  Row idx-1 of K is a unit row until G_idx is applied.
-    A pair whose lower entry is exactly zero gets the identity instead, so
-    trailing zero padding leaves exact identity rows and columns in K.
+    G_idx acts on the pair (idx-1, idx) with the 2x2 kernel
+    [[conj(a), -conj(b)], [b, a]], a = f/rho and b = -g/rho, which maps
+    (f, g) to (rho, 0) with rho = ||(f, g)||; the chain runs bottom up and
+    carries the norm of the part below.  Row idx-1 of K is a unit row until
+    G_idx is applied.  A pair whose lower entry is exactly zero gets the
+    identity instead, so trailing zero padding leaves exact identity rows
+    and columns in K.
     """
     B, r = V.shape
     K = np.zeros((B, r, r), dtype=V.dtype)
@@ -276,8 +172,10 @@ def _rotation_kernels(V: np.ndarray) -> np.ndarray:
 
 
 def _reflector_kernels(V: np.ndarray) -> np.ndarray:
-    """Batched reflectors of :meth:`Householder.from_vector`, one per row of V;
-    zero padding stays zero in y and so gives exact identity rows and columns."""
+    """Batched reflectors K = I - 2 y y^H / (y^H y), one per row c of V, with
+    y = c + alpha e_1 and alpha = e^{i arg c_1} ||c||, so that K c = -alpha e_1
+    and forming y never cancels; zero padding stays zero in y and so gives
+    exact identity rows and columns."""
     head = V[:, 0]
     size = np.abs(head)
     y = V.copy()
@@ -437,7 +335,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     return H, Q
 
 
-def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = "update-rot", trace=None):
+def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = DEFAULT_SOLVER, trace=None):
     """Leading k x k recurrence matrix by the named solver.
 
     ``method`` is one of "arnoldi", "update-hh" (updating with Householder

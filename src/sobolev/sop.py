@@ -13,11 +13,12 @@ the induced five-term recurrence for point-mass products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hiep import solve_hessenberg
+from .hiep import DEFAULT_SOLVER, solve_hessenberg
 from .spectral import JordanOperator, PolyCoeffs, WeightVector
 
 __all__ = [
@@ -70,8 +71,8 @@ def evaluate(H, w_norm: float, x, k: int) -> SopEvaluation:
             f"degree k={k} needs subdiagonal entry ({k + 1},{k}); "
             f"matrix of dimension {H.shape[0]} holds degrees 0..{H.shape[0] - 1}"
         )
-    if not w_norm > 0:
-        raise ValueError("weight norm must be positive")
+    if not (math.isfinite(w_norm) and w_norm > 0):
+        raise ValueError("weight norm must be finite and positive")
     x = np.asarray(x, dtype=complex)
     values = np.empty((k + 1,) + x.shape, dtype=complex)
     derivs = np.zeros((k + 1,) + x.shape, dtype=complex)
@@ -155,8 +156,8 @@ def hermite_least_squares(
         nodes.shape == node_weights.shape == f_values.shape == fprime_values.shape
     ):
         raise ValueError("nodes, weights and sample arrays must share one shape")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and non-negative")
 
     basis = evaluate(H, w_norm, nodes, n)
     coeff = basis.values.conj() @ (node_weights * f_values)
@@ -179,7 +180,7 @@ def hermite_least_squares(
 
 
 def pentadiagonal_recurrence(
-    Z: JordanOperator, w: WeightVector, m: int, solver: str = "update-rot", trace=None
+    Z: JordanOperator, w: WeightVector, m: int, solver: str = DEFAULT_SOLVER, trace=None
 ) -> np.ndarray:
     """Matrix of the five-term recurrence induced by a squared argument.
 

@@ -407,6 +407,21 @@ class TestCli:
         assert svg.lstrip().startswith("<svg")
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["penta"], ["least-squares", "--m", "15", "--degrees", "1:13:6"]],
+    )
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
+        # least-squares fails on its SVG, written inside the driver
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {argv[0]}")
+        assert str(out.parent) in captured.err
+        assert "Traceback" not in captured.err
+
     def test_althammer_command(self, capsys):
         assert main(["althammer-roots", "--n", "6", "--n-quad", "8"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -6,11 +6,9 @@ from conftest import gentle_jordan
 from numpy.testing import assert_allclose
 
 from sobolev import (
-    Householder,
     JordanBlockSpec,
     JordanOperator,
     NumericalFailure,
-    PlaneRotation,
     WeightVector,
     arnoldi,
     build_same_measure,
@@ -90,94 +88,93 @@ class TestArnoldi:
         assert [e["column"] for e in events] == list(range(1, Z.m + 1))
 
 
+def rotation_chain_reference(c):
+    """K with K c = (||c||, 0, ..., 0): rotations [[conj a, -conj b], [b, a]],
+    a = f/r, b = -g/r, r = ||(f, g)||, on the pairs (idx-1, idx) bottom up.
+    Unlike the kernel it rotates also when g = 0 and f != 0, so inputs must
+    have g != 0 in every pair."""
+    v = np.array(c, dtype=complex)
+    K = np.eye(v.size, dtype=complex)
+    for idx in range(v.size - 1, 0, -1):
+        pair = [idx - 1, idx]
+        f, g = v[pair]
+        r = np.hypot(abs(f), abs(g))
+        a, b = f / r, -g / r
+        G = np.array([[np.conj(a), -np.conj(b)], [b, a]])
+        v[pair], K[pair] = G @ v[pair], G @ K[pair]
+    return K
+
+
+def reflector_reference(c):
+    """I - 2 y y^H / (y^H y) with y = c + e^{i arg c_1} ||c|| e_1."""
+    y = np.array(c, dtype=complex)
+    y[0] += np.exp(1j * np.angle(y[0])) * np.linalg.norm(y)
+    return np.eye(y.size) - 2.0 * np.outer(y, y.conj()) / (y.conj() @ y)
+
+
 class TestPlaneRotation:
+    """The rotation kernel on one pair (r = 2) is a single plane rotation."""
+
+    @staticmethod
+    def kernel(f, g):
+        return hiep._rotation_kernels(np.array([[f, g]]))[0]
+
     def test_identity_parameters(self):
-        rot = PlaneRotation(1.0, 0.0, 0, 1, 2)
-        assert_allclose(rot.matrix(), np.eye(2))
+        # a zero lower entry needs no rotation
+        assert np.array_equal(self.kernel(1.0, 0.0), np.eye(2))
 
     def test_swap_with_sign(self):
-        # kernel [[0, -1], [1, 0]] sends e_1 to e_2
-        rot = PlaneRotation(0.0, 1.0, 0, 1, 2)
-        assert_allclose(rot.matrix() @ [1.0, 0.0], [0.0, 1.0])
+        # a zero head gives the kernel [[0, -1], [1, 0]], which sends e_1 to e_2
+        K = self.kernel(0.0, -1.0)
+        assert_allclose(K, [[0.0, -1.0], [1.0, 0.0]])
+        assert_allclose(K @ [1.0, 0.0], [0.0, 1.0])
 
     def test_annihilation(self):
-        rot = PlaneRotation.annihilating(3.0, 4.0, 0, 1, 2)
-        out = rot.matrix() @ [3.0, 4.0]
+        out = self.kernel(3.0, 4.0) @ [3.0, 4.0]
         assert_allclose(out, [5.0, 0.0], atol=1e-15)
 
     def test_annihilation_of_zero_pair_is_identity(self):
-        rot = PlaneRotation.annihilating(0.0, 0.0, 0, 1, 3)
-        assert_allclose(rot.matrix(), np.eye(3))
+        assert np.array_equal(hiep._rotation_kernels(np.zeros((1, 3)))[0], np.eye(3))
 
     def test_complex_annihilation_gives_real_result(self):
         f, g = 1.0 - 2.0j, -0.5 + 0.3j
-        rot = PlaneRotation.annihilating(f, g, 0, 1, 2)
-        out = rot.matrix() @ [f, g]
+        out = self.kernel(f, g) @ [f, g]
         assert out[0].imag == pytest.approx(0.0, abs=1e-15)
         assert out[0].real == pytest.approx(np.hypot(abs(f), abs(g)))
         assert abs(out[1]) <= 1e-15
 
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            PlaneRotation(1.0, 1.0, 0, 1, 2)
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            PlaneRotation(1.0, 0.0, 0, 0, 2)
-        with pytest.raises(ValueError):
-            PlaneRotation(1.0, 0.0, 0, 2, 2)
-
-    def test_adjoint_inverts(self):
-        rot = PlaneRotation.annihilating(1.0 + 1.0j, 2.0 - 0.5j, 1, 3, 4)
-        assert_allclose(
-            rot.adjoint().matrix() @ rot.matrix(), np.eye(4), atol=1e-15
-        )
-
-    def test_apply_matches_materialized_matrix(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rot = PlaneRotation.annihilating(0.3 - 1.0j, 0.7 + 0.2j, 0, 2, 4)
-        assert_allclose(rot.apply_left(A), rot.matrix() @ A, atol=1e-14)
-        assert_allclose(rot.apply_right(A), A @ rot.matrix(), atol=1e-14)
-
 
 class TestHouseholder:
+    """The reflector kernel on single vectors: K c = -alpha e_1 with
+    alpha = e^{i arg c_1} ||c||, K unitary and an involution."""
+
+    @staticmethod
+    def kernel(c):
+        return hiep._reflector_kernels(np.array([c]))[0]
+
     def test_unit_vector_reflects_to_minus_itself(self):
-        refl = Householder.from_vector([1.0, 0.0, 0.0])
-        assert_allclose(refl.matrix() @ [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], atol=1e-15)
+        K = self.kernel([1.0, 0.0, 0.0])
+        assert_allclose(K @ [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], atol=1e-15)
 
     def test_real_pair(self):
-        refl = Householder.from_vector([3.0, 4.0])
-        assert_allclose(refl.matrix() @ [3.0, 4.0], [-5.0, 0.0], atol=1e-14)
+        assert_allclose(self.kernel([3.0, 4.0]) @ [3.0, 4.0], [-5.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reflection_property(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        refl = Householder.from_vector(c)
-        out = refl.matrix() @ c
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(c), rel=1e-14)
-        assert np.max(np.abs(out[1:])) <= 1e-14 * np.linalg.norm(c)
-        # unitary and an involution
-        R = refl.matrix()
-        assert_allclose(R @ R, np.eye(n), atol=1e-14)
-
-    def test_apply_matches_materialized_matrix(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        refl = Householder.from_vector(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        assert_allclose(refl.apply_left(A), refl.matrix() @ A, atol=1e-13)
-        assert_allclose(refl.apply_right(A), A @ refl.matrix(), atol=1e-13)
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            Householder.from_vector([0.0, 0.0])
+        K = self.kernel(c)
+        norm = np.linalg.norm(c)
+        alpha = c[0] / abs(c[0]) * norm
+        assert_allclose(K @ c, -alpha * np.eye(n)[0], atol=1e-14 * norm)
+        assert_allclose(K.conj().T @ K, np.eye(n), atol=1e-14)
+        assert_allclose(K @ K, np.eye(n), atol=1e-14)
 
 
 class TestEliminationKernels:
     """The updating loop builds its kernels batched, one per row of V; they
-    must equal the rotation chain and the reflector of the public classes,
+    must equal the rotation chain and the reflector of the references above,
     and act as the identity on trailing zero padding."""
 
     @staticmethod
@@ -190,22 +187,15 @@ class TestEliminationKernels:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_rotation_chain(self, r):
         V = self.batch(r, r)
-        K = hiep._rotation_kernels(V)
-        for c, Kc in zip(V, K):
-            expected = np.eye(r, dtype=complex)
-            v = c.copy()
-            for idx in range(r - 1, 0, -1):
-                rot = PlaneRotation.annihilating(v[idx - 1], v[idx], idx - 1, idx, r)
-                v = rot.apply_left(v.reshape(-1, 1)).ravel()
-                expected = rot.apply_left(expected)
-            assert_allclose(Kc, expected, atol=1e-15)
+        for c, Kc in zip(V, hiep._rotation_kernels(V)):
+            assert_allclose(Kc, rotation_chain_reference(c), atol=1e-15)
             assert_allclose(Kc @ c, [np.linalg.norm(c)] + [0.0] * (r - 1), atol=1e-14)
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_reflector(self, r):
         V = self.batch(r, 10 + r)
         for c, Kc in zip(V, hiep._reflector_kernels(V)):
-            assert_allclose(Kc, Householder.from_vector(c).matrix(), atol=1e-15)
+            assert_allclose(Kc, reflector_reference(c), atol=1e-15)
 
     @pytest.mark.parametrize("kernels", [hiep._rotation_kernels, hiep._reflector_kernels])
     @pytest.mark.parametrize("r, pad", [(2, 1), (3, 2), (2, 3)])

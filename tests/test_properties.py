@@ -7,7 +7,8 @@ relations hold exactly in exact arithmetic:
 * H does not change when w is scaled by s e^{i theta}, s > 0;
 * the updating solvers agree with Arnoldi;
 * H does not change when the blocks of Z are permuted together with w
-  (a permutation similarity), on graded weights from 2e-31 to 0.7.
+  (a permutation similarity), on random instances and on graded weights
+  from 2e-31 to 0.7.
 
 Hypothesis runs derandomized and without an example database, so each
 run draws the same examples (``conftest.py`` keeps its other storage out
@@ -82,6 +83,19 @@ def test_updating_solvers_agree_with_arnoldi(method, seed):
     Z, w = instance(seed)
     H_arn = solve_hessenberg(Z, w, Z.m, method="arnoldi")
     assert relative_error(solve_hessenberg(Z, w, Z.m, method=method), H_arn) <= TOL
+
+
+@pytest.mark.parametrize("method", METHODS)
+@PROPERTY_SETTINGS
+@given(seed=seeds)
+def test_block_order_on_random_instances(method, seed):
+    rng = np.random.default_rng(seed)
+    Z, w = random_spectral_data(rng, max_m=40)
+    order = rng.permutation(len(Z.blocks))
+    permuted = JordanOperator(tuple(Z.blocks[i] for i in order))
+    H = solve_hessenberg(Z, w, Z.m, method=method)
+    Hp = solve_hessenberg(permuted, WeightVector(w.betas[order]), Z.m, method=method)
+    assert relative_error(Hp, H) <= TOL
 
 
 # Laguerre n_quad=40, alpha=-1/2, gamma=1: 40 blocks of size 2 (m=80)

@@ -71,8 +71,9 @@ class TestEvaluate:
 
     def test_rejects_bad_norm(self):
         H = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            evaluate(H, 0.0, 0.0, 1)
+        for w_norm in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                evaluate(H, w_norm, 0.0, 1)
 
 
 class TestCoefficients:
@@ -157,12 +158,14 @@ class TestHermiteLeastSquares:
             self._fit(np.ones(self.rule.n), np.zeros(3), 2)
 
     def test_rejects_negative_gamma(self):
+        # NaN would pass a plain sign test and give the gamma = 0 fit
         ones = np.ones(self.rule.n)
-        with pytest.raises(ValueError):
-            hermite_least_squares(
-                self.H, self.w_norm, self.rule.nodes, self.rule.weights,
-                ones, ones, -1.0, 2,
-            )
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                hermite_least_squares(
+                    self.H, self.w_norm, self.rule.nodes, self.rule.weights,
+                    ones, ones, gamma, 2,
+                )
 
     def test_value_fit_matches_normal_equations(self):
         # gamma = 0 is a plain weighted polynomial fit, solvable by the
