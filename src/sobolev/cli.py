@@ -4,12 +4,13 @@ Usage: ``sobolev <command> [flags]`` with commands laguerre-roots,
 althammer-roots, least-squares, penta, compare-solvers.  Results print to
 stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
 spectral data as JSON next to --out; --trace streams per-step solver
-events as JSON lines on stderr.
+and eigensolver events as JSON lines on stderr.
 
 Invalid arguments, and an --out path that cannot be written, end in the
-subcommand's usage error (exit code 2).  A solver that fails its
-numerical contract ends in exit code 3, with its message and its
-diagnostic fields as one JSON object on stderr.
+subcommand's usage error (exit code 2); a missing --out directory is
+found before the run.  A solver that fails its numerical contract ends
+in exit code 3, with its message and its diagnostic fields as one JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--trace",
         action="store_true",
-        help="stream solver steps as JSON lines on stderr",
+        help="stream solver and eigensolver steps as JSON lines on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -174,6 +175,9 @@ def main(argv=None) -> int:
 
     if dump_spectral and out is None:
         error("--dump-spectral requires --out")
+    if out is not None and not out.parent.is_dir():
+        # fail before the run, not after it; a write can still fail later
+        error(f"cannot write {out}: no such directory {out.parent}")
     if command == "least-squares" and out is not None:
         options["svg_path"] = out.with_name(out.stem + ".svg")
 

@@ -11,6 +11,7 @@ tolerance) and the eigenvalues come from LAPACK through
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,13 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def hessenberg_eigenvalues(H) -> Spectrum:
+def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
     """All eigenvalues of a complex upper Hessenberg matrix.
 
     Entries below the subdiagonal may deviate from zero by at most
     1e-13 * max(||H||_F, 1); they are then set to zero before LAPACK sees
-    the matrix.
+    the matrix.  ``trace``, if given, receives one dict per LAPACK call
+    with its dimension ``n`` and wall time ``seconds``.
 
     Raises
     ------
@@ -58,22 +60,26 @@ def hessenberg_eigenvalues(H) -> Spectrum:
     n = A.shape[0]
     if hessenberg_defect(A) > 1e-13 * max(float(np.linalg.norm(A)), 1.0):
         raise ValueError("matrix is not upper Hessenberg within tolerance")
+    start = time.perf_counter()
     try:
         vals = np.linalg.eigvals(np.triu(A, -1))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"LAPACK eigenvalue iteration failed: {exc}", n=n) from exc
+    if trace is not None:
+        trace({"event": "eigen", "n": n, "seconds": time.perf_counter() - start})
     return Spectrum(vals[np.lexsort((vals.imag, vals.real))])
 
 
-def smallest_root(H, k: int) -> complex:
+def smallest_root(H, k: int, trace=None) -> complex:
     """Smallest eigenvalue of the leading k x k section of H.
 
     Smallest means smallest real part; exact ties are broken by smallest
-    absolute imaginary part.
+    absolute imaginary part.  ``trace`` is passed on to
+    :func:`hessenberg_eigenvalues`.
     """
     H = np.asarray(H)
     if not 1 <= k <= H.shape[0]:
         raise ValueError(f"leading dimension k={k} must lie in 1..{H.shape[0]}")
-    vals = hessenberg_eigenvalues(H[:k, :k]).eigenvalues
+    vals = hessenberg_eigenvalues(H[:k, :k], trace=trace).eigenvalues
     best = min(vals, key=lambda z: (z.real, abs(z.imag)))
     return complex(best)

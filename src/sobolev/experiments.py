@@ -148,7 +148,7 @@ def cmd_laguerre_roots(
     H = solve_hessenberg(Z, w, k_max, method=solver, trace=trace)
     rows = []
     for k in range(1, k_max + 1):
-        root = smallest_root(H, k)
+        root = smallest_root(H, k, trace=trace)
         rows.append(
             {"k": k, "smallest_root_re": root.real, "smallest_root_im": root.imag}
         )
@@ -188,7 +188,7 @@ def cmd_althammer_roots(
     rule = golub_welsch(legendre_jacobi(n_quad))
     Z, w = build_same_measure(rule, [1.0, gamma])
     H = solve_hessenberg(Z, w, n, method=solver, trace=trace)
-    roots = hessenberg_eigenvalues(H[:n, :n]).eigenvalues
+    roots = hessenberg_eigenvalues(H[:n, :n], trace=trace).eigenvalues
     rows = [
         {"index": i + 1, "root_re": r.real, "root_im": r.imag}
         for i, r in enumerate(roots)

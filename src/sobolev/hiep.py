@@ -18,7 +18,9 @@ the bulge down column by column.  The merges run as a wavefront, each
 one step behind the previous, so one batched step restores a column of
 every merge in flight; real data run in float64, and one rescaling at
 the end makes the subdiagonal real non-negative.  :func:`solve_hessenberg`
-needs only H, so with the updating solvers it skips the accumulation of Q.
+needs only the leading k x k section of H, so with the updating solvers it
+skips the accumulation of Q and stops every merge after column k-2, which
+leaves that section bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -187,11 +189,13 @@ def _reflector_kernels(V: np.ndarray) -> np.ndarray:
 _KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}
 
 
-def _wavefront(ends: np.ndarray, m: int, r: int):
+def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     """Windows of all (merge j, column c) pairs in step order, padded to r
     indices with m, and the bounds of each step's rows; merge j restores
-    column c at step t = j - 1 + c."""
-    count = ends[1:] - 2
+    column c at step t = j - 1 + c, for c = 0 .. min(d_j - 3, k - 2).  The
+    steps run to the last restore, and at least to the last merge's
+    injection at step len(ends) - 2."""
+    count = np.minimum(ends[1:] - 2, k - 1)
     j = np.repeat(np.arange(1, len(ends)), count)
     c = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
     order = np.argsort(j + c, kind="stable")
@@ -200,11 +204,12 @@ def _wavefront(ends: np.ndarray, m: int, r: int):
     hi = np.minimum(ends[j], ends[j - 1] + c + 2)
     tail = lo[:, None] + np.arange(r - 1)
     wins = np.column_stack((c + 1, np.where(tail < hi[:, None], tail, m)))
-    return wins, np.searchsorted(j + c - 1, np.arange(len(ends) + m - 2))
+    steps = max(len(ends) - 1, int((j + c).max(initial=0)))
+    return wins, np.searchsorted(j + c - 1, np.arange(steps + 1))
 
 
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
-                 *, _with_q: bool = True):
+                 *, _leading: int | None = None):
     """Solve the inverse problem by updating with one Jordan block at a time.
 
     (1) The closed-form single-block solutions are laid out once on the
@@ -222,8 +227,15 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     start and applies them with one batched left and one batched right
     product.  Windows are padded with a scratch index m, whose row and
     column stay zero.  Real data (z, scalings and weights) run in
-    float64.  After the last step, H is checked to be exactly Hessenberg
-    and (4) one unimodular diagonal makes its subdiagonal non-negative.
+    float64.  After the last step, the restored columns of H are checked
+    to be exactly Hessenberg in every row, and (4) one unimodular diagonal
+    makes its subdiagonal non-negative.
+
+    A caller that keeps only the leading k x k section needs only columns
+    0 .. k-2 restored, so every merge stops there.  The skipped restores
+    act on rows and columns >= k, and later merges mix into a column
+    c+1 < k only their own new-block columns, so nothing skipped flows
+    back into H[:k, :k]: the section is bitwise the one of the full solve.
 
     Parameters
     ----------
@@ -234,10 +246,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     Returns
     -------
-    (H, Q) : m x m complex Hessenberg matrix and unitary basis.  Q is
-    None when the private flag ``_with_q`` is false; :func:`solve_hessenberg`
-    sets it because it only needs H, and calls through this function so
-    that a ``trace`` hook on it sees every updating solve.
+    (H, Q) : m x m complex Hessenberg matrix and unitary basis.  With the
+    private ``_leading=k``, H is only the leading k x k section and Q is
+    None, not accumulated; :func:`solve_hessenberg` sets it because it
+    only needs that section, and calls through this function so that a
+    ``trace`` hook on it sees every updating solve.
     """
     kernels_of = _KERNELS.get(strategy)
     if kernels_of is None:
@@ -247,10 +260,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     tol = 1e-10 * max(Z.frobenius_norm(), 1.0)
     m = Z.m
+    k = m if _leading is None else _leading
     real = not (w.betas.imag.any() or any(b.z.imag or b.superdiag.imag.any() for b in Z.blocks))
     # row and column m are the scratch index that pads every window
     H = np.zeros((m + 1, m + 1), dtype=complex)
-    Q = np.zeros((m + 1, m + 1), dtype=complex) if _with_q else None
+    Q = np.zeros((m + 1, m + 1), dtype=complex) if _leading is None else None
     # single-block solutions: H lower bidiagonal with the scaling magnitudes
     # below the eigenvalue; Q the flip matrix with the phases that make
     # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive
@@ -269,8 +283,8 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     ends = np.cumsum([b.size for b in Z.blocks])
     norms = np.sqrt(np.cumsum(np.abs(w.betas) ** 2))
-    wins, bounds = _wavefront(ends, m, max(b.size for b in Z.blocks) + 1)
-    for t in range(len(ends) + m - 3):
+    wins, bounds = _wavefront(ends, m, max(b.size for b in Z.blocks) + 1, k)
+    for t in range(len(bounds) - 1):
         newest = min(t + 1, len(ends) - 1)
         dmax = ends[newest]
         if newest == t + 1:
@@ -312,14 +326,16 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                 trace({"event": "update-restore", "block": t + 2 - c, "column": c + 1,
                        "eliminated": eliminated, "residual": res})
 
-    H = H[:m, :m]
-    if np.tril(H, -2).any():
+    # columns 0..k-2 over all rows: the restored columns that fix H[:k, :k]
+    restored = H[:m, :k - 1]
+    if np.tril(restored, -2).any():
         raise NumericalFailure(
             "Hessenberg restoration missed an entry outside the bulge window",
-            defect=hessenberg_defect(H),
+            defect=hessenberg_defect(restored),
         )
     # unimodular rescaling: subdiagonal real non-negative, first column kept;
     # the running product is renormalized so its rounding cannot accumulate
+    H = H[:k, :k]
     sub = np.diagonal(H, -1)
     size = np.abs(sub)
     steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
@@ -328,7 +344,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     H *= phases
     H *= phases.conj()[:, None]
     H = H.astype(complex, copy=False)
-    idx = np.arange(m - 1)
+    idx = np.arange(k - 1)
     H[idx + 1, idx] = size
     if Q is not None:
         Q = (Q[:m, :m] * phases).astype(complex, copy=False)
@@ -340,8 +356,9 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
 
     ``method`` is one of "arnoldi", "update-hh" (updating with Householder
     reflectors) or "update-rot" (updating with plane rotations).  The
-    updating solvers compute the full m x m matrix, without accumulating
-    Q, and truncate; the result is the same by uniqueness of the solution.
+    updating solvers merge every block but restore only the columns
+    0 .. k-2 that fix the section, without accumulating Q; the section is
+    bitwise the leading k x k part of the full :func:`update_solve`.
     The result is exactly k x k: an Arnoldi breakdown before column k
     raises NumericalFailure with the breakdown ``column`` and ``k``.
     """
@@ -357,5 +374,6 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
     strategy = {"update-hh": "householder", "update-rot": "rotations"}.get(method)
     if strategy is None:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
-    H, _ = update_solve(Z, w, strategy=strategy, trace=trace, _with_q=False)
-    return H[:k, :k]
+    if not 1 <= k <= Z.m:
+        raise ValueError(f"column count k={k} must lie in 1..{Z.m}")
+    return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k)[0]

@@ -151,6 +151,13 @@ class TestSmallestRoot:
         H = np.diag([5.0, 6.0, -7.0])
         assert smallest_root(H, 2) == 5.0
 
+    def test_trace_sees_one_lapack_call(self):
+        events = []
+        H = random_hessenberg(np.random.default_rng(5), 6)
+        smallest_root(H, 4, trace=events.append)
+        assert [(e["event"], e["n"]) for e in events] == [("eigen", 4)]
+        assert events[0]["seconds"] >= 0.0
+
     def test_rejects_out_of_range(self):
         H = np.eye(3)
         with pytest.raises(ValueError):

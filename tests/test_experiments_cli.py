@@ -370,7 +370,19 @@ class TestCli:
     def test_arnoldi_trace(self, capsys):
         main(["laguerre-roots", "--k-max", "2", "--solver", "arnoldi", "--trace"])
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
-        assert {e["event"] for e in events} == {"arnoldi-step"}
+        assert {e["event"] for e in events} == {"arnoldi-step", "eigen"}
+
+    def test_trace_covers_the_eigensolver(self, capsys):
+        assert main(["laguerre-roots", "--k-max", "3", "--trace"]) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        eigen = [e for e in events if e["event"] == "eigen"]
+        assert [e["n"] for e in eigen] == [1, 2, 3]
+        assert all(e["seconds"] >= 0.0 for e in eigen)
+        assert main(["althammer-roots", "--n", "6", "--n-quad", "8", "--trace"]) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        assert [e["n"] for e in events if e["event"] == "eigen"] == [6]
+        assert main(["laguerre-roots", "--k-max", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_penta_trace_covers_both_solves(self, capsys):
         assert main(["penta", "--m", "3", "--trace"]) == 0
@@ -420,6 +432,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"usage: sobolev {argv[0]}")
         assert str(out.parent) in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["compare-solvers", "least-squares"])
+    def test_missing_out_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command):
+        driver = {"compare-solvers": "cmd_compare_solvers", "least-squares": "cmd_least_squares"}[command]
+
+        def must_not_run(**kwargs):
+            pytest.fail(f"{driver} ran although --out cannot be written")
+
+        monkeypatch.setattr(sobolev.cli, driver, must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {command}")
+        assert f"cannot write {out}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_althammer_command(self, capsys):

@@ -258,12 +258,18 @@ class TestUpdateSolve:
 
     def test_bulge_window_covers_every_column(self):
         # merging a 2x2 block onto dimension d_prev restores columns
-        # 1..d-2, each with a kernel of at most block size + 1 rows
+        # 1..d-2, each with a kernel of at most block size + 1 rows; for
+        # the leading k x k section only columns 1..min(d-2, k-1)
         Z, w = legendre_instance(m=8)
         events = []
         update_solve(Z, w, trace=events.append)
         assert len(events) == sum(d - 2 for d in range(4, Z.m + 1, 2))
         assert {e["eliminated"] for e in events} <= {1, 2}
+        for k in (1, 2, Z.m // 2, Z.m):
+            events = []
+            solve_hessenberg(Z, w, k, method="update-rot", trace=events.append)
+            assert len(events) == sum(min(d - 2, k - 1) for d in range(4, Z.m + 1, 2))
+            assert {e["eliminated"] for e in events} <= {1, 2}
 
     def test_residual_check_raises(self, monkeypatch):
         # a kernel that eliminates nothing must trip the per-column check
@@ -273,6 +279,27 @@ class TestUpdateSolve:
         Z, w = random_spectral_data(np.random.default_rng(4), max_m=10)
         with pytest.raises(NumericalFailure, match="residual"):
             update_solve(Z, w)
+        with pytest.raises(NumericalFailure, match="residual"):
+            solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
+
+    def test_missed_entry_in_a_restored_column_raises(self, monkeypatch):
+        # the last window of column k-2 loses its last row to the scratch
+        # index, so that entry survives below the subdiagonal; only the
+        # final check over columns 0..k-2 and all rows can see it
+        wavefront = hiep._wavefront
+
+        def dropping(ends, m, r, k):
+            wins, bounds = wavefront(ends, m, r, k)
+            last = np.flatnonzero(wins[:, 0] == k - 1)[-1]
+            pos = np.flatnonzero(wins[last] < m)[-1]
+            assert pos > 0
+            wins[last, pos] = m
+            return wins, bounds
+
+        monkeypatch.setattr(hiep, "_wavefront", dropping)
+        Z, w = legendre_instance()
+        with pytest.raises(NumericalFailure, match="outside the bulge window"):
+            solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
 
 
 class TestSolverContract:
@@ -385,6 +412,28 @@ class TestSolveHessenberg:
                 Hk = solve_hessenberg(Z, w, k, method=method)
                 assert Hk.shape == (k, k)
                 assert np.linalg.norm(Hk - full[:k, :k]) <= 1e-11 * np.linalg.norm(full)
+
+    @pytest.mark.parametrize(
+        "method, strategy", [("update-hh", "householder"), ("update-rot", "rotations")]
+    )
+    def test_every_leading_section_is_bitwise_the_full_solve(self, method, strategy):
+        # merges that stop at column k-2 leave H[:k, :k] exactly as it is
+        # (rng 42 draws a single block of size 3, rng 0 seven mixed blocks)
+        for Z, w in (
+            random_spectral_data(np.random.default_rng(42), max_m=20),
+            random_spectral_data(np.random.default_rng(0), max_m=20),
+            legendre_instance(),
+        ):
+            full, _ = update_solve(Z, w, strategy=strategy)
+            for k in range(1, Z.m + 1):
+                assert np.array_equal(solve_hessenberg(Z, w, k, method=method), full[:k, :k])
+
+    @pytest.mark.parametrize("method", ["update-hh", "update-rot"])
+    def test_rejects_bad_column_counts(self, method):
+        Z, w = legendre_instance(m=3)
+        for k in (0, Z.m + 1):
+            with pytest.raises(ValueError, match="column count"):
+                solve_hessenberg(Z, w, k, method=method)
 
     @pytest.mark.parametrize(
         "method, strategy", [("update-hh", "householder"), ("update-rot", "rotations")]
