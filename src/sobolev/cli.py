@@ -3,8 +3,8 @@
 Usage: ``sobolev <command> [flags]`` with commands laguerre-roots,
 althammer-roots, least-squares, penta, compare-solvers.  Results print to
 stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
-spectral data as JSON next to --out; --trace streams per-step solver
-and eigensolver events as JSON lines on stderr.
+spectral data as JSON next to --out; --trace streams per-step solver,
+eigensolver and basis-evaluation events as JSON lines on stderr.
 
 Invalid arguments, and an --out path that cannot be written, end in the
 subcommand's usage error (exit code 2); a missing --out directory is
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--trace",
         action="store_true",
-        help="stream solver and eigensolver steps as JSON lines on stderr",
+        help="stream solver, eigensolver and basis-evaluation steps as JSON lines on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -224,7 +224,7 @@ def _gauss_bump_prime(x):
     return -200.0 * (x - 0.2) * _gauss_bump(x)
 
 
-def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family):
+def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
     """Max-norm value and derivative errors of the bump fits of the given
     degrees on a uniform grid over [-1, 1], one dict per degree with keys
     suffixed by ``family``.
@@ -236,11 +236,11 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family):
     top = max(degrees)
     fit = hermite_least_squares(
         H, w_norm, rule.nodes, rule.weights, _gauss_bump(rule.nodes),
-        _gauss_bump_prime(rule.nodes), gamma, top,
+        _gauss_bump_prime(rule.nodes), gamma, top, trace=trace,
     )
     grid = np.linspace(-1.0, 1.0, grid_points)
     f, fprime = _gauss_bump(grid), _gauss_bump_prime(grid)
-    on_grid = evaluate(H, w_norm, grid, top)
+    on_grid = evaluate(H, w_norm, grid, top, trace=trace)
     errors = []
     for d in degrees:
         coeff = fit.coefficients[: d + 1]
@@ -270,7 +270,8 @@ def cmd_least_squares(
     derivative misfit by ``gamma``, over the requested degrees.  The
     value-only basis ends at degree m-1 (the m-point discrete product
     cannot separate higher degrees), so such degrees are clamped and the
-    clamp recorded per row.
+    clamp recorded per row.  ``trace`` goes to both solves and to the
+    four basis evaluations.
     """
     if degrees is None:
         degrees = list(range(1, 202, 10))
@@ -295,8 +296,8 @@ def cmd_least_squares(
 
     # the families in turn, so that one grid basis at a time is held
     degrees0 = [min(d, top0) for d in degrees]
-    errors0 = _fit_errors(H0, w0.norm(), rule, 0.0, degrees0, grid_points, "plain")
-    errorsg = _fit_errors(Hg, wg.norm(), rule, gamma, degrees, grid_points, "sobolev")
+    errors0 = _fit_errors(H0, w0.norm(), rule, 0.0, degrees0, grid_points, "plain", trace)
+    errorsg = _fit_errors(Hg, wg.norm(), rule, gamma, degrees, grid_points, "sobolev", trace)
     rows = [
         {"degree": d, **e0, **eg, "effective_degree_plain": d0}
         for d, d0, e0, eg in zip(degrees, degrees0, errors0, errorsg)

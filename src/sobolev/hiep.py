@@ -11,9 +11,9 @@ product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 
 Two independent methods are implemented: :func:`arnoldi`, a Krylov
 iteration with classical Gram-Schmidt and one reorthogonalization sweep,
-and :func:`update_solve`, which lays every single-block solution out on
-the block diagonal of one workspace and merges the blocks into its
-leading section: inject the new weight with a plane rotation, then chase
+in float64 for real data, and :func:`update_solve`, which lays every
+single-block solution out on the block diagonal of one workspace and
+merges the blocks into its leading section: inject the new weight with a plane rotation, then chase
 the bulge down column by column.  The merges run as a wavefront, each
 one step behind the previous, so one batched step restores a column of
 every merge in flight; real data run in float64, and one rescaling at
@@ -79,6 +79,8 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     dimensions in the hundreds.  Breakdown (residual below 1e-13 times
     ||Z q_col||, the norm before orthogonalization) truncates the result;
     for valid spectral data it can only occur at the full dimension m.
+    Real data (eigenvalues, scalings and weights) run in float64; the
+    result is complex either way.
 
     Parameters
     ----------
@@ -90,21 +92,27 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     if not 1 <= k <= m:
         raise ValueError(f"column count k={k} must lie in 1..{m}")
     wd = w.dense(Z)
+    real = not (wd.imag.any() or Z._diag.imag.any() or Z._sup.imag.any())
+    if real:
+        wd = wd.real
     wnorm = float(np.linalg.norm(wd))
 
-    Q = np.zeros((m, k), dtype=complex)
-    Hext = np.zeros((k + 1, k), dtype=complex)
+    Q = np.zeros((m, k), dtype=wd.dtype)
+    Hext = np.zeros((k + 1, k), dtype=wd.dtype)
     Q[:, 0] = wd / wnorm
     ncols = k
     h_next = 0.0
     q_next = None
     for col in range(k):
         v = jordan_matvec(Z, Q[:, col])
+        if real:
+            v = v.real
         tol = 1e-13 * float(np.linalg.norm(v))
         basis = Q[:, : col + 1]
-        h = basis.conj().T @ v
+        adjoint = basis.T if real else basis.conj().T
+        h = adjoint @ v
         v = v - basis @ h
-        correction = basis.conj().T @ v
+        correction = adjoint @ v
         v = v - basis @ correction
         h += correction
         Hext[: col + 1, col] = h
@@ -128,7 +136,7 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             Q[:, col + 1] = v / hn
         else:
             h_next = hn
-            q_next = v / hn
+            q_next = (v / hn).astype(complex, copy=False)
 
     Q = Q[:, :ncols]
     H = Hext[:ncols, :ncols]
@@ -139,6 +147,7 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             orthogonality=ortho,
             columns=ncols,
         )
+    Q, H = Q.astype(complex, copy=False), H.astype(complex, copy=False)
     return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
 
 

@@ -8,12 +8,15 @@ product, the orthonormal sequence satisfies p_0 = 1/||w|| and
 Everything here runs off that relation: pointwise evaluation with
 derivatives, monomial coefficient recovery for small degrees, Hermite
 least-squares fitting in the orthonormal basis, and the banded matrix of
-the induced five-term recurrence for point-mass products.
+the induced five-term recurrence for point-mass products.  Real input
+(the recurrence section, the points and the samples) stays in float64;
+complex input runs in complex128.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SopEvaluation:
-    """Values and first derivatives of p_0..p_k at the evaluation points."""
+    """Values and first derivatives of p_0..p_k at the evaluation points.
+
+    Both arrays are float64 when the recurrence section and the points
+    are real, and complex128 otherwise.
+    """
 
     values: np.ndarray
     derivs: np.ndarray
+
+
+# degrees per block of the basis recurrence in :func:`evaluate`
+_BLOCK = 32
 
 
 def _subdiagonal(H: np.ndarray, j: int) -> float:
@@ -49,21 +60,11 @@ def _subdiagonal(H: np.ndarray, j: int) -> float:
     return float(h.real)
 
 
-def evaluate(H, w_norm: float, x, k: int) -> SopEvaluation:
-    """Evaluate p_0..p_k and their derivatives at x (scalar or array).
-
-    Runs the recurrence directly in value space; derivatives use the
-    differentiated recurrence, which stays stable at degrees in the
-    hundreds where monomial coefficients would overflow.
-
-    Parameters
-    ----------
-    H : recurrence matrix, at least (k+1) x (k+1).
-    w_norm : Euclidean norm of the weight vector (sets p_0 = 1/w_norm).
-    x : evaluation point(s), real or complex.
-    k : highest degree to evaluate, k <= dim(H) - 1.
-    """
-    H = np.asarray(H, dtype=complex)
+def _section(H, w_norm: float, k: int) -> np.ndarray:
+    """The leading (k+1) x (k+1) section of H that fixes p_0..p_k, after
+    checking that H is square, holds degree k and is finite there, and
+    that the weight norm is finite and positive."""
+    H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"recurrence matrix must be square, got {H.shape}")
     if not 0 <= k <= H.shape[0] - 1:
@@ -73,28 +74,80 @@ def evaluate(H, w_norm: float, x, k: int) -> SopEvaluation:
         )
     if not (math.isfinite(w_norm) and w_norm > 0):
         raise ValueError("weight norm must be finite and positive")
-    x = np.asarray(x, dtype=complex)
-    values = np.empty((k + 1,) + x.shape, dtype=complex)
-    derivs = np.zeros((k + 1,) + x.shape, dtype=complex)
+    section = H[: k + 1, : k + 1]
+    if not np.isfinite(section).all():
+        raise ValueError("recurrence matrix entries must be finite")
+    return section
+
+
+def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
+    """Evaluate p_0..p_k and their derivatives at x (scalar or array).
+
+    Runs the recurrence directly in value space; derivatives use the
+    differentiated recurrence, which stays stable at degrees in the
+    hundreds where monomial coefficients would overflow.  Degrees go in
+    blocks of 32: one matrix product per block adds the terms of every
+    lower degree, and only the terms within the block are added degree
+    by degree.  A real section of H with real points runs in float64.
+
+    Parameters
+    ----------
+    H : recurrence matrix, at least (k+1) x (k+1), finite in its leading
+        (k+1) x (k+1) section.
+    w_norm : Euclidean norm of the weight vector (sets p_0 = 1/w_norm).
+    x : finite evaluation point(s), real or complex.
+    k : highest degree to evaluate, k <= dim(H) - 1.
+    trace : optional callable receiving one dict per call with ``k``,
+        the number of ``points``, whether the ``real`` path ran, and the
+        wall time ``seconds``.
+    """
+    start = time.perf_counter()
+    H = _section(H, w_norm, k)
+    x = np.asarray(x)
+    if not np.isfinite(x).all():
+        raise ValueError("evaluation points must be finite")
+    real = not (H.imag.any() or x.imag.any())
+    dtype = float if real else complex
+    H = (H.real if real else H).astype(dtype, copy=False)
+    sub = [_subdiagonal(H, j) for j in range(1, k + 1)]
+    points = x.reshape(-1).astype(dtype, copy=False)
+
+    values = np.empty((k + 1, points.size), dtype=dtype)
+    derivs = np.empty_like(values)
     values[0] = 1.0 / w_norm
-    for j in range(1, k + 1):
-        h = _subdiagonal(H, j)
-        proj = np.tensordot(H[:j, j - 1], values[:j], axes=(0, 0))
-        dproj = np.tensordot(H[:j, j - 1], derivs[:j], axes=(0, 0))
-        values[j] = (x * values[j - 1] - proj) / h
-        derivs[j] = (values[j - 1] + x * derivs[j - 1] - dproj) / h
-    return SopEvaluation(values=values, derivs=derivs)
+    derivs[0] = 0.0
+    for j0 in range(1, k + 1, _BLOCK):
+        j1 = min(j0 + _BLOCK, k + 1)
+        # row j - j0: sum over i < j0 of h_{i,j-1} p_i, for j in the block
+        coupling = H[:j0, j0 - 1 : j1 - 1].T
+        proj = coupling @ values[:j0]
+        dproj = coupling @ derivs[:j0]
+        for j in range(j0, j1):
+            row = j - j0
+            proj[row] += H[j0:j, j - 1] @ values[j0:j]
+            dproj[row] += H[j0:j, j - 1] @ derivs[j0:j]
+            np.multiply(points, values[j - 1], out=values[j])
+            values[j] -= proj[row]
+            values[j] /= sub[j - 1]
+            np.multiply(points, derivs[j - 1], out=derivs[j])
+            derivs[j] += values[j - 1]
+            derivs[j] -= dproj[row]
+            derivs[j] /= sub[j - 1]
+    if trace is not None:
+        trace({"event": "evaluate", "k": k, "points": points.size, "real": real,
+               "seconds": time.perf_counter() - start})
+    shape = (k + 1,) + x.shape
+    return SopEvaluation(values=values.reshape(shape), derivs=derivs.reshape(shape))
 
 
 def coefficients(H, w_norm: float, k: int):
     """Monomial coefficients of p_0..p_k as PolyCoeffs.
 
     Exact-degree expansion of the recurrence; intended for small k where
-    the coefficients stay representable (tests, oracles).
+    the coefficients stay representable (tests, oracles).  H and w_norm
+    are checked as in :func:`evaluate`.
     """
-    H = np.asarray(H, dtype=complex)
-    if not 0 <= k <= H.shape[0] - 1:
-        raise ValueError(f"degree k={k} out of range for dimension {H.shape[0]}")
+    H = _section(H, w_norm, k).astype(complex)
     coeff = [np.array([1.0 / w_norm], dtype=complex)]
     for j in range(1, k + 1):
         h = _subdiagonal(H, j)
@@ -113,7 +166,8 @@ class LsqFit:
     ``coefficients[j]`` multiplies p_j; errors are max-norm deviations of
     the approximant (and its derivative) from the supplied exact
     functions on the evaluation grid, or None when no exact function was
-    given.
+    given.  The coefficients are float64 when H's section and the samples
+    are real, and complex128 otherwise.
     """
 
     coefficients: np.ndarray
@@ -134,6 +188,7 @@ def hermite_least_squares(
     f_exact=None,
     fprime_exact=None,
     grid_points: int = 2001,
+    trace=None,
 ) -> LsqFit:
     """Degree-n least-squares fit penalizing value and derivative misfit.
 
@@ -146,12 +201,16 @@ def hermite_least_squares(
     H must therefore be the recurrence matrix generated from the same
     nodes, weights and gamma.  If ``f_exact``/``fprime_exact`` callables
     are given, errors are measured in the max norm on a uniform grid of
-    ``grid_points`` points over [-1, 1].
+    ``grid_points`` points over [-1, 1].  ``trace`` is passed on to
+    :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
-    f_values = np.asarray(f_values, dtype=complex)
-    fprime_values = np.asarray(fprime_values, dtype=complex)
+    f_values = np.asarray(f_values)
+    fprime_values = np.asarray(fprime_values)
+    samples = np.result_type(f_values, fprime_values, float)
+    f_values = f_values.astype(samples, copy=False)
+    fprime_values = fprime_values.astype(samples, copy=False)
     if not (
         nodes.shape == node_weights.shape == f_values.shape == fprime_values.shape
     ):
@@ -159,7 +218,7 @@ def hermite_least_squares(
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
 
-    basis = evaluate(H, w_norm, nodes, n)
+    basis = evaluate(H, w_norm, nodes, n, trace=trace)
     coeff = basis.values.conj() @ (node_weights * f_values)
     if gamma > 0:
         coeff += gamma * (basis.derivs.conj() @ (node_weights * fprime_values))
@@ -168,7 +227,7 @@ def hermite_least_squares(
     deriv_error = None
     if f_exact is not None:
         grid = np.linspace(-1.0, 1.0, grid_points)
-        on_grid = evaluate(H, w_norm, grid, n)
+        on_grid = evaluate(H, w_norm, grid, n, trace=trace)
         approx = np.tensordot(coeff, on_grid.values, axes=(0, 0))
         value_error = float(np.max(np.abs(approx - f_exact(grid))))
         if fprime_exact is not None:

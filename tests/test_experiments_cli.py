@@ -395,6 +395,16 @@ class TestCli:
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
+    def test_least_squares_trace_covers_every_evaluation(self, capsys):
+        # per family one basis on the nodes and one on the 2001-point grid;
+        # the Arnoldi H is complex-typed with zero imaginary part, so real
+        args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
+        assert main(args) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
+        evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
+        assert evaluations == [(13, 15, True), (13, 2001, True)] * 2
+
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["penta", "--c", "nan"])

