@@ -1,12 +1,13 @@
-"""Eigenvalues of complex upper Hessenberg matrices.
+"""Eigenvalues of upper Hessenberg matrices.
 
 Roots of the orthonormal polynomial p_k are the eigenvalues of the k x k
 leading principal section of its recurrence matrix, so all root finding
 in this package reduces to the Hessenberg eigenvalue problem.  The input
 is validated here (square, finite, Hessenberg within a relative
 tolerance) and the eigenvalues come from LAPACK through
-``np.linalg.eigvals``, which reaches the Hessenberg QR iteration
-(``zhseqr``) via ``zgeev``.
+``np.linalg.eigvals``.  A real H reaches the real double-shift QR
+(``dhseqr`` via ``dgeev``), which returns real eigenvalues with an
+imaginary part of exactly zero; a complex H reaches ``zgeev``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ __all__ = ["Spectrum", "hessenberg_eigenvalues", "smallest_root"]
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by real part, ties by imaginary part."""
+    """Eigenvalues sorted by real part, ties by imaginary part; float64 if all real."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
+        vals = np.atleast_1d(np.asarray(self.eigenvalues))
         object.__setattr__(self, "eigenvalues", vals)
 
     @property
@@ -38,7 +39,7 @@ class Spectrum:
 
 
 def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
-    """All eigenvalues of a complex upper Hessenberg matrix.
+    """All eigenvalues of an upper Hessenberg matrix, real or complex.
 
     Entries below the subdiagonal may deviate from zero by at most
     1e-13 * max(||H||_F, 1); they are then set to zero before LAPACK sees
@@ -52,7 +53,8 @@ def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
     NumericalFailure
         If LAPACK's QR iteration does not converge.
     """
-    A = np.array(H, dtype=complex)
+    A = np.asarray(H)
+    A = A.astype(np.result_type(A, float), copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):

@@ -11,13 +11,15 @@ product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 
 Two independent methods are implemented: :func:`arnoldi`, a Krylov
 iteration with classical Gram-Schmidt and one reorthogonalization sweep,
-in float64 for real data, and :func:`update_solve`, which lays every
-single-block solution out on the block diagonal of one workspace and
-merges the blocks into its leading section: inject the new weight with a plane rotation, then chase
+and :func:`update_solve`, which lays every single-block solution out on
+the block diagonal of one workspace and merges the blocks into its
+leading section: inject the new weight with a plane rotation, then chase
 the bulge down column by column.  The merges run as a wavefront, each
 one step behind the previous, so one batched step restores a column of
-every merge in flight; real data run in float64, and one rescaling at
-the end makes the subdiagonal real non-negative.  :func:`solve_hessenberg`
+every merge in flight, and one rescaling at the end makes the
+subdiagonal real non-negative.  Both compute in the dtype of Z's bands
+and w combined, float64 for real data and complex128 otherwise, and
+return H and Q in that dtype.  :func:`solve_hessenberg`
 needs only the leading k x k section of H, so with the updating solvers it
 skips the accumulation of Q and stops every merge after column k-2, which
 leaves that section bitwise unchanged.
@@ -42,11 +44,6 @@ __all__ = [
 
 SOLVER_NAMES = ("arnoldi", "update-hh", "update-rot")
 DEFAULT_SOLVER = "update-rot"
-
-
-def _phase(value: complex) -> complex:
-    a = abs(value)
-    return value / a if a > 0 else 1.0 + 0.0j
 
 
 def hessenberg_defect(H) -> float:
@@ -79,8 +76,8 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     dimensions in the hundreds.  Breakdown (residual below 1e-13 times
     ||Z q_col||, the norm before orthogonalization) truncates the result;
     for valid spectral data it can only occur at the full dimension m.
-    Real data (eigenvalues, scalings and weights) run in float64; the
-    result is complex either way.
+    It runs in the dtype of Z's bands and w combined (float64 for real
+    data), which H, Q and ``q_next`` keep.
 
     Parameters
     ----------
@@ -91,25 +88,21 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     m = Z.m
     if not 1 <= k <= m:
         raise ValueError(f"column count k={k} must lie in 1..{m}")
-    wd = w.dense(Z)
-    real = not (wd.imag.any() or Z._diag.imag.any() or Z._sup.imag.any())
-    if real:
-        wd = wd.real
+    dtype = np.result_type(Z._diag, w.betas)
+    wd = w.dense(Z).astype(dtype, copy=False)
     wnorm = float(np.linalg.norm(wd))
 
-    Q = np.zeros((m, k), dtype=wd.dtype)
-    Hext = np.zeros((k + 1, k), dtype=wd.dtype)
+    Q = np.zeros((m, k), dtype=dtype)
+    Hext = np.zeros((k + 1, k), dtype=dtype)
     Q[:, 0] = wd / wnorm
     ncols = k
     h_next = 0.0
     q_next = None
     for col in range(k):
         v = jordan_matvec(Z, Q[:, col])
-        if real:
-            v = v.real
         tol = 1e-13 * float(np.linalg.norm(v))
         basis = Q[:, : col + 1]
-        adjoint = basis.T if real else basis.conj().T
+        adjoint = basis.conj().T
         h = adjoint @ v
         v = v - basis @ h
         correction = adjoint @ v
@@ -136,10 +129,10 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             Q[:, col + 1] = v / hn
         else:
             h_next = hn
-            q_next = (v / hn).astype(complex, copy=False)
+            q_next = v / hn
 
-    Q = Q[:, :ncols]
-    H = Hext[:ncols, :ncols]
+    Q = np.ascontiguousarray(Q[:, :ncols])
+    H = np.ascontiguousarray(Hext[:ncols, :ncols])
     ortho = float(np.linalg.norm(Q.conj().T @ Q - np.eye(ncols)))
     if ortho > 1e-8:
         raise NumericalFailure(
@@ -147,7 +140,6 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             orthogonality=ortho,
             columns=ncols,
         )
-    Q, H = Q.astype(complex, copy=False), H.astype(complex, copy=False)
     return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
 
 
@@ -235,10 +227,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     step builds all kernels in one batched call from the state at its
     start and applies them with one batched left and one batched right
     product.  Windows are padded with a scratch index m, whose row and
-    column stay zero.  Real data (z, scalings and weights) run in
-    float64.  After the last step, the restored columns of H are checked
-    to be exactly Hessenberg in every row, and (4) one unimodular diagonal
-    makes its subdiagonal non-negative.
+    column stay zero.  After the last step, the restored columns of H are
+    checked to be exactly Hessenberg in every row, and (4) one unimodular
+    diagonal makes its subdiagonal non-negative.
 
     A caller that keeps only the leading k x k section needs only columns
     0 .. k-2 restored, so every merge stops there.  The skipped restores
@@ -255,11 +246,12 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     Returns
     -------
-    (H, Q) : m x m complex Hessenberg matrix and unitary basis.  With the
-    private ``_leading=k``, H is only the leading k x k section and Q is
-    None, not accumulated; :func:`solve_hessenberg` sets it because it
-    only needs that section, and calls through this function so that a
-    ``trace`` hook on it sees every updating solve.
+    (H, Q) : m x m Hessenberg matrix and unitary basis, contiguous, in the
+    workspace dtype (float64 for real data).  With the private
+    ``_leading=k``, H is only the leading k x k section and Q is None, not
+    accumulated; :func:`solve_hessenberg` sets it because it only needs
+    that section, and calls through this function so that a ``trace``
+    hook on it sees every updating solve.
     """
     kernels_of = _KERNELS.get(strategy)
     if kernels_of is None:
@@ -270,29 +262,37 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     tol = 1e-10 * max(Z.frobenius_norm(), 1.0)
     m = Z.m
     k = m if _leading is None else _leading
-    real = not (w.betas.imag.any() or any(b.z.imag or b.superdiag.imag.any() for b in Z.blocks))
+    dtype = np.result_type(Z._diag, w.betas)
     # row and column m are the scratch index that pads every window
-    H = np.zeros((m + 1, m + 1), dtype=complex)
-    Q = np.zeros((m + 1, m + 1), dtype=complex) if _leading is None else None
+    H = np.zeros((m + 1, m + 1), dtype=dtype)
+    Q = np.zeros((m + 1, m + 1), dtype=dtype) if _leading is None else None
     # single-block solutions: H lower bidiagonal with the scaling magnitudes
     # below the eigenvalue; Q the flip matrix with the phases that make
-    # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive
-    for off, block, beta in zip(Z.offsets(), Z.blocks, w.betas):
-        s = block.size
-        phase = _phase(beta)
-        for j in range(s):
-            H[off + j, off + j] = block.z
-            if Q is not None:
-                Q[off + s - 1 - j, off + j] = phase
-            if j < s - 1:
-                H[off + j + 1, off + j] = abs(block.superdiag[j])
-                phase *= _phase(block.superdiag[j])
-    if real:
-        H, Q = H.real.copy(), (None if Q is None else Q.real.copy())
+    # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive.
+    # Index i is at position pos[i] of its block, and flip[i] mirrors it.
+    sizes = np.array([b.size for b in Z.blocks])
+    ends = np.cumsum(sizes)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    idx = np.arange(m)
+    pos = idx - (ends - sizes)[block]
+    flip = ends[block] - 1 - pos
+    # alpha_1 .. alpha_{s-1}, 0 of each block, from the band read backwards
+    scalings = np.concatenate(([0.0], Z._sup))[flip]
+    H[idx, idx] = Z._diag
+    H[idx + 1, idx] = np.hypot(scalings.real, scalings.imag)
+    if Q is not None:
+        # row j: beta_j, alpha_1 .. alpha_{s-1} of block j.  Phases t * (1/|t|)
+        # round as numpy's complex division, in either dtype; np.hypot and the
+        # product over numpy scalars (object entries) round alike on every
+        # CPU, unlike numpy's SIMD-dispatched complex abs and product loops.
+        turns = np.ones((sizes.size, sizes.max()), dtype=dtype)
+        turns[block, pos] = np.roll(scalings, 1)
+        turns[:, 0] = w.betas
+        units = turns * (1.0 / np.hypot(turns.real, turns.imag))
+        Q[flip, idx] = np.cumprod(units.astype(object), axis=1)[block, pos]
 
-    ends = np.cumsum([b.size for b in Z.blocks])
     norms = np.sqrt(np.cumsum(np.abs(w.betas) ** 2))
-    wins, bounds = _wavefront(ends, m, max(b.size for b in Z.blocks) + 1, k)
+    wins, bounds = _wavefront(ends, m, sizes.max() + 1, k)
     for t in range(len(bounds) - 1):
         newest = min(t + 1, len(ends) - 1)
         dmax = ends[newest]
@@ -344,7 +344,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
         )
     # unimodular rescaling: subdiagonal real non-negative, first column kept;
     # the running product is renormalized so its rounding cannot accumulate
-    H = H[:k, :k]
+    H = H[:k, :k].copy()
     sub = np.diagonal(H, -1)
     size = np.abs(sub)
     steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
@@ -352,11 +352,10 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     phases /= np.abs(phases)
     H *= phases
     H *= phases.conj()[:, None]
-    H = H.astype(complex, copy=False)
     idx = np.arange(k - 1)
     H[idx + 1, idx] = size
     if Q is not None:
-        Q = (Q[:m, :m] * phases).astype(complex, copy=False)
+        Q = Q[:m, :m] * phases
     return H, Q
 
 

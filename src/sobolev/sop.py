@@ -8,9 +8,9 @@ product, the orthonormal sequence satisfies p_0 = 1/||w|| and
 Everything here runs off that relation: pointwise evaluation with
 derivatives, monomial coefficient recovery for small degrees, Hermite
 least-squares fitting in the orthonormal basis, and the banded matrix of
-the induced five-term recurrence for point-mass products.  Real input
-(the recurrence section, the points and the samples) stays in float64;
-complex input runs in complex128.
+the induced five-term recurrence for point-mass products.  Input of a
+real dtype (recurrence matrix, points, samples) stays in float64; input
+of a complex dtype runs in complex128, whatever its values.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     hundreds where monomial coefficients would overflow.  Degrees go in
     blocks of 32: one matrix product per block adds the terms of every
     lower degree, and only the terms within the block are added degree
-    by degree.  A real section of H with real points runs in float64.
+    by degree; zero rows pad the last block to 32, so no degree's
+    rounding depends on k.  A real H with real points runs in float64.
 
     Parameters
     ----------
@@ -106,9 +107,8 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     x = np.asarray(x)
     if not np.isfinite(x).all():
         raise ValueError("evaluation points must be finite")
-    real = not (H.imag.any() or x.imag.any())
-    dtype = float if real else complex
-    H = (H.real if real else H).astype(dtype, copy=False)
+    dtype = np.result_type(H, x, float)
+    H = H.astype(dtype, copy=False)
     sub = [_subdiagonal(H, j) for j in range(1, k + 1)]
     points = x.reshape(-1).astype(dtype, copy=False)
 
@@ -119,7 +119,8 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     for j0 in range(1, k + 1, _BLOCK):
         j1 = min(j0 + _BLOCK, k + 1)
         # row j - j0: sum over i < j0 of h_{i,j-1} p_i, for j in the block
-        coupling = H[:j0, j0 - 1 : j1 - 1].T
+        coupling = np.zeros((_BLOCK, j0), dtype=dtype)
+        coupling[: j1 - j0] = H[:j0, j0 - 1 : j1 - 1].T
         proj = coupling @ values[:j0]
         dproj = coupling @ derivs[:j0]
         for j in range(j0, j1):
@@ -134,7 +135,7 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
             derivs[j] -= dproj[row]
             derivs[j] /= sub[j - 1]
     if trace is not None:
-        trace({"event": "evaluate", "k": k, "points": points.size, "real": real,
+        trace({"event": "evaluate", "k": k, "points": points.size, "real": dtype == float,
                "seconds": time.perf_counter() - start})
     shape = (k + 1,) + x.shape
     return SopEvaluation(values=values.reshape(shape), derivs=derivs.reshape(shape))
@@ -199,10 +200,10 @@ def hermite_least_squares(
         c_j = sum_m weight_m (f_m conj(p_j(x_m)) + gamma f'_m conj(p_j'(x_m))).
 
     H must therefore be the recurrence matrix generated from the same
-    nodes, weights and gamma.  If ``f_exact``/``fprime_exact`` callables
-    are given, errors are measured in the max norm on a uniform grid of
-    ``grid_points`` points over [-1, 1].  ``trace`` is passed on to
-    :func:`evaluate`.
+    nodes, weights and gamma.  Each c_j sums its own row, so a lower-degree
+    fit is bitwise a prefix.  If ``f_exact``/``fprime_exact`` callables are
+    given, errors are measured in the max norm on a uniform grid of
+    ``grid_points`` points over [-1, 1].  ``trace`` goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -219,9 +220,9 @@ def hermite_least_squares(
         raise ValueError("gamma must be finite and non-negative")
 
     basis = evaluate(H, w_norm, nodes, n, trace=trace)
-    coeff = basis.values.conj() @ (node_weights * f_values)
+    coeff = (basis.values.conj() * (node_weights * f_values)).sum(axis=1)
     if gamma > 0:
-        coeff += gamma * (basis.derivs.conj() @ (node_weights * fprime_values))
+        coeff += gamma * (basis.derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
 
     value_error = None
     deriv_error = None

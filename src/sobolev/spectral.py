@@ -113,7 +113,8 @@ class JordanOperator:
 
     The diagonal and superdiagonal bands of the dense matrix are built
     once at construction; the superdiagonal band holds a zero at every
-    block boundary.
+    block boundary.  They are float64 if all real: only here and in WeightVector
+    is it decided whether data are real; the rest follows the dtype.
     """
 
     blocks: tuple
@@ -128,10 +129,12 @@ class JordanOperator:
         if len(set(eigs)) != len(eigs):
             raise ValueError("block eigenvalues must be pairwise distinct")
         diag = np.repeat(np.asarray(eigs, dtype=complex), [b.size for b in blocks])
-        sup = np.concatenate([np.append(b.superdiag[::-1], 0.0) for b in blocks])
+        sup = np.concatenate([np.append(b.superdiag[::-1], 0.0) for b in blocks])[:-1]
+        if not (diag.imag.any() or sup.imag.any()):
+            diag, sup = diag.real.copy(), sup.real.copy()
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_diag", diag)
-        object.__setattr__(self, "_sup", sup[:-1])
+        object.__setattr__(self, "_sup", sup)
 
     @property
     def m(self) -> int:
@@ -140,12 +143,8 @@ class JordanOperator:
 
     def offsets(self):
         """Row offset of each block in the dense matrix."""
-        out = []
-        pos = 0
-        for b in self.blocks:
-            out.append(pos)
-            pos += b.size
-        return out
+        sizes = [b.size for b in self.blocks]
+        return (np.cumsum(sizes) - sizes).tolist()
 
     def dense(self) -> np.ndarray:
         Z = np.zeros((self.m, self.m), dtype=complex)
@@ -154,11 +153,7 @@ class JordanOperator:
         return Z
 
     def frobenius_norm(self) -> float:
-        total = 0.0
-        for b in self.blocks:
-            total += b.size * abs(b.z) ** 2
-            total += float(np.sum(np.abs(b.superdiag) ** 2))
-        return math.sqrt(total)
+        return math.hypot(np.linalg.norm(self._diag), np.linalg.norm(self._sup))
 
     def shift(self, c: complex) -> "JordanOperator":
         """The operator Z - c I (same block structure, shifted eigenvalues)."""
@@ -169,7 +164,7 @@ class JordanOperator:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Per-block weights beta_j; densely, beta_j sits at the end of block j."""
+    """Per-block weights beta_j, float64 if all real; densely, beta_j is last in block j."""
 
     betas: np.ndarray
 
@@ -181,6 +176,8 @@ class WeightVector:
             raise ValueError("block weights must be finite")
         if np.any(betas == 0):
             raise ValueError("all block weights must be nonzero")
+        if not betas.imag.any():
+            betas = betas.real.copy()
         object.__setattr__(self, "betas", betas)
 
     def norm(self) -> float:
@@ -192,9 +189,8 @@ class WeightVector:
                 f"weight count {self.betas.size} does not match "
                 f"block count {len(Z.blocks)}"
             )
-        w = np.zeros(Z.m, dtype=complex)
-        for off, b, beta in zip(Z.offsets(), Z.blocks, self.betas):
-            w[off + b.size - 1] = beta
+        w = np.zeros(Z.m, dtype=self.betas.dtype)
+        w[np.cumsum([b.size for b in Z.blocks]) - 1] = self.betas
         return w
 
 
@@ -277,7 +273,7 @@ def build_same_measure(rule: QuadratureRule, gammas):
     r = np.arange(1.0, gammas.size)
     alphas = r * np.sqrt(gammas[1:] / gammas[:-1])
     blocks = tuple(JordanBlockSpec(z, alphas) for z in rule.nodes)
-    betas = np.sqrt(gammas[0] * rule.weights).astype(complex)
+    betas = np.sqrt(gammas[0] * rule.weights)
     return JordanOperator(blocks), WeightVector(betas)
 
 
@@ -294,7 +290,7 @@ def build_discrete_laguerre_sobolev(rule: QuadratureRule, c: float, M: float, N:
         raise ValueError(f"point mass location {c} collides with a quadrature node")
     blocks = [JordanBlockSpec(c, [math.sqrt(N) / math.sqrt(M)])]
     blocks += [JordanBlockSpec(z, []) for z in rule.nodes]
-    betas = np.concatenate(([math.sqrt(M)], np.sqrt(rule.weights))).astype(complex)
+    betas = np.concatenate(([math.sqrt(M)], np.sqrt(rule.weights)))
     return JordanOperator(tuple(blocks)), WeightVector(betas)
 
 
@@ -319,7 +315,7 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
             continue
         blocks.append(JordanBlockSpec(rule.nodes[j], []))
         betas.append(math.sqrt(rule.weights[j]))
-    return JordanOperator(tuple(blocks)), WeightVector(np.asarray(betas, dtype=complex))
+    return JordanOperator(tuple(blocks)), WeightVector(betas)
 
 
 def spec_of(Z: JordanOperator, w: WeightVector) -> SobolevProductSpec:
@@ -362,7 +358,7 @@ def inner_product_direct(p: PolyCoeffs, q: PolyCoeffs, spec: SobolevProductSpec)
 
 def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
     """Apply Z to a vector in O(m) from its diagonal and superdiagonal bands."""
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     if x.shape != (Z.m,):
         raise ValueError(f"vector length {x.shape} does not match dimension {Z.m}")
     y = Z._diag * x

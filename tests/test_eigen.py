@@ -1,4 +1,4 @@
-"""Tests for the complex Hessenberg eigenvalue solver."""
+"""Tests for the Hessenberg eigenvalue solver."""
 
 import numpy as np
 import pytest
@@ -136,6 +136,34 @@ class TestHessenbergEigenvalues:
         scale = np.linalg.norm(H) ** n
         for lam in hessenberg_eigenvalues(H).eigenvalues:
             assert abs(char_poly_at(H, lam)) <= 1e-9 * scale
+
+
+class TestArithmetic:
+    """A float64 H reaches LAPACK's real path (dgeev), a complex-typed H the
+    complex one (zgeev), on the degree-60 Althammer section."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(60)), [1.0, 100.0])
+        return solve_hessenberg(Z, w, 60, method="arnoldi")
+
+    @staticmethod
+    def lapack(H):
+        vals = np.linalg.eigvals(H).astype(complex)
+        return vals[np.lexsort((vals.imag, vals.real))]
+
+    def test_real_h_is_bitwise_real_lapack(self, section):
+        assert section.dtype == np.float64
+        got = hessenberg_eigenvalues(section).eigenvalues
+        assert np.array_equal(got, self.lapack(section))
+        assert not got.imag.any()
+
+    def test_complex_typed_h_takes_the_complex_path(self, section):
+        H = section.astype(complex)
+        got = hessenberg_eigenvalues(H).eigenvalues
+        assert np.array_equal(got, self.lapack(H))
+        assert got.imag.any()
+        assert np.max(np.abs(got - hessenberg_eigenvalues(section).eigenvalues)) <= 1e-12
 
 
 class TestSmallestRoot:

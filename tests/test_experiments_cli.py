@@ -148,6 +148,19 @@ class TestCmdAlthammerRoots:
         with pytest.raises(ValueError, match="n=0"):
             cmd_althammer_roots(n=0)
 
+    @pytest.mark.parametrize("argv", [[], ["--solver", "arnoldi"]], ids=["default", "arnoldi"])
+    def test_real_roots_are_exactly_real(self, capsys, argv):
+        # real spectral data give a float64 H, and LAPACK's real QR returns
+        # real roots with an imaginary part of exactly zero
+        assert main(["althammer-roots", *argv]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "index,root_re,root_im"
+        assert [line.split(",")[2] for line in lines[1:]] == ["0.0000000000000000e+00"] * 60
+        solver = argv[-1] if argv else sobolev.hiep.DEFAULT_SOLVER
+        report, _ = cmd_althammer_roots(solver=solver)
+        assert all(row["root_im"] == 0.0 for row in report.rows)
+        assert report.diagnostics["max_abs_imag"] == 0
+
     def test_gap_diagnostics_match_pair_loop(self):
         report, _ = cmd_althammer_roots()
         roots = np.array([complex(r["root_re"], r["root_im"]) for r in report.rows])

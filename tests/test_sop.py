@@ -94,12 +94,12 @@ class TestEvaluate:
         assert_allclose(evaluate(H, 1.0, [0.5, 2.0], 1).values, [[1.0, 1.0], [0.5, 2.0]])
 
     def test_real_input_runs_in_float64(self):
-        # a real section stored as complex (as every solver returns it) is real
-        H = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        # the dtype of H and x decides: a float64 H runs in float64, a
+        # complex-typed H in complex128 even when its entries are real
+        H = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert evaluate(H, 1.0, [0.0, 1.0], 1).values.dtype == np.float64
         assert evaluate(H, 1.0, [0.0, 1.0j], 1).derivs.dtype == np.complex128
-        H[0, 1] = 0.5j
-        assert evaluate(H, 1.0, [0.0, 1.0], 1).values.dtype == np.complex128
+        assert evaluate(H.astype(complex), 1.0, [0.0, 1.0], 1).values.dtype == np.complex128
 
     def test_trace_event_per_call(self):
         H = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -324,6 +324,39 @@ class TestHermiteLeastSquares:
         energy = float(np.sum(np.abs(fit.coefficients) ** 2))
         direct = float(np.dot(rule.weights, np.abs(f) ** 2 + gamma * np.abs(fp) ** 2))
         assert energy == pytest.approx(direct, rel=1e-9)
+
+
+class TestDegreePrefixes:
+    """A lower-degree fit or evaluation is bitwise the prefix of the
+    top-degree one: each coefficient is a reduction over its own row, and
+    every block of the basis recurrence multiplies a coupling matrix of the
+    same number of rows.  Legendre m=15 fits the basis in one block of the
+    recurrence; m=40 with the derivative term (dimension 80) spans three."""
+
+    @pytest.mark.parametrize("method", ["arnoldi", "update-rot"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01], ids=["plain", "sobolev"])
+    @pytest.mark.parametrize("m", [15, 40])
+    def test_every_degree_is_a_prefix_of_the_top_degree(self, m, gamma, method):
+        rule = golub_welsch(legendre_jacobi(m))
+        Z, w = build_same_measure(rule, [1.0, gamma] if gamma else [1.0])
+        H = solve_hessenberg(Z, w, Z.m, method=method)
+        f = np.exp(-100.0 * (rule.nodes - 0.2) ** 2)
+        fp = -200.0 * (rule.nodes - 0.2) * f
+        grid = np.linspace(-1.0, 1.0, 401)
+        top = Z.m - 1
+
+        def fit(d):
+            return hermite_least_squares(
+                H, w.norm(), rule.nodes, rule.weights, f, fp, gamma, d
+            ).coefficients
+
+        full_fit = fit(top)
+        full_basis = evaluate(H, w.norm(), grid, top)
+        for d in range(top + 1):
+            assert np.array_equal(fit(d), full_fit[: d + 1])
+            basis = evaluate(H, w.norm(), grid, d)
+            assert np.array_equal(basis.values, full_basis.values[: d + 1])
+            assert np.array_equal(basis.derivs, full_basis.derivs[: d + 1])
 
 
 class TestPentadiagonalRecurrence:

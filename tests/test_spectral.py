@@ -126,6 +126,41 @@ class TestJordanOperator:
             np.linalg.norm(Z.dense()), rel=1e-14
         )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bands_match_dense(self, seed):
+        # the bands and the helpers derived from them against the blockwise
+        # dense reference, for complex data and for real Legendre data
+        for Z, _ in (
+            random_jordan(np.random.default_rng(seed)),
+            build_same_measure(golub_welsch(legendre_jacobi(5 + seed)), [1.0, 0.5, 0.1]),
+        ):
+            D = Z.dense()
+            assert np.array_equal(Z._diag, np.diag(D))
+            assert np.array_equal(Z._sup, np.diag(D, 1))
+            assert Z.offsets() == np.flatnonzero(np.append(True, np.diag(D, 1) == 0)).tolist()
+            assert Z.frobenius_norm() == pytest.approx(np.linalg.norm(D), rel=1e-14)
+
+    def test_real_data_are_stored_as_float64(self):
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(6)), [1.0, 0.1])
+        assert Z._diag.dtype == Z._sup.dtype == w.betas.dtype == np.float64
+        assert w.dense(Z).dtype == np.float64
+        x = np.linspace(-1.0, 1.0, Z.m)
+        assert jordan_matvec(Z, x).dtype == np.float64
+        assert jordan_matvec(Z, 1j * x).dtype == np.complex128
+
+    def test_one_imaginary_part_makes_the_bands_complex(self):
+        # a single complex scaling or eigenvalue decides for the whole operator
+        for blocks in (
+            (JordanBlockSpec(0.0, [1.0j]), JordanBlockSpec(2.0, [])),
+            (JordanBlockSpec(0.0, [1.0]), JordanBlockSpec(2.0 + 1.0j, [])),
+        ):
+            Z = JordanOperator(blocks)
+            assert Z._diag.dtype == Z._sup.dtype == np.complex128
+            assert jordan_matvec(Z, np.ones(Z.m)).dtype == np.complex128
+        assert WeightVector([1.0, 2.0]).betas.dtype == np.float64
+        assert WeightVector([1.0, 2.0j]).betas.dtype == np.complex128
+        assert WeightVector([1.0, 2.0 + 0.0j]).betas.dtype == np.float64
+
     def test_shift(self):
         Z, _ = random_jordan(np.random.default_rng(7))
         shifted = Z.shift(1.0 - 2.0j)
