@@ -107,34 +107,70 @@ class JordanBlockSpec:
         return A
 
 
-@dataclass(frozen=True)
 class JordanOperator:
-    """Block-diagonal Jordan matrix stored as its list of blocks.
+    """Block-diagonal Jordan matrix stored as its two bands and block ends.
 
-    The diagonal and superdiagonal bands of the dense matrix are built
-    once at construction; the superdiagonal band holds a zero at every
-    block boundary.  They are float64 if all real: only here and in WeightVector
-    is it decided whether data are real; the rest follows the dtype.
+    ``_diag`` and ``_sup`` are the diagonal and superdiagonal bands of the
+    dense matrix, the latter with a zero at every block boundary, and
+    ``_ends`` holds the index one past the last row of each block.  All
+    of them come from one vectorized pass that validates the data; the
+    bands are float64 if all real: only here and in WeightVector is it
+    decided whether data are real, the rest follows the dtype.  The
+    builders and :meth:`shift` hand their arrays to that pass directly;
+    ``blocks`` is read off the bands on first use unless the operator was
+    constructed from blocks.
     """
 
-    blocks: tuple
+    __slots__ = ("_diag", "_sup", "_ends", "_blocks")
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("need at least one Jordan block")
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
         if not all(isinstance(b, JordanBlockSpec) for b in blocks):
             raise ValueError("blocks must be JordanBlockSpec instances")
-        eigs = [b.z for b in blocks]
-        if len(set(eigs)) != len(eigs):
+        scalings = [b.superdiag[::-1] for b in blocks]
+        self._set_bands(
+            [b.z for b in blocks],
+            np.concatenate(scalings) if blocks else [],
+            [b.size for b in blocks],
+        )
+        self._blocks = blocks
+
+    @classmethod
+    def _from_bands(cls, eigs, scalings, sizes) -> "JordanOperator":
+        Z = cls.__new__(cls)
+        Z._set_bands(eigs, scalings, sizes)
+        return Z
+
+    def _set_bands(self, eigs, scalings, sizes):
+        """Validate and store one eigenvalue and one size per block, and the
+        scalings of all blocks in dense order (the superdiagonal band without
+        its block-boundary zeros)."""
+        eigs = np.asarray(eigs, dtype=complex)
+        scalings = np.asarray(scalings, dtype=complex)
+        if not eigs.size:
+            raise ValueError("need at least one Jordan block")
+        if not (np.isfinite(eigs).all() and np.isfinite(scalings).all()):
+            raise ValueError("block eigenvalue and scalings must be finite")
+        if (scalings == 0).any():
+            raise ValueError("superdiagonal scalings must be nonzero")
+        if len(set(eigs.tolist())) != eigs.size:
             raise ValueError("block eigenvalues must be pairwise distinct")
-        diag = np.repeat(np.asarray(eigs, dtype=complex), [b.size for b in blocks])
-        sup = np.concatenate([np.append(b.superdiag[::-1], 0.0) for b in blocks])[:-1]
+        ends = np.cumsum(sizes)
+        diag = np.repeat(eigs, sizes)
+        sup = np.insert(scalings, (ends - np.arange(1, ends.size + 1))[:-1], 0.0)
         if not (diag.imag.any() or sup.imag.any()):
             diag, sup = diag.real.copy(), sup.real.copy()
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_diag", diag)
-        object.__setattr__(self, "_sup", sup)
+        self._diag, self._sup, self._ends, self._blocks = diag, sup, ends, None
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as JordanBlockSpec instances, in order."""
+        if self._blocks is None:
+            self._blocks = tuple(
+                JordanBlockSpec(self._diag[s], self._sup[s : e - 1][::-1])
+                for s, e in zip(self.offsets(), self._ends.tolist())
+            )
+        return self._blocks
 
     @property
     def m(self) -> int:
@@ -143,8 +179,7 @@ class JordanOperator:
 
     def offsets(self):
         """Row offset of each block in the dense matrix."""
-        sizes = [b.size for b in self.blocks]
-        return (np.cumsum(sizes) - sizes).tolist()
+        return [0, *self._ends[:-1].tolist()]
 
     def dense(self) -> np.ndarray:
         Z = np.zeros((self.m, self.m), dtype=complex)
@@ -157,8 +192,10 @@ class JordanOperator:
 
     def shift(self, c: complex) -> "JordanOperator":
         """The operator Z - c I (same block structure, shifted eigenvalues)."""
-        return JordanOperator(
-            tuple(JordanBlockSpec(b.z - c, b.superdiag) for b in self.blocks)
+        return JordanOperator._from_bands(
+            self._diag[self.offsets()] - c,
+            np.delete(self._sup, self._ends[:-1] - 1),
+            np.diff(self._ends, prepend=0),
         )
 
 
@@ -184,13 +221,13 @@ class WeightVector:
         return float(np.linalg.norm(self.betas))
 
     def dense(self, Z: JordanOperator) -> np.ndarray:
-        if len(Z.blocks) != self.betas.size:
+        if Z._ends.size != self.betas.size:
             raise ValueError(
                 f"weight count {self.betas.size} does not match "
-                f"block count {len(Z.blocks)}"
+                f"block count {Z._ends.size}"
             )
         w = np.zeros(Z.m, dtype=self.betas.dtype)
-        w[np.cumsum([b.size for b in Z.blocks]) - 1] = self.betas
+        w[Z._ends - 1] = self.betas
         return w
 
 
@@ -272,9 +309,10 @@ def build_same_measure(rule: QuadratureRule, gammas):
         raise ValueError("all gamma factors must be positive")
     r = np.arange(1.0, gammas.size)
     alphas = r * np.sqrt(gammas[1:] / gammas[:-1])
-    blocks = tuple(JordanBlockSpec(z, alphas) for z in rule.nodes)
-    betas = np.sqrt(gammas[0] * rule.weights)
-    return JordanOperator(blocks), WeightVector(betas)
+    Z = JordanOperator._from_bands(
+        rule.nodes, np.tile(alphas[::-1], rule.n), np.full(rule.n, gammas.size)
+    )
+    return Z, WeightVector(np.sqrt(gammas[0] * rule.weights))
 
 
 def build_discrete_laguerre_sobolev(rule: QuadratureRule, c: float, M: float, N: float):
@@ -288,10 +326,10 @@ def build_discrete_laguerre_sobolev(rule: QuadratureRule, c: float, M: float, N:
         raise ValueError("point masses M and N must be positive")
     if np.any(rule.nodes == c):
         raise ValueError(f"point mass location {c} collides with a quadrature node")
-    blocks = [JordanBlockSpec(c, [math.sqrt(N) / math.sqrt(M)])]
-    blocks += [JordanBlockSpec(z, []) for z in rule.nodes]
-    betas = np.concatenate(([math.sqrt(M)], np.sqrt(rule.weights)))
-    return JordanOperator(tuple(blocks)), WeightVector(betas)
+    Z = JordanOperator._from_bands(
+        np.concatenate(([c], rule.nodes)), [math.sqrt(N) / math.sqrt(M)], [2] + [1] * rule.n
+    )
+    return Z, WeightVector(np.concatenate(([math.sqrt(M)], np.sqrt(rule.weights))))
 
 
 def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1.0):
@@ -308,14 +346,13 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
         raise ValueError(f"rule must contain the endpoint {endpoint} exactly once")
     idx = int(hits[0])
     beta0 = math.sqrt(rule.weights[idx])
-    blocks = [JordanBlockSpec(endpoint, [math.sqrt(gamma) / beta0])]
-    betas = [beta0]
-    for j in range(rule.n):
-        if j == idx:
-            continue
-        blocks.append(JordanBlockSpec(rule.nodes[j], []))
-        betas.append(math.sqrt(rule.weights[j]))
-    return JordanOperator(tuple(blocks)), WeightVector(betas)
+    Z = JordanOperator._from_bands(
+        np.concatenate(([endpoint], np.delete(rule.nodes, idx))),
+        [math.sqrt(gamma) / beta0],
+        [2] + [1] * (rule.n - 1),
+    )
+    betas = np.concatenate(([beta0], np.sqrt(np.delete(rule.weights, idx))))
+    return Z, WeightVector(betas)
 
 
 def spec_of(Z: JordanOperator, w: WeightVector) -> SobolevProductSpec:
@@ -401,11 +438,11 @@ def spectral_to_json(Z: JordanOperator, w: WeightVector) -> dict:
 
 def spectral_from_json(obj: dict):
     """Inverse of spectral_to_json."""
-    blocks = tuple(
-        JordanBlockSpec(
-            complex(*entry["z"]), [complex(*a) for a in entry["alphas"]]
-        )
-        for entry in obj["blocks"]
+    entries = obj["blocks"]
+    Z = JordanOperator._from_bands(
+        [complex(*entry["z"]) for entry in entries],
+        [complex(*a) for entry in entries for a in reversed(entry["alphas"])],
+        [len(entry["alphas"]) + 1 for entry in entries],
     )
     betas = np.asarray([complex(*b) for b in obj["betas"]])
-    return JordanOperator(blocks), WeightVector(betas)
+    return Z, WeightVector(betas)

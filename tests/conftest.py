@@ -84,6 +84,13 @@ def hessenberg_reference(Z, w):
     multiple of e_1, so the trailing block is Q^T Z Q with Q e_1 = w/||w||
     up to sign (Golub & Van Loan, Matrix Computations, section 7.4).  The
     subdiagonal is then made non-negative by a diagonal of signs.
+
+    The reflectors are only normwise stable, so this is a reference for
+    well-scaled data such as the Legendre products, where it agrees with
+    Arnoldi to 3e-15.  On graded data it is not: on Laguerre n_quad=10,
+    alpha=-1/2 with gamma >= 1e100 it is off by O(1) in every column from
+    the second on, while the solvers are accurate column by column.
+    Graded inputs need an exact (multiprecision) oracle.
     """
     Zd, wd = Z.dense(), w.dense(Z)
     if Zd.imag.any() or wd.imag.any():

@@ -1,0 +1,29 @@
+"""Smoke test of the traced benchmark.
+
+A traced run exits 3 when a layer or counter that its workload expects
+records nothing, so a short run of each workload catches a program change
+that the benchmark no longer sees (a function no longer looked up through
+its module, a trace event no longer sent).  ``--seconds 0`` runs the two
+ops a traced run needs: one untraced, one traced.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["roots", "lsq", "compare"])
+def test_traced_run_reaches_every_layer(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True

@@ -10,6 +10,9 @@ relations hold exactly in exact arithmetic:
   (a permutation similarity), on random instances and, in leading
   sections too, on graded Gauss-Laguerre weights.
 
+The norm Arnoldi takes of its vectors is also checked to be bit for bit
+``np.linalg.norm``.
+
 Hypothesis runs derandomized and without an example database, so each
 run draws the same examples (``conftest.py`` keeps its other storage out
 of the checkout).
@@ -30,6 +33,7 @@ from sobolev import (
     solve_hessenberg,
 )
 from sobolev.experiments import random_spectral_data
+from sobolev.hiep import _norm
 
 METHODS = ["arnoldi", "update-hh", "update-rot"]
 TOL = 1e-11
@@ -139,3 +143,21 @@ def test_block_order_leaves_H_unchanged(method, data, graded_H):
         for k in sections(Z):
             Hp = solve_hessenberg(permuted, wp, k, method=method)
             assert relative_error(Hp, graded_H[method, i, k]) <= 1e-13
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=60),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    is_complex=st.booleans(),
+)
+def test_arnoldi_norm_is_bitwise_numpy_norm(data, n, scale, is_complex):
+    v = scale * np.asarray(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+    if is_complex:
+        v = v + 1j * scale * np.asarray(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+    for x in (v, np.zeros_like(v)):
+        assert _norm(x).hex() == float(np.linalg.norm(x)).hex()

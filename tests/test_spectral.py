@@ -52,6 +52,50 @@ def random_jordan(rng, max_m=12, max_block=4):
     return JordanOperator(tuple(blocks)), WeightVector(np.asarray(betas))
 
 
+_RULE = golub_welsch(laguerre_jacobi(5, -0.5))
+
+
+def _json_operator(zs, alphas):
+    """Operator read from JSON with the given [re, im] eigenvalues and
+    per-block lists of [re, im] scalings, and unit weights."""
+    obj = {"blocks": [{"z": z, "alphas": a} for z, a in zip(zs, alphas)],
+           "betas": [[1.0, 0.0]] * len(zs)}
+    return spectral_from_json(obj)[0]
+
+
+def _band_built():
+    """Operators from a builder, shift or JSON, each with the blocks the old
+    per-node construction gave it."""
+    legendre = golub_welsch(legendre_jacobi(7))
+    radau = gauss_radau_right(6)
+    gammas = np.array([1.0, 0.5, 0.1])
+    alphas = np.arange(1.0, 3.0) * np.sqrt(gammas[1:] / gammas[:-1])
+    Zc, wc = random_jordan(np.random.default_rng(5))
+    real = build_same_measure(legendre, [1.0, 0.01])[0]
+    real_specs = tuple(JordanBlockSpec(z, np.sqrt([0.01])) for z in legendre.nodes)
+    json_complex = spectral_from_json(json.loads(json.dumps(spectral_to_json(Zc, wc))))[0]
+    json_real = spectral_from_json(spectral_to_json(real, WeightVector(np.ones(7))))[0]
+    point = JordanBlockSpec(-1.0, [math.sqrt(3.0) / math.sqrt(2.0)])
+    endpoint = JordanBlockSpec(1.0, [math.sqrt(0.5) / math.sqrt(radau.weights[-1])])
+    cases = {
+        "same-measure": (build_same_measure(legendre, gammas)[0],
+                         tuple(JordanBlockSpec(z, alphas) for z in legendre.nodes)),
+        "same-measure-diagonal": (build_same_measure(legendre, [2.0])[0],
+                                  tuple(JordanBlockSpec(z, []) for z in legendre.nodes)),
+        "laguerre-sobolev": (build_discrete_laguerre_sobolev(_RULE, -1.0, 2.0, 3.0)[0],
+                             (point, *(JordanBlockSpec(z, []) for z in _RULE.nodes))),
+        "radau": (build_radau_endpoint(radau, 0.5)[0],
+                  (endpoint, *(JordanBlockSpec(z, []) for z in radau.nodes[:-1]))),
+        "shift-complex": (Zc.shift(0.3 - 0.2j),
+                          tuple(JordanBlockSpec(b.z - (0.3 - 0.2j), b.superdiag) for b in Zc.blocks)),
+        "shift-real": (real.shift(-1.0),
+                       tuple(JordanBlockSpec(b.z - (-1.0), b.superdiag) for b in real_specs)),
+        "json-complex": (json_complex, Zc.blocks),
+        "json-real": (json_real, real_specs),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
 def horner(Zd, p, v):
     """p(Z) v on a dense matrix, highest coefficient first."""
     out = np.zeros_like(v)
@@ -167,6 +211,47 @@ class TestJordanOperator:
         assert_allclose(
             shifted.dense(), Z.dense() - (1.0 - 2.0j) * np.eye(Z.m), atol=1e-15
         )
+
+    @pytest.mark.parametrize("built, specs", _band_built())
+    def test_band_built_operator_equals_block_built(self, built, specs):
+        # builders, shift and JSON hand arrays to the band pass; the operator
+        # built from explicit blocks (the old per-node construction) is the
+        # reference for the bands, their dtype, the block ends and the blocks
+        ref = JordanOperator(specs)
+        for band, ref_band in ((built._diag, ref._diag), (built._sup, ref._sup),
+                               (built._ends, ref._ends)):
+            assert band.dtype == ref_band.dtype
+            assert np.array_equal(band, ref_band)
+        assert built.offsets() == ref.offsets()
+        assert len(built.blocks) == len(specs)
+        for b, spec in zip(built.blocks, specs):
+            assert b.z == spec.z
+            assert np.array_equal(b.superdiag, spec.superdiag)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: build_discrete_laguerre_sobolev(_RULE, np.nan, 1.0, 1.0), "finite"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -np.inf, 1.0, 1.0), "finite"),
+            (lambda: build_same_measure(_RULE, [1e300, 1e-300]), "nonzero"),
+            (lambda: _json_operator([[np.nan, 0.0]], [[]]), "finite"),
+            (lambda: _json_operator([[0.0, 0.0]], [[[1.0, 0.0], [np.inf, 0.0]]]), "finite"),
+            (lambda: _json_operator([[0.0, 0.0], [1.0, 0.0]], [[[0.0, 0.0]], []]), "nonzero"),
+            (lambda: _json_operator([[1.0, 0.5], [1.0, 0.5]], [[], [[2.0, 0.0]]]), "distinct"),
+            (lambda: _json_operator([], []), "at least one"),
+            (lambda: build_same_measure(QuadratureRule([], []), [1.0]), "at least one"),
+            (lambda: _json_operator([[0.0, 0.0]], [[]]).shift(np.nan), "finite"),
+            # 1e-17 - 1 rounds to -1: the shifted eigenvalues coincide
+            (lambda: _json_operator([[0.0, 0.0], [1e-17, 0.0]], [[], []]).shift(1.0), "distinct"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, _RULE.nodes[2], 1.0, 1.0), "collides"),
+            (lambda: build_same_measure(_RULE, [1.0, 0.0]), "positive"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, 0.0, 1.0), "positive"),
+            (lambda: build_radau_endpoint(gauss_radau_right(4), -1.0), "positive"),
+        ],
+    )
+    def test_builders_reject_invalid_data(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestWeightVector:
