@@ -17,7 +17,11 @@ leading section: inject the new weight with a plane rotation, then chase
 the bulge down column by column.  The merges run as a wavefront, each
 one step behind the previous, so one batched step restores a column of
 every merge in flight, and one rescaling at the end makes the
-subdiagonal real non-negative.  Both compute in the dtype of Z's bands
+subdiagonal real non-negative.  Each step applies its kernels to H in
+groups of 32 windows, each group only inside its envelope, the part of H
+where its rows and columns can be nonzero; the envelope's cuts are
+rounded to multiples of 16 so that every BLAS call rounds as the product
+over all of H would.  Both compute in the dtype of Z's bands
 and w combined, float64 for real data and complex128 otherwise, and
 return H and Q in that dtype.  :func:`solve_hessenberg`
 needs only the leading k x k section of H, so with the updating solvers it
@@ -207,23 +211,71 @@ def _reflector_kernels(V: np.ndarray) -> np.ndarray:
 _KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}
 
 
+# windows per batched product, and the multiple to which the cuts of a
+# group's envelope are rounded (see update_solve)
+_GROUP = 32
+_ALIGN = 16
+
+
 def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     """Windows of all (merge j, column c) pairs in step order, padded to r
-    indices with m, and the bounds of each step's rows; merge j restores
-    column c at step t = j - 1 + c, for c = 0 .. min(d_j - 3, k - 2).  The
-    steps run to the last restore, and at least to the last merge's
-    injection at step len(ends) - 2."""
-    count = np.minimum(ends[1:] - 2, k - 1)
+    indices with m, and per step (start, stop, groups): its windows
+    start .. stop-1 and its groups (lo, hi, cols, runs), each its windows
+    start+lo .. start+hi-1 with the columns of its left product and the
+    row runs of its right product (see update_solve).
+
+    Merge j restores column c at step t = j - 1 + c, for c = 0 ..
+    min(d_j - 3, k - 2).  The steps run to the last restore, and at least
+    to the last merge's injection at step len(ends) - 2.  Groups and
+    envelopes are cut from the full schedule (k = m), so a leading solve
+    keeps of each group the part it restores, in the full solve's slices.
+    """
+    count = ends[1:] - 2
     j = np.repeat(np.arange(1, len(ends)), count)
     c = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
     order = np.argsort(j + c, kind="stable")
     j, c = j[order], c[order]
+    t = j + c - 1
     lo = np.maximum(c + 2, ends[j - 1])
     hi = np.minimum(ends[j], ends[j - 1] + c + 2)
     tail = lo[:, None] + np.arange(r - 1)
     wins = np.column_stack((c + 1, np.where(tail < hi[:, None], tail, m)))
-    steps = max(len(ends) - 1, int((j + c).max(initial=0)))
-    return wins, np.searchsorted(j + c - 1, np.arange(steps + 1))
+
+    # groups of _GROUP windows from the start of each step of the full schedule;
+    # the last window of step t is its newest merge's, at column t + 1 - newest,
+    # where the left product over all of H starts
+    cut = np.flatnonzero((np.arange(t.size) - np.searchsorted(t, t)) % _GROUP == 0)
+    tg = t[cut]
+    newest = np.minimum(tg + 1, len(ends) - 1)
+    dmax = ends[newest]
+    origin = tg + 1 - newest
+    # the left product runs over columns left0 .. left1-1, the right one over
+    # rows 0 .. top-1 and bottom .. dmax-1
+    left0 = origin + (np.minimum.reduceat(c, cut) - origin) // _ALIGN * _ALIGN
+    left1 = np.minimum(dmax, origin - (origin - np.maximum.reduceat(hi, cut)) // _ALIGN * _ALIGN)
+    top = np.minimum(dmax, -(-(np.maximum.reduceat(c, cut) + 3) // _ALIGN) * _ALIGN)
+    # the second row run keeps at least two rows: numpy multiplies one as a vector
+    bottom = np.minimum(np.minimum.reduceat(lo, cut), dmax - 2) // _ALIGN * _ALIGN
+
+    # the leading schedule keeps the windows of columns <= k-2, and of each
+    # group the part kept, with its envelope in the full schedule
+    keep = c <= k - 2
+    wins, t = wins[keep], t[keep]
+    steps = max(len(ends) - 1, int(t.max(initial=-1)) + 1)
+    bounds = np.searchsorted(t, np.arange(steps + 1))
+    kept = np.cumsum(keep) - keep
+    base = bounds[np.minimum(tg, steps)]
+    g_lo, g_hi = kept[cut] - base, np.append(kept[cut[1:]], t.size) - base
+    live = g_lo < g_hi
+    groups = [
+        (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
+        for i0, i1, c0, c1, a, b, dm in zip(
+            g_lo[live].tolist(), g_hi[live].tolist(), left0[live].tolist(), left1[live].tolist(),
+            top[live].tolist(), bottom[live].tolist(), dmax[live].tolist())
+    ]
+    per_step = np.searchsorted(tg[live], np.arange(steps + 1)).tolist()
+    bounds = bounds.tolist()
+    return wins, [(bounds[i], bounds[i + 1], groups[per_step[i]:per_step[i + 1]]) for i in range(steps)]
 
 
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
@@ -242,17 +294,37 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     j-1 and restores one column per step.  Windows in flight are
     disjoint and no merge writes the column another one reads, so each
     step builds all kernels in one batched call from the state at its
-    start and applies them with one batched left and one batched right
-    product.  Windows are padded with a scratch index m, whose row and
-    column stay zero.  After the last step, the restored columns of H are
-    checked to be exactly Hessenberg in every row, and (4) one unimodular
-    diagonal makes its subdiagonal non-negative.
+    start and applies them with batched products.  Windows are padded
+    with a scratch index m, whose row and column stay zero.  After the
+    last step, the restored columns of H are checked to be exactly
+    Hessenberg in every row, and (4) one unimodular diagonal makes its
+    subdiagonal non-negative.
+
+    The products touch only each window's envelope.  With the window of
+    merge j at column c being rows c+1 and lo .. hi-1, its rows are zero
+    outside columns c .. hi-1 and its columns are zero in rows c+3 ..
+    lo-1.  A step's windows are cut into groups of 32; each group gets one
+    left product on the union of its windows' columns and one right
+    product on each of the row runs [0, a) and [b, dmax) that hold every
+    nonzero of its columns.  On the Legendre m=201 input at k=202 these
+    touch 70% of the entries that products over rows 0 .. dmax-1 and
+    columns c_new .. dmax-1 would, where c_new is the step's newest column.
+    Each cut is rounded outward to a multiple of 16 counted from row 0 and
+    from c_new, which adds only zero entries and keeps every row and
+    column at its position modulo 16 within the BLAS call, by which the
+    complex OpenBLAS kernels round: unrounded cuts changed the last bits
+    of H on most random complex instances.  A row run never has a
+    single row, which numpy multiplies as a vector, with other rounding.
+    So H and Q are bitwise those of the products over all of H.  Q is
+    multiplied over all rows.
 
     A caller that keeps only the leading k x k section needs only columns
     0 .. k-2 restored, so every merge stops there.  The skipped restores
     act on rows and columns >= k, and later merges mix into a column
     c+1 < k only their own new-block columns, so nothing skipped flows
-    back into H[:k, :k]: the section is bitwise the one of the full solve.
+    back into H[:k, :k].  The groups and envelopes are those of the full
+    solve, so every window kept runs in the same slices, and the section
+    is bitwise the one of the full solve.
 
     Accuracy is that of the leading section only while the subdiagonal of
     H stays large.  On Legendre m=201 with gamma=0.01 (dimension 402), the
@@ -317,8 +389,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
         Q[flip, idx] = np.cumprod(units.astype(object), axis=1)[block, pos]
 
     norms = np.sqrt(np.cumsum(np.abs(w.betas) ** 2))
-    wins, bounds = _wavefront(ends, m, sizes.max() + 1, k)
-    for t in range(len(bounds) - 1):
+    wins, steps = _wavefront(ends, m, sizes.max() + 1, k)
+    HT = H.T
+    for t, (start, stop, groups) in enumerate(steps):
         newest = min(t + 1, len(ends) - 1)
         dmax = ends[newest]
         if newest == t + 1:
@@ -332,9 +405,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             H[:dmax, pair] = H[:dmax, pair] @ R.T
             if Q is not None:
                 Q[:dmax, pair] = Q[:dmax, pair] @ R.T
-        win = wins[bounds[t]:bounds[t + 1]]
-        if not win.size:
+        if start == stop:
             continue
+        win = wins[start:stop]
         col = win[:, :1] - 1
         V = H[win, col]
         K = kernels_of(V)
@@ -347,11 +420,15 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                 block=t + 1 - int(col[bad, 0]),
                 residual=float(residual[bad]),
             )
-        # the columns left of the newest merge's are zero in every window
-        H[win, col[-1, 0]:dmax] = K @ H[win, col[-1, 0]:dmax]
+        for lo, hi, cols, _ in groups:
+            part = win[lo:hi]
+            H[part, cols] = K[lo:hi] @ H[part, cols]
         H[win[:, 1:], col] = 0.0
         KH = K.conj().transpose(0, 2, 1)
-        H[:dmax, win] = (H[:dmax, win].transpose(1, 0, 2) @ KH).transpose(1, 0, 2)
+        for lo, hi, _, runs in groups:
+            part, KHg = win[lo:hi], KH[lo:hi]
+            for rows in runs:
+                HT[part, rows] = (HT[part, rows].transpose(0, 2, 1) @ KHg).transpose(0, 2, 1)
         if Q is not None:
             Q[:dmax, win] = (Q[:dmax, win].transpose(1, 0, 2) @ KH).transpose(1, 0, 2)
         if trace is not None:

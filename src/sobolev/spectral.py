@@ -295,7 +295,7 @@ def build_same_measure(rule: QuadratureRule, gammas):
     ----------
     rule : QuadratureRule
         Discretization of the base measure.
-    gammas : sequence of positive floats
+    gammas : sequence of positive finite floats
         Factors gamma_0..gamma_s weighting derivative orders 0..s.
 
     Returns
@@ -305,10 +305,16 @@ def build_same_measure(rule: QuadratureRule, gammas):
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     if gammas.ndim != 1 or gammas.size == 0:
         raise ValueError("gammas must form a non-empty 1-d sequence")
+    if not np.isfinite(gammas).all():
+        raise ValueError("all gamma factors must be finite")
     if np.any(gammas <= 0):
         raise ValueError("all gamma factors must be positive")
     r = np.arange(1.0, gammas.size)
-    alphas = r * np.sqrt(gammas[1:] / gammas[:-1])
+    # a ratio beyond the double range becomes an infinite scaling, which the
+    # band pass rejects
+    with np.errstate(over="ignore"):
+        ratios = gammas[1:] / gammas[:-1]
+    alphas = r * np.sqrt(ratios)
     Z = JordanOperator._from_bands(
         rule.nodes, np.tile(alphas[::-1], rule.n), np.full(rule.n, gammas.size)
     )

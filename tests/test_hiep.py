@@ -29,6 +29,12 @@ def legendre_instance(m=12, gamma=0.01):
     return build_same_measure(golub_welsch(legendre_jacobi(m)), [1.0, gamma])
 
 
+def multi_group_instance():
+    """Complex data of dimension 125 in 53 blocks of sizes 1..4, whose
+    busiest wavefront step holds 36 windows, more than one group."""
+    return random_spectral_data(np.random.default_rng(10), max_m=160)
+
+
 def check_contract(Z, w, H, Q):
     m = Z.m
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(m)) <= 1e-12 * m
@@ -282,6 +288,35 @@ class TestUpdateSolve:
         with pytest.raises(NumericalFailure, match="residual"):
             solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
 
+    @pytest.mark.parametrize("strategy", ["rotations", "householder"])
+    def test_envelope_products_round_as_products_over_all_rows(self, strategy, monkeypatch):
+        # cutting each group's products to its envelope adds only zero
+        # entries and keeps every BLAS call's rounding: H and Q are bitwise
+        # those of one product per step over rows 0..dmax-1 and columns
+        # c_new..dmax-1 (rng 73 draws a step whose second row run would
+        # otherwise hold a single row)
+        instances = [
+            random_spectral_data(np.random.default_rng(73), max_m=140, max_block=2),
+            multi_group_instance(),
+        ]
+        results = [update_solve(Z, w, strategy=strategy) for Z, w in instances]
+        wavefront = hiep._wavefront
+
+        def whole(ends, m, r, k):
+            wins, steps = wavefront(ends, m, r, k)
+            dense = []
+            for t, (start, stop, _) in enumerate(steps):
+                dmax = int(ends[min(t + 1, len(ends) - 1)])
+                c_new = int(wins[stop - 1, 0]) - 1 if stop > start else 0
+                dense.append((start, stop, [(0, stop - start, slice(c_new, dmax), (slice(0, dmax),))]))
+            return wins, dense
+
+        monkeypatch.setattr(hiep, "_wavefront", whole)
+        for (Z, w), (H, Q) in zip(instances, results):
+            H_whole, Q_whole = update_solve(Z, w, strategy=strategy)
+            assert np.array_equal(H, H_whole)
+            assert np.array_equal(Q, Q_whole)
+
     def test_missed_entry_in_a_restored_column_raises(self, monkeypatch):
         # the last window of column k-2 loses its last row to the scratch
         # index, so that entry survives below the subdiagonal; only the
@@ -289,12 +324,12 @@ class TestUpdateSolve:
         wavefront = hiep._wavefront
 
         def dropping(ends, m, r, k):
-            wins, bounds = wavefront(ends, m, r, k)
+            wins, steps = wavefront(ends, m, r, k)
             last = np.flatnonzero(wins[:, 0] == k - 1)[-1]
             pos = np.flatnonzero(wins[last] < m)[-1]
             assert pos > 0
             wins[last, pos] = m
-            return wins, bounds
+            return wins, steps
 
         monkeypatch.setattr(hiep, "_wavefront", dropping)
         Z, w = legendre_instance()
@@ -307,6 +342,12 @@ class TestSolverContract:
     @pytest.mark.parametrize("seed", range(5))
     def test_update(self, strategy, seed):
         Z, w = random_spectral_data(np.random.default_rng(seed), max_m=40)
+        H, Q = update_solve(Z, w, strategy=strategy)
+        check_contract(Z, w, H, Q)
+
+    @pytest.mark.parametrize("strategy", ["rotations", "householder"])
+    def test_update_with_several_groups_per_step(self, strategy):
+        Z, w = multi_group_instance()
         H, Q = update_solve(Z, w, strategy=strategy)
         check_contract(Z, w, H, Q)
 
@@ -462,13 +503,27 @@ class TestSolveHessenberg:
     def test_q_and_no_q_paths_share_arithmetic(self, method, strategy):
         # merges that stop at column k-2 leave H[:k, :k] exactly as the full
         # solve has it (rng 0 draws seven mixed blocks, rng 7 a larger instance)
-        for Z, w in (
-            random_spectral_data(np.random.default_rng(0), max_m=20),
-            random_spectral_data(np.random.default_rng(7), max_m=30),
-            legendre_instance(),
-        ):
+        cases = [
+            (Z, w, range(1, Z.m + 1))
+            for Z, w in (
+                random_spectral_data(np.random.default_rng(0), max_m=20),
+                random_spectral_data(np.random.default_rng(7), max_m=30),
+                legendre_instance(),
+            )
+        ]
+        # steps with several groups of windows; at each k some step keeps
+        # only part of a group
+        several = [
+            (*legendre_instance(m=100), (2, 33, 67, 101, 160), 2 * hiep._GROUP),
+            (*multi_group_instance(), (10, 30, 62, 100), hiep._GROUP),
+        ]
+        for Z, w, ks, least in several:
+            _, steps = hiep._wavefront(Z._ends, Z.m, np.diff(Z._ends, prepend=0).max() + 1, Z.m)
+            assert max(stop - start for start, stop, _ in steps) > least
+            cases.append((Z, w, ks))
+        for Z, w, ks in cases:
             H, _ = update_solve(Z, w, strategy=strategy)
-            for k in range(1, Z.m + 1):
+            for k in ks:
                 assert np.array_equal(solve_hessenberg(Z, w, k, method=method), H[:k, :k])
 
     def test_rejects_unknown_method(self):

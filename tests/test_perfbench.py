@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["roots", "lsq", "compare"])
+@pytest.mark.parametrize("workload", ["solve", "roots", "lsq", "compare"])
 def test_traced_run_reaches_every_layer(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

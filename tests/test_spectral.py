@@ -234,6 +234,10 @@ class TestJordanOperator:
             (lambda: build_discrete_laguerre_sobolev(_RULE, np.nan, 1.0, 1.0), "finite"),
             (lambda: build_discrete_laguerre_sobolev(_RULE, -np.inf, 1.0, 1.0), "finite"),
             (lambda: build_same_measure(_RULE, [1e300, 1e-300]), "nonzero"),
+            # the ratio 1e600 overflows to an infinite scaling, without a warning
+            (lambda: build_same_measure(_RULE, [1e-300, 1e300]), "scalings must be finite"),
+            (lambda: build_same_measure(_RULE, [1.0, np.nan]), "gamma factors must be finite"),
+            (lambda: build_same_measure(_RULE, [1.0, np.inf]), "gamma factors must be finite"),
             (lambda: _json_operator([[np.nan, 0.0]], [[]]), "finite"),
             (lambda: _json_operator([[0.0, 0.0]], [[[1.0, 0.0], [np.inf, 0.0]]]), "finite"),
             (lambda: _json_operator([[0.0, 0.0], [1.0, 0.0]], [[[0.0, 0.0]], []]), "nonzero"),
