@@ -40,7 +40,7 @@ from .hiep import (
     solve_hessenberg,
     update_solve,
 )
-from .eigen import Spectrum, hessenberg_eigenvalues, smallest_root
+from .eigen import Spectrum, hessenberg_eigenvalues, smallest_root, smallest_roots
 from .sop import (
     LsqFit,
     SopEvaluation,
@@ -83,6 +83,7 @@ __all__ = [
     "Spectrum",
     "hessenberg_eigenvalues",
     "smallest_root",
+    "smallest_roots",
     "SopEvaluation",
     "evaluate",
     "coefficients",

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .hiep import hessenberg_defect
 
-__all__ = ["Spectrum", "hessenberg_eigenvalues", "smallest_root"]
+__all__ = ["Spectrum", "hessenberg_eigenvalues", "smallest_root", "smallest_roots"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,33 @@ class Spectrum:
         return self.eigenvalues.size
 
 
+def _lapack_eigenvalues(T: np.ndarray, trace) -> np.ndarray:
+    """Eigenvalues of a validated, exactly Hessenberg T by one LAPACK call."""
+    n = T.shape[0]
+    start = time.perf_counter()
+    try:
+        vals = np.linalg.eigvals(T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"LAPACK eigenvalue iteration failed: {exc}", n=n) from exc
+    if trace is not None:
+        trace({"event": "eigen", "n": n, "seconds": time.perf_counter() - start})
+    return vals
+
+
+def _as_float_matrix(H) -> np.ndarray:
+    A = np.asarray(H)
+    A = A.astype(np.result_type(A, float), copy=False)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    return A
+
+
+def _smallest(vals: np.ndarray) -> complex:
+    """Smallest real part, exact ties by smallest absolute imaginary part,
+    then by the imaginary part itself (the lower of a conjugate pair)."""
+    return complex(vals[np.lexsort((vals.imag, np.abs(vals.imag), vals.real))[0]])
+
+
 def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
     """All eigenvalues of an upper Hessenberg matrix, real or complex.
 
@@ -53,22 +80,12 @@ def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
     NumericalFailure
         If LAPACK's QR iteration does not converge.
     """
-    A = np.asarray(H)
-    A = A.astype(np.result_type(A, float), copy=False)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    A = _as_float_matrix(H)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
-    n = A.shape[0]
     if hessenberg_defect(A) > 1e-13 * max(float(np.linalg.norm(A)), 1.0):
         raise ValueError("matrix is not upper Hessenberg within tolerance")
-    start = time.perf_counter()
-    try:
-        vals = np.linalg.eigvals(np.triu(A, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"LAPACK eigenvalue iteration failed: {exc}", n=n) from exc
-    if trace is not None:
-        trace({"event": "eigen", "n": n, "seconds": time.perf_counter() - start})
+    vals = _lapack_eigenvalues(np.triu(A, -1), trace)
     return Spectrum(vals[np.lexsort((vals.imag, vals.real))])
 
 
@@ -82,6 +99,38 @@ def smallest_root(H, k: int, trace=None) -> complex:
     H = np.asarray(H)
     if not 1 <= k <= H.shape[0]:
         raise ValueError(f"leading dimension k={k} must lie in 1..{H.shape[0]}")
-    vals = hessenberg_eigenvalues(H[:k, :k], trace=trace).eigenvalues
-    best = min(vals, key=lambda z: (z.real, abs(z.imag)))
-    return complex(best)
+    return _smallest(hessenberg_eigenvalues(H[:k, :k], trace=trace).eigenvalues)
+
+
+def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
+    """Smallest eigenvalue of every leading section, k = 1 .. k_max.
+
+    Equal to ``[smallest_root(H, k) for k in 1 .. k_max]``, with H
+    validated once: each section still passes the checks of
+    :func:`hessenberg_eigenvalues`, its own tolerance
+    1e-13 * max(||H_k||_F, 1) included, and the first section that fails
+    one raises its ``ValueError`` after the sections before it ran.  The
+    sections share one copy with the entries below the subdiagonal set to
+    zero; each gets one LAPACK call and one ``eigen`` trace event.
+    """
+    A = np.asarray(H)
+    if A.ndim != 2 or not 1 <= k_max <= min(A.shape):
+        raise ValueError(f"leading dimension k_max={k_max} must lie in 1..{min(A.shape, default=0)}")
+    A = _as_float_matrix(A[:k_max, :k_max])
+    # section k holds entry (i, j) iff max(i, j) < k, and its defect is the
+    # largest one of rows 0 .. k-1; only a defect above 1e-13 can fail
+    rows, cols = np.nonzero(~np.isfinite(A))
+    first_bad = int(np.maximum(rows, cols).min(initial=k_max)) + 1
+    message = "matrix entries must be finite"
+    defect = np.maximum.accumulate(np.abs(np.tril(A, -2)).max(axis=1))
+    for k in np.flatnonzero(defect[:first_bad - 1] > 1e-13).tolist():
+        if defect[k] > 1e-13 * max(float(np.linalg.norm(A[:k + 1, :k + 1])), 1.0):
+            first_bad, message = k + 1, "matrix is not upper Hessenberg within tolerance"
+            break
+    T = np.triu(A, -1)
+    roots = []
+    for k in range(1, k_max + 1):
+        if k == first_bad:
+            raise ValueError(message)
+        roots.append(_smallest(_lapack_eigenvalues(T[:k, :k], trace)))
+    return roots

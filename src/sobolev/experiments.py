@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .eigen import hessenberg_eigenvalues, smallest_root
+from .eigen import hessenberg_eigenvalues, smallest_roots
 from .hiep import DEFAULT_SOLVER, arnoldi, solve_hessenberg
 from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
 from .sop import evaluate, hermite_least_squares, pentadiagonal_recurrence
@@ -146,12 +146,10 @@ def cmd_laguerre_roots(
     if k_max > Z.m:
         raise ValueError(f"k_max={k_max} exceeds spectral dimension {Z.m}")
     H = solve_hessenberg(Z, w, k_max, method=solver, trace=trace)
-    rows = []
-    for k in range(1, k_max + 1):
-        root = smallest_root(H, k, trace=trace)
-        rows.append(
-            {"k": k, "smallest_root_re": root.real, "smallest_root_im": root.imag}
-        )
+    rows = [
+        {"k": k, "smallest_root_re": root.real, "smallest_root_im": root.imag}
+        for k, root in enumerate(smallest_roots(H, k_max, trace=trace), start=1)
+    ]
     report = ExperimentReport(
         experiment="laguerre-roots",
         config={

@@ -18,6 +18,7 @@ from sobolev import (
     golub_welsch,
     legendre_jacobi,
 )
+from sobolev import hiep
 
 ACCEPTANCE_LINES = []
 _hypothesis_home = None
@@ -48,6 +49,16 @@ def pytest_configure(config):
         return
     _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+@pytest.fixture(autouse=True)
+def empty_schedule_slot():
+    """Start and end every test with no updating schedule kept, so that no
+    test runs on a schedule another test built, and a test that wraps the
+    schedule builder always reaches its wrapper."""
+    hiep._schedule_slot.clear()
+    yield
+    hiep._schedule_slot.clear()
 
 
 def gentle_jordan(rng, max_m=12):

@@ -12,6 +12,7 @@ from sobolev import (
     laguerre_jacobi,
     legendre_jacobi,
     smallest_root,
+    smallest_roots,
     solve_hessenberg,
 )
 
@@ -192,3 +193,64 @@ class TestSmallestRoot:
             smallest_root(H, 0)
         with pytest.raises(ValueError):
             smallest_root(H, 4)
+
+
+class TestSmallestRoots:
+    """Every leading section at once, validated once: the same roots, LAPACK
+    calls, trace events and rejections as smallest_root section by section."""
+
+    @staticmethod
+    def one_by_one(H, k_max):
+        events, roots = [], []
+        for k in range(1, k_max + 1):
+            roots.append(smallest_root(H, k, trace=events.append))
+        return roots, events
+
+    @pytest.mark.parametrize("kind", ["complex", "laguerre", "conjugate-pairs"])
+    def test_equals_smallest_root_per_section(self, kind):
+        if kind == "complex":
+            H = random_hessenberg(np.random.default_rng(8), 12)
+        elif kind == "laguerre":
+            Z, w = build_same_measure(golub_welsch(laguerre_jacobi(20, -0.5)), [1.0, 1e8])
+            H = solve_hessenberg(Z, w, 20, method="arnoldi")
+        else:
+            # real, with the pair -5 +- 1j smallest from section 2 on
+            H = np.triu(np.random.default_rng(9).uniform(0.0, 1.0, (12, 12)), -1)
+            H[:2, :2] = [[-5.0, -1.0], [1.0, -5.0]]
+        k_max = H.shape[0] - 1
+        expected, expected_events = self.one_by_one(H, k_max)
+        events = []
+        roots = smallest_roots(H, k_max, trace=events.append)
+        assert [(z.real, z.imag) for z in roots] == [(z.real, z.imag) for z in expected]
+        assert [(e["event"], e["n"]) for e in events] == [(e["event"], e["n"]) for e in expected_events]
+        if kind == "conjugate-pairs":
+            assert roots[1] == -5.0 - 1.0j
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            # 1e-12 below the subdiagonal of a section of norm ~2 fails its own
+            # tolerance, although the whole matrix (norm ~1e4) would pass
+            ((3, 1), 1e-12, "not upper Hessenberg"),
+            ((1, 4), np.nan, "finite"),
+            ((5, 2), np.inf, "finite"),
+        ],
+    )
+    def test_rejects_the_first_section_smallest_root_rejects(self, entry, value, message):
+        H = np.triu(np.random.default_rng(11).uniform(0.1, 0.5, (8, 8)), -1)
+        H[6:, 6:] *= 1e4
+        H[entry] = value
+        _, events = self.one_by_one(H, max(entry))
+        with pytest.raises(ValueError, match=message):
+            smallest_root(H, max(entry) + 1)
+        seen = []
+        with pytest.raises(ValueError, match=message):
+            smallest_roots(H, 8, trace=seen.append)
+        assert [e["n"] for e in seen] == [e["n"] for e in events] == list(range(1, max(entry) + 1))
+        if np.isfinite(value):
+            smallest_root(H, 8)
+
+    def test_rejects_out_of_range(self):
+        for k_max in (0, 4):
+            with pytest.raises(ValueError, match="k_max"):
+                smallest_roots(np.eye(3), k_max)

@@ -293,16 +293,18 @@ class TestUpdateSolve:
         # cutting each group's products to its envelope adds only zero
         # entries and keeps every BLAS call's rounding: H and Q are bitwise
         # those of one product per step over rows 0..dmax-1 and columns
-        # c_new..dmax-1 (rng 73 draws a step whose second row run would
+        # c_new..dmax-1 (rng 2 draws a step whose second row run would
         # otherwise hold a single row)
         instances = [
-            random_spectral_data(np.random.default_rng(73), max_m=140, max_block=2),
+            random_spectral_data(np.random.default_rng(2), max_m=140, max_block=2),
             multi_group_instance(),
         ]
         results = [update_solve(Z, w, strategy=strategy) for Z, w in instances]
         wavefront = hiep._wavefront
+        calls = []
 
         def whole(ends, m, r, k):
+            calls.append(k)
             wins, steps = wavefront(ends, m, r, k)
             dense = []
             for t, (start, stop, _) in enumerate(steps):
@@ -316,14 +318,17 @@ class TestUpdateSolve:
             H_whole, Q_whole = update_solve(Z, w, strategy=strategy)
             assert np.array_equal(H, H_whole)
             assert np.array_equal(Q, Q_whole)
+        assert calls == [Z.m for Z, _ in instances]
 
     def test_missed_entry_in_a_restored_column_raises(self, monkeypatch):
         # the last window of column k-2 loses its last row to the scratch
         # index, so that entry survives below the subdiagonal; only the
         # final check over columns 0..k-2 and all rows can see it
         wavefront = hiep._wavefront
+        calls = []
 
         def dropping(ends, m, r, k):
+            calls.append(k)
             wins, steps = wavefront(ends, m, r, k)
             last = np.flatnonzero(wins[:, 0] == k - 1)[-1]
             pos = np.flatnonzero(wins[last] < m)[-1]
@@ -335,6 +340,40 @@ class TestUpdateSolve:
         Z, w = legendre_instance()
         with pytest.raises(NumericalFailure, match="outside the bulge window"):
             solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
+        assert calls == [Z.m // 2]
+
+    def test_schedule_is_reused_for_the_same_layout_and_k(self, monkeypatch):
+        # update-rot then update-hh on one operator build the schedule once,
+        # and each section is bitwise that of a solve from an empty slot; a
+        # different k or block layout builds a new one
+        Z, w = legendre_instance(m=40)
+        other = multi_group_instance()
+        methods = ("update-rot", "update-hh")
+        cold = {}
+        for method in methods:
+            hiep._schedule_slot.clear()
+            cold[method] = solve_hessenberg(Z, w, 41, method=method)
+        hiep._schedule_slot.clear()
+        wavefront = hiep._wavefront
+        calls = []
+
+        def counting(ends, m, r, k):
+            calls.append((m, k))
+            return wavefront(ends, m, r, k)
+
+        monkeypatch.setattr(hiep, "_wavefront", counting)
+        for method in methods:
+            assert np.array_equal(solve_hessenberg(Z, w, 41, method=method), cold[method])
+        assert calls == [(Z.m, 41)]
+        solve_hessenberg(Z, w, 40, method="update-rot")
+        solve_hessenberg(*other, 40, method="update-rot")
+        assert calls == [(Z.m, 41), (Z.m, 40), (other[0].m, 40)]
+        wins, cells, steps = hiep._schedule(other[0]._ends, 40)
+        assert len(calls) == 3
+        pair = next(pair for _, _, _, pair, _ in steps if pair is not None)
+        for index in (wins, cells, pair):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 0
 
 
 class TestSolverContract:

@@ -4,7 +4,10 @@ A traced run exits 3 when a layer or counter that its workload expects
 records nothing, so a short run of each workload catches a program change
 that the benchmark no longer sees (a function no longer looked up through
 its module, a trace event no longer sent).  ``--seconds 0`` runs the two
-ops a traced run needs: one untraced, one traced.
+ops a traced run needs: one untraced, one traced.  The work counters of
+the traced ``solve`` op are pinned: each of its two updating solves
+restores 30,200 columns and eliminates 60,300 entries with kernels of at
+most 3 rows, so a schedule that skips or repeats a restore changes them.
 """
 
 import json
@@ -27,3 +30,7 @@ def test_traced_run_reaches_every_layer(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
+    if workload == "solve":
+        counts = {name: result["metrics"][name]["value"]
+                  for name in ("hiep.restore_steps", "hiep.eliminated", "hiep.kernel_max")}
+        assert counts == {"hiep.restore_steps": 60400, "hiep.eliminated": 120600, "hiep.kernel_max": 3}
