@@ -18,7 +18,7 @@ import numpy as np
 from .eigen import hessenberg_eigenvalues, smallest_roots
 from .hiep import DEFAULT_SOLVER, arnoldi, solve_hessenberg
 from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import evaluate, hermite_least_squares, pentadiagonal_recurrence
+from .sop import _prefix_errors, evaluate, hermite_least_squares, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
@@ -229,7 +229,11 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None
 
     The coefficients do not depend on the fit degree, so the degree-d fit
     is a prefix of the top-degree fit: one fit and one basis evaluation
-    on the grid serve every degree.
+    on the grid serve every degree.  The approximants are running sums
+    over the degrees (:func:`sop._prefix_errors`, the sums that
+    :func:`hermite_least_squares` measures its own errors with), read off
+    at each requested degree, so every row has the bits of a separate
+    fit of its degree.
     """
     top = max(degrees)
     fit = hermite_least_squares(
@@ -237,20 +241,12 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None
         _gauss_bump_prime(rule.nodes), gamma, top, trace=trace,
     )
     grid = np.linspace(-1.0, 1.0, grid_points)
-    f, fprime = _gauss_bump(grid), _gauss_bump_prime(grid)
     on_grid = evaluate(H, w_norm, grid, top, trace=trace)
-    errors = []
-    for d in degrees:
-        coeff = fit.coefficients[: d + 1]
-        approx = np.tensordot(coeff, on_grid.values[: d + 1], axes=(0, 0))
-        dapprox = np.tensordot(coeff, on_grid.derivs[: d + 1], axes=(0, 0))
-        errors.append(
-            {
-                f"value_error_{family}": float(np.max(np.abs(approx - f))),
-                f"deriv_error_{family}": float(np.max(np.abs(dapprox - fprime))),
-            }
-        )
-    return errors
+    value = _prefix_errors(fit.coefficients, on_grid.values, _gauss_bump(grid), degrees)
+    deriv = _prefix_errors(fit.coefficients, on_grid.derivs, _gauss_bump_prime(grid), degrees)
+    return [
+        {f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)
+    ]
 
 
 def cmd_least_squares(
@@ -271,15 +267,21 @@ def cmd_least_squares(
     clamp recorded per row.  ``trace`` goes to both solves and to the
     four basis evaluations.
     """
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")
     if degrees is None:
         degrees = list(range(1, 202, 10))
     degrees = [int(d) for d in degrees]
-    if not degrees or min(degrees) < 1:
+    if not degrees:
+        raise ValueError("the degree list is empty: give at least one degree")
+    if min(degrees) < 1:
         raise ValueError("degrees must be positive")
     if max(degrees) > 2 * m - 1:
         raise ValueError(f"degrees above 2m-1 = {2 * m - 1} are not resolvable")
     if not gamma > 0:
         raise ValueError("gamma must be positive (the gamma=0 fit is always run)")
+    if grid_points < 1:
+        raise ValueError(f"grid_points={grid_points} must be at least 1")
     start = time.perf_counter()
     rule = golub_welsch(legendre_jacobi(m))
     top = max(degrees)

@@ -39,7 +39,8 @@ class SopEvaluation:
     """Values and first derivatives of p_0..p_k at the evaluation points.
 
     Both arrays are float64 when the recurrence section and the points
-    are real, and complex128 otherwise.
+    are real, and complex128 otherwise.  They are views of one array, in
+    which each degree's values and derivatives sit side by side.
     """
 
     values: np.ndarray
@@ -85,11 +86,15 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
 
     Runs the recurrence directly in value space; derivatives use the
     differentiated recurrence, which stays stable at degrees in the
-    hundreds where monomial coefficients would overflow.  Degrees go in
-    blocks of 32: one matrix product per block adds the terms of every
-    lower degree, and only the terms within the block are added degree
-    by degree; zero rows pad the last block to 32, so no degree's
-    rounding depends on k.  A real H with real points runs in float64.
+    hundreds where monomial coefficients would overflow.  Both share one
+    pass: the basis is one (k+1, 2, points) array with (p_j, p_j') in
+    row j, so each step of the recurrence updates both with the same
+    coefficients.  Degrees go in blocks of 32: one matrix product per
+    block adds the terms of every lower degree, and only the terms within
+    the block are added degree by degree; zero rows pad the last block to
+    32, so no degree's rounding depends on k.  A real H with real points
+    runs in float64.  ``values`` and ``derivs`` of the result are views
+    of that one array.
 
     Parameters
     ----------
@@ -112,33 +117,29 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     sub = [_subdiagonal(H, j) for j in range(1, k + 1)]
     points = x.reshape(-1).astype(dtype, copy=False)
 
-    values = np.empty((k + 1, points.size), dtype=dtype)
-    derivs = np.empty_like(values)
-    values[0] = 1.0 / w_norm
-    derivs[0] = 0.0
+    # basis[j] = (p_j, p_j'); flat[j] is the same row as one vector
+    basis = np.empty((k + 1, 2, points.size), dtype=dtype)
+    flat = basis.reshape(k + 1, -1)
+    basis[0, 0] = 1.0 / w_norm
+    basis[0, 1] = 0.0
     for j0 in range(1, k + 1, _BLOCK):
         j1 = min(j0 + _BLOCK, k + 1)
-        # row j - j0: sum over i < j0 of h_{i,j-1} p_i, for j in the block
+        # row j - j0: sum over i < j0 of h_{i,j-1} (p_i, p_i'), for j in the block
         coupling = np.zeros((_BLOCK, j0), dtype=dtype)
         coupling[: j1 - j0] = H[:j0, j0 - 1 : j1 - 1].T
-        proj = coupling @ values[:j0]
-        dproj = coupling @ derivs[:j0]
+        proj = coupling @ flat[:j0]
         for j in range(j0, j1):
-            row = j - j0
-            proj[row] += H[j0:j, j - 1] @ values[j0:j]
-            dproj[row] += H[j0:j, j - 1] @ derivs[j0:j]
-            np.multiply(points, values[j - 1], out=values[j])
-            values[j] -= proj[row]
-            values[j] /= sub[j - 1]
-            np.multiply(points, derivs[j - 1], out=derivs[j])
-            derivs[j] += values[j - 1]
-            derivs[j] -= dproj[row]
-            derivs[j] /= sub[j - 1]
+            proj[j - j0] += H[j0:j, j - 1] @ flat[j0:j]
+            cur = basis[j]
+            np.multiply(points, basis[j - 1], out=cur)
+            cur[1] += basis[j - 1, 0]
+            cur -= proj[j - j0].reshape(2, -1)
+            cur /= sub[j - 1]
     if trace is not None:
         trace({"event": "evaluate", "k": k, "points": points.size, "real": dtype == float,
                "seconds": time.perf_counter() - start})
-    shape = (k + 1,) + x.shape
-    return SopEvaluation(values=values.reshape(shape), derivs=derivs.reshape(shape))
+    basis = basis.reshape((k + 1, 2) + x.shape)
+    return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
 def coefficients(H, w_norm: float, k: int):
@@ -158,6 +159,24 @@ def coefficients(H, w_norm: float, k: int):
             c[: i + 1] -= H[i, j - 1] * coeff[i]
         coeff.append(c / h)
     return [PolyCoeffs(c) for c in coeff]
+
+
+def _prefix_errors(coeff, rows, exact, degrees) -> list[float]:
+    """Max-norm distances from ``exact`` of the partial sums
+    S_d = sum_{i<=d} coeff[i] rows[i], one per degree d in ``degrees``.
+
+    The sum runs degree by degree in order with one add per degree, so
+    S_d has the same bits whichever degrees are asked for: a fit's error
+    at its own degree equals the one read off a higher fit's prefix.
+    """
+    wanted = set(degrees)
+    total = np.zeros(rows.shape[1:], dtype=np.result_type(coeff, rows))
+    errors = {}
+    for i in range(max(degrees) + 1):
+        total += coeff[i] * rows[i]
+        if i in wanted:
+            errors[i] = float(np.max(np.abs(total - exact)))
+    return [errors[d] for d in degrees]
 
 
 @dataclass(frozen=True)
@@ -201,9 +220,11 @@ def hermite_least_squares(
 
     H must therefore be the recurrence matrix generated from the same
     nodes, weights and gamma.  Each c_j sums its own row, so a lower-degree
-    fit is bitwise a prefix.  If ``f_exact``/``fprime_exact`` callables are
-    given, errors are measured in the max norm on a uniform grid of
-    ``grid_points`` points over [-1, 1].  ``trace`` goes to :func:`evaluate`.
+    fit is bitwise a prefix.  Each of ``f_exact`` and ``fprime_exact``
+    that is given (a callable) has its error measured in the max norm on
+    a uniform grid of ``grid_points`` >= 1 points over [-1, 1], by the
+    running sum over degrees that :func:`_prefix_errors` shares with the
+    experiment drivers.  ``trace`` goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -218,22 +239,22 @@ def hermite_least_squares(
         raise ValueError("nodes, weights and sample arrays must share one shape")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
+    if grid_points < 1:
+        raise ValueError(f"grid_points={grid_points} must be at least 1")
 
     basis = evaluate(H, w_norm, nodes, n, trace=trace)
     coeff = (basis.values.conj() * (node_weights * f_values)).sum(axis=1)
     if gamma > 0:
         coeff += gamma * (basis.derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
 
-    value_error = None
-    deriv_error = None
-    if f_exact is not None:
+    value_error = deriv_error = None
+    if f_exact is not None or fprime_exact is not None:
         grid = np.linspace(-1.0, 1.0, grid_points)
         on_grid = evaluate(H, w_norm, grid, n, trace=trace)
-        approx = np.tensordot(coeff, on_grid.values, axes=(0, 0))
-        value_error = float(np.max(np.abs(approx - f_exact(grid))))
+        if f_exact is not None:
+            (value_error,) = _prefix_errors(coeff, on_grid.values, f_exact(grid), [n])
         if fprime_exact is not None:
-            dapprox = np.tensordot(coeff, on_grid.derivs, axes=(0, 0))
-            deriv_error = float(np.max(np.abs(dapprox - fprime_exact(grid))))
+            (deriv_error,) = _prefix_errors(coeff, on_grid.derivs, fprime_exact(grid), [n])
     return LsqFit(
         coefficients=coeff, degree=n, value_error=value_error, deriv_error=deriv_error
     )

@@ -264,6 +264,28 @@ class TestCmdLeastSquares:
         with pytest.raises(ValueError):
             cmd_least_squares(m=15, degrees=[5], gamma=0.0)
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="grid_points=0 must be at least 1"):
+            cmd_least_squares(m=15, degrees=[5], grid_points=0)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "0"], "m=0 must be at least 1"),
+            (["--m", "-2", "--degrees", "1"], "m=-2 must be at least 1"),
+            (["--degrees", "3:1"], "the degree list is empty"),
+            (["--degrees", ","], "the degree list is empty"),
+        ],
+    )
+    def test_empty_fit_request_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["least-squares", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sobolev least-squares")
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestCmdPenta:
     def test_default_run(self):
@@ -410,7 +432,7 @@ class TestCli:
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
         # per family one basis on the nodes and one on the 2001-point grid;
-        # the Arnoldi H is complex-typed with zero imaginary part, so real
+        # the Arnoldi H of real spectral data is float64, so every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
