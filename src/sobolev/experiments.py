@@ -140,6 +140,8 @@ def cmd_laguerre_roots(
         raise ValueError("gamma must be positive")
     if k_max < 1:
         raise ValueError(f"k_max={k_max} must be at least 1")
+    if n_quad < 1:
+        raise ValueError(f"n_quad={n_quad} must be at least 1 (the number of Gauss-Laguerre nodes)")
     start = time.perf_counter()
     rule = golub_welsch(laguerre_jacobi(n_quad, alpha))
     Z, w = build_same_measure(rule, [1.0, gamma])
@@ -180,6 +182,8 @@ def cmd_althammer_roots(
         raise ValueError("gamma must be positive")
     if n < 1:
         raise ValueError(f"degree n={n} must be at least 1")
+    if n_quad < 1:
+        raise ValueError(f"n_quad={n_quad} must be at least 1 (the number of Gauss-Legendre nodes)")
     if n > 2 * n_quad:
         raise ValueError(f"degree n={n} exceeds rule capacity 2*n_quad={2 * n_quad}")
     start = time.perf_counter()
@@ -344,6 +348,8 @@ def cmd_penta(
 ):
     """Banded matrix of the five-term recurrence for the Laguerre product
     with point masses M, N at c, from an (m+1)-point rule shifted by c."""
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
     start = time.perf_counter()
     rule = golub_welsch(laguerre_jacobi(m + 1, alpha))
     Z, w = build_discrete_laguerre_sobolev(rule, c, M, N)

@@ -17,7 +17,10 @@ leading section: inject the new weight with a plane rotation, then chase
 the bulge down column by column.  The merges run as a wavefront, each
 one step behind the previous, so one batched step restores a column of
 every merge in flight, and one rescaling at the end makes the
-subdiagonal real non-negative.  Each step applies its kernels to H in
+subdiagonal real non-negative.  A step builds the elimination kernels of
+all its windows at once, in a fixed set of whole-batch array operations
+plus at most two single ufunc calls per window row, so the cost of the
+build does not grow with the number of windows.  Each step applies its kernels to H in
 groups of 32 windows, each group only inside its envelope, the part of H
 where its rows and columns can be nonzero; the envelope's cuts are
 rounded to multiples of 16 so that every BLAS call rounds as the product
@@ -43,13 +46,13 @@ last bit, so a rewrite that swaps operands is not bitwise neutral.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .spectral import JordanOperator, WeightVector, jordan_matvec
+from .spectral import JordanOperator, WeightVector, _norm, jordan_matvec
 
 __all__ = [
     "ArnoldiResult",
@@ -66,15 +69,6 @@ DEFAULT_SOLVER = "update-rot"
 def hessenberg_defect(H) -> float:
     """Largest magnitude strictly below the first subdiagonal."""
     return float(np.abs(np.tril(H, -2)).max(initial=0.0))
-
-
-def _norm(v: np.ndarray) -> float:
-    """||v||_2 of a contiguous vector by np.linalg.norm's own formula, bit
-    for bit, without the cost of its generic wrapper."""
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -169,6 +163,23 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
 
 
+@functools.cache
+def _identity(r: int) -> np.ndarray:
+    """The r x r identity, built once per r and read-only."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.cache
+def _strict_lower(r: int) -> np.ndarray:
+    """Flat indices of the entries below the subdiagonal of an r x r matrix,
+    built once per r and read-only."""
+    index = np.ravel_multi_index(np.tril_indices(r, -2), (r, r))
+    index.flags.writeable = False
+    return index
+
+
 def _rotation_kernels(V: np.ndarray) -> np.ndarray:
     """Batched K = G_1 ... G_{r-1} with K v = (||v||, 0, ..., 0) for each row v of V.
 
@@ -179,38 +190,70 @@ def _rotation_kernels(V: np.ndarray) -> np.ndarray:
     G_idx is applied.  A pair whose lower entry is exactly zero gets the
     identity instead, so trailing zero padding leaves exact identity rows
     and columns in K.
+
+    The chain is not run pair by pair.  Its carried values are known in
+    advance: the tail norms G_i = hypot(|v_i|, G_{i+1}), one call per row,
+    are the rho of every pair, and the lower entry g of pair idx is
+    G_idx when pair idx+1 rotated and v_idx when it did not.  So a and b
+    of all pairs come from whole-batch operations, and row idx-1 of K is
+    conj(a_idx) followed by -conj(b_idx) times row idx from column idx on,
+    one product per row, with the scalar on the left as in the chain.
+    Rows 1 .. r-1 are then scaled by their a, their subdiagonal set to b
+    and the zeros below it restored, since a_idx * 0 can be -0.0.  The
+    batch works in an (r, r, B) layout, contiguous along the batch, and
+    one transposing copy returns K.  Every operation is the chain's own on
+    the same operands, given hypot(x, 0) = |x| (C99 Annex F) and
+    |G + 0i| = G, which hold exactly; so K is bitwise the chain's, which
+    the tests keep as the reference.
     """
     B, r = V.shape
-    K = np.zeros((B, r, r), dtype=V.dtype)
-    K[:, -1, -1] = 1.0
-    g = V[:, -1]
-    for idx in range(r - 1, 0, -1):
-        f = V[:, idx - 1]
-        norm = np.hypot(np.abs(f), np.abs(g))
-        live = g != 0
-        safe = np.where(live, norm, 1.0)
-        a = np.where(live, f / safe, 1.0)
-        b = -g / safe
-        lower = K[:, idx, idx:]
-        K[:, idx - 1, idx:] = -b.conj()[:, None] * lower
-        K[:, idx - 1, idx - 1] = a.conj()
-        K[:, idx, idx:] = a[:, None] * lower
-        K[:, idx, idx - 1] = b
-        g = np.where(live, norm, f)
-    return K
+    v = V.T.copy()
+    # tail norms G[i] = ||v_i .. v_{r-1}||, hypot-chained bottom up from G[r] = 0
+    G = np.zeros((r + 1, B))
+    np.abs(v, out=G[:r])
+    for i in range(r - 1, -1, -1):
+        np.hypot(G[i], G[i + 1], out=G[i])
+    # pair p = 1 .. r-1 (row p-1 here) rotates when its lower entry is
+    # nonzero; that entry is G[p] if pair p+1 rotated, else v_p itself
+    nonzero = G != 0
+    live = nonzero[1:r]
+    safe = np.where(live, G[: r - 1], 1.0)
+    a = np.where(live, v[:-1] / safe, 1.0)
+    b = -np.where(nonzero[2:], G[1:r], v[1:]) / safe
+    # P[i, :, n] is row i of kernel n: row i-1 is conj(a_i) on the diagonal
+    # followed by -conj(b_i) times row i from column i on, row i itself
+    # a_i times that part with b_i before it; rows live along the last axis
+    P = np.zeros((r, r, B), dtype=V.dtype)
+    flat = P.reshape(r * r, B)
+    diagonal = flat[:: r + 1]
+    np.conjugate(a, out=diagonal[:-1])
+    diagonal[-1] = 1.0
+    nb = np.conjugate(b)
+    np.negative(nb, out=nb)
+    for i in range(r - 1, 0, -1):
+        np.multiply(nb[i - 1], P[i, i:], out=P[i - 1, i:])
+    np.multiply(a[:, None], P[1:], out=P[1:])
+    flat[r :: r + 1] = b
+    flat[_strict_lower(r)] = 0.0
+    return P.transpose(2, 0, 1).copy()
 
 
 def _reflector_kernels(V: np.ndarray) -> np.ndarray:
     """Batched reflectors K = I - 2 y y^H / (y^H y), one per row c of V, with
     y = c + alpha e_1 and alpha = e^{i arg c_1} ||c||, so that K c = -alpha e_1
     and forming y never cancels; zero padding stays zero in y and so gives
-    exact identity rows and columns."""
+    exact identity rows and columns.  ||c|| and the sums run as the ufunc
+    reductions that np.linalg.norm and np.sum call, and I is built once
+    per r, so K is bitwise that of those wrappers at a lower cost."""
     head = V[:, 0]
     size = np.abs(head)
+    # ||c|| by np.linalg.norm's own formula along an axis, without its wrapper
+    norm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=1))
     y = V.copy()
-    y[:, 0] += np.divide(head, size, out=np.ones_like(head), where=size > 0) * np.linalg.norm(V, axis=1)
-    scale = 2.0 / np.sum(np.abs(y) ** 2, axis=1)
-    return np.eye(V.shape[1]) - scale[:, None, None] * y[:, :, None] * y[:, None, :].conj()
+    y[:, 0] += np.divide(head, size, out=np.ones_like(head), where=size > 0) * norm
+    scale = 2.0 / np.add.reduce(np.abs(y) ** 2, axis=1)
+    K = scale[:, None, None] * y[:, :, None] * y[:, None, :].conj()
+    return np.subtract(_identity(V.shape[1]), K, out=K)
 
 
 _KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}
@@ -237,19 +280,19 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     """
     count = ends[1:] - 2
     j = np.repeat(np.arange(1, len(ends)), count)
-    c = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
-    order = np.argsort(j + c, kind="stable")
+    c = np.arange(j.size) - np.repeat(count.cumsum() - count, count)
+    order = (j + c).argsort(kind="stable")
     j, c = j[order], c[order]
     t = j + c - 1
     lo = np.maximum(c + 2, ends[j - 1])
     hi = np.minimum(ends[j], ends[j - 1] + c + 2)
     tail = lo[:, None] + np.arange(r - 1)
-    wins = np.column_stack((c + 1, np.where(tail < hi[:, None], tail, m)))
+    wins = np.concatenate(((c + 1)[:, None], np.where(tail < hi[:, None], tail, m)), axis=1)
 
     # groups of _GROUP windows from the start of each step of the full schedule;
     # the last window of step t is its newest merge's, at column t + 1 - newest,
     # where the left product over all of H starts
-    cut = np.flatnonzero((np.arange(t.size) - np.searchsorted(t, t)) % _GROUP == 0)
+    cut = ((np.arange(t.size) - t.searchsorted(t)) % _GROUP == 0).nonzero()[0]
     tg = t[cut]
     newest = np.minimum(tg + 1, len(ends) - 1)
     dmax = ends[newest]
@@ -267,10 +310,10 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     keep = c <= k - 2
     wins, t = wins[keep], t[keep]
     steps = max(len(ends) - 1, int(t.max(initial=-1)) + 1)
-    bounds = np.searchsorted(t, np.arange(steps + 1))
-    kept = np.cumsum(keep) - keep
+    bounds = t.searchsorted(np.arange(steps + 1))
+    kept = keep.cumsum() - keep
     base = bounds[np.minimum(tg, steps)]
-    g_lo, g_hi = kept[cut] - base, np.append(kept[cut[1:]], t.size) - base
+    g_lo, g_hi = kept[cut] - base, np.concatenate((kept[cut[1:]], [t.size])) - base
     live = g_lo < g_hi
     groups = [
         (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
@@ -278,7 +321,7 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
             g_lo[live].tolist(), g_hi[live].tolist(), left0[live].tolist(), left1[live].tolist(),
             top[live].tolist(), bottom[live].tolist(), dmax[live].tolist())
     ]
-    per_step = np.searchsorted(tg[live], np.arange(steps + 1)).tolist()
+    per_step = tg[live].searchsorted(np.arange(steps + 1)).tolist()
     bounds = bounds.tolist()
     return wins, [(bounds[i], bounds[i + 1], groups[per_step[i]:per_step[i + 1]]) for i in range(steps)]
 
@@ -290,9 +333,10 @@ _schedule_slot: dict = {}
 def _schedule(ends: np.ndarray, k: int):
     """:func:`_wavefront` of a block layout and section size k, with each
     step's index work done once: the windows, the flat workspace index of
-    each window entry in the column it restores, and per step (start, stop,
+    each window entry in the column it restores, per step (start, stop,
     dmax, pair, groups), where pair holds the rows (0, d_{j-1}) of the
-    merge j injected at that step, or is None.
+    merge j injected at that step, or is None, and the mask of the entries
+    below the subdiagonal of H[:m, :k-1], which must end up zero.
 
     One slot keeps the last schedule built and hands it out while the next
     updating solve has the same block ends and k, as when a second solver
@@ -304,18 +348,22 @@ def _schedule(ends: np.ndarray, k: int):
     if cached is not None:
         return cached
     m = int(ends[-1])
-    wins, steps = _wavefront(ends, m, int(np.diff(ends, prepend=0).max()) + 1, k)
+    r = int((ends - np.concatenate(([0], ends[:-1]))).max()) + 1
+    wins, steps = _wavefront(ends, m, r, k)
     cells = wins * (m + 1) + (wins[:, :1] - 1)
     last = len(ends) - 1
-    pairs = np.column_stack((np.zeros_like(ends[:-1]), ends[:-1]))
-    for index in (wins, cells, pairs):
+    pairs = np.zeros((last, 2), dtype=ends.dtype)
+    pairs[:, 1] = ends[:-1]
+    lower = np.tri(m, k - 1, -2, dtype=bool)
+    for index in (wins, cells, pairs, lower):
         index.flags.writeable = False
+    dmax = ends.tolist()
     steps = tuple(
-        (start, stop, int(ends[min(t + 1, last)]), pairs[t] if t < last else None, tuple(groups))
+        (start, stop, dmax[min(t + 1, last)], pairs[t] if t < last else None, tuple(groups))
         for t, (start, stop, groups) in enumerate(steps)
     )
     _schedule_slot.clear()
-    _schedule_slot[key] = cached = (wins, cells, steps)
+    _schedule_slot[key] = cached = (wins, cells, steps, lower)
     return cached
 
 
@@ -335,7 +383,12 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     j-1 and restores one column per step.  Windows in flight are
     disjoint and no merge writes the column another one reads, so each
     step builds all kernels in one batched call from the state at its
-    start and applies them with batched products.  Windows are padded
+    start and applies them with batched products.  The rotation kernels
+    come from the tail norms of each window, one hypot call per window
+    row, and their rows from one product per window row; everything else
+    is a fixed set of whole-batch operations (see
+    :func:`_rotation_kernels`).  Both builders are bitwise the loop over
+    the pairs of a window that they replace.  Windows are padded
     with a scratch index m, whose row and column stay zero.  After the
     last step, the restored columns of H are checked to be exactly
     Hessenberg in every row, and (4) one unimodular diagonal makes its
@@ -433,10 +486,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     # QT holds Q transposed, so that the products on Q's columns read rows.
     # Index i is at position pos[i] of its block, and flip[i] mirrors it.
     ends = Z._ends
-    sizes = np.diff(ends, prepend=0)
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
     block = np.repeat(np.arange(sizes.size), sizes)
     idx = np.arange(m)
-    pos = idx - (ends - sizes)[block]
+    pos = idx - starts[block]
     flip = ends[block] - 1 - pos
     # alpha_1 .. alpha_{s-1}, 0 of each block, from the band read backwards
     scalings = np.concatenate(([0.0], Z._sup))[flip]
@@ -448,19 +502,22 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
         # product over numpy scalars (object entries) round alike on every
         # CPU, unlike numpy's SIMD-dispatched complex abs and product loops.
         turns = np.ones((sizes.size, sizes.max()), dtype=dtype)
-        turns[block, pos] = np.roll(scalings, 1)
+        turns[block, pos] = scalings[idx - 1]
         turns[:, 0] = w.betas
         units = turns * (1.0 / np.hypot(turns.real, turns.imag))
-        QT[idx, flip] = np.cumprod(units.astype(object), axis=1)[block, pos]
+        QT[idx, flip] = units.astype(object).cumprod(axis=1)[block, pos]
 
     # plane rotation of merge j on rows and columns (0, d_{j-1}), turning the
     # first basis column into w/||w||; the phase of beta already sits in the
     # first column of the block's Q, so both parameters are real
     moduli = np.hypot(w.betas.real, w.betas.imag)
-    norms = np.sqrt(np.cumsum(moduli**2))
-    rotations = (np.stack((norms[:-1], moduli[1:], -moduli[1:], norms[:-1]), axis=1)
-                 / norms[1:, None]).reshape(-1, 2, 2)
-    wins, cells, steps = _schedule(ends, k)
+    norms = np.sqrt((moduli**2).cumsum())
+    rotations = np.empty((moduli.size - 1, 2, 2))
+    rotations[:, 0, 0] = rotations[:, 1, 1] = norms[:-1]
+    rotations[:, 0, 1] = moduli[1:]
+    rotations[:, 1, 0] = -moduli[1:]
+    rotations /= norms[1:, None, None]
+    wins, cells, steps, lower = _schedule(ends, k)
     cells_of_H = H.reshape(-1)
     HT = H.T
     conj = H.dtype.kind == "c"
@@ -509,7 +566,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     # columns 0..k-2 over all rows: the restored columns that fix H[:k, :k]
     restored = H[:m, :k - 1]
-    if np.tril(restored, -2).any():
+    if restored[lower].any():
         raise NumericalFailure(
             "Hessenberg restoration missed an entry outside the bulge window",
             defect=hessenberg_defect(restored),
@@ -517,15 +574,15 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     # unimodular rescaling: subdiagonal real non-negative, first column kept;
     # the running product is renormalized so its rounding cannot accumulate
     H = H[:k, :k].copy()
-    sub = np.diagonal(H, -1)
+    sub = H.reshape(-1)[k :: k + 1]
     size = np.abs(sub)
-    steps = np.divide(sub, size, out=np.ones_like(sub), where=size > 0)
-    phases = np.cumprod(np.concatenate(([1.0], steps)))
+    steps = np.ones(k, dtype=dtype)
+    np.divide(sub, size, out=steps[1:], where=size > 0)
+    phases = np.multiply.accumulate(steps)
     phases /= np.abs(phases)
     H *= phases
     H *= phases.conj()[:, None]
-    idx = np.arange(k - 1)
-    H[idx + 1, idx] = size
+    sub[:] = size
     Q = None if QT is None else np.multiply(QT[:m, :m].T, phases, order="C")
     return H, Q
 

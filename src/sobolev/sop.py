@@ -237,6 +237,10 @@ def hermite_least_squares(
         nodes.shape == node_weights.shape == f_values.shape == fprime_values.shape
     ):
         raise ValueError("nodes, weights and sample arrays must share one shape")
+    for name, array in (("node_weights", node_weights), ("f_values", f_values),
+                        ("fprime_values", fprime_values)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
     if grid_points < 1:

@@ -519,6 +519,29 @@ class TestCli:
         assert captured.err.startswith(f"usage: sobolev {argv[0]}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["penta", "--m", "0"], "m=0 must be at least 1 (the number of rows"),
+            (["penta", "--m", "-3"], "m=-3 must be at least 1 (the number of rows"),
+            (["althammer-roots", "--n-quad", "0"], "n_quad=0 must be at least 1 (the number of Gauss-Legendre"),
+            (["althammer-roots", "--n", "1", "--n-quad", "-1"], "n_quad=-1 must be at least 1"),
+            (["laguerre-roots", "--n-quad", "0"], "n_quad=0 must be at least 1 (the number of Gauss-Laguerre"),
+            (["laguerre-roots", "--n-quad", "-4", "--k-max", "1"], "n_quad=-4 must be at least 1"),
+        ],
+    )
+    def test_empty_rule_is_a_usage_error(self, capsys, argv, message):
+        # the count is checked before a rule is built, so the message names
+        # the argument given, not the rule size derived from it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {argv[0]}")
+        assert message in captured.err
+        assert "need at least one point" not in captured.err
+        assert captured.out == ""
+
     def test_numerical_failure_is_reported_without_traceback(self, capsys, monkeypatch):
         def failing_solve(*args, **kwargs):
             raise NumericalFailure("breakdown in column 4", column=4, residual=1e-3)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import gentle_jordan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sobolev import (
@@ -190,14 +192,14 @@ class TestEliminationKernels:
         V[1, 0] = 0.0
         return V
 
-    @pytest.mark.parametrize("r", [2, 3, 5])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_rotation_chain(self, r):
         V = self.batch(r, r)
         for c, Kc in zip(V, hiep._rotation_kernels(V)):
             assert_allclose(Kc, rotation_chain_reference(c), atol=1e-15)
             assert_allclose(Kc @ c, [np.linalg.norm(c)] + [0.0] * (r - 1), atol=1e-14)
 
-    @pytest.mark.parametrize("r", [2, 3, 5])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_reflector(self, r):
         V = self.batch(r, 10 + r)
         for c, Kc in zip(V, hiep._reflector_kernels(V)):
@@ -219,6 +221,77 @@ class TestEliminationKernels:
             K = kernels(V)
             assert K.dtype == np.float64
             assert_allclose(np.abs(K @ V[:, :, None])[:, 1:], 0.0, atol=1e-15)
+
+
+def rotation_kernels_loop(V):
+    """The rotation kernels built one pair at a time, bottom up: the loop
+    that the batched builder replaced, kept as its bitwise reference."""
+    B, r = V.shape
+    K = np.zeros((B, r, r), dtype=V.dtype)
+    K[:, -1, -1] = 1.0
+    g = V[:, -1]
+    for idx in range(r - 1, 0, -1):
+        f = V[:, idx - 1]
+        norm = np.hypot(np.abs(f), np.abs(g))
+        live = g != 0
+        safe = np.where(live, norm, 1.0)
+        a = np.where(live, f / safe, 1.0)
+        b = -g / safe
+        lower = K[:, idx, idx:]
+        K[:, idx - 1, idx:] = -b.conj()[:, None] * lower
+        K[:, idx - 1, idx - 1] = a.conj()
+        K[:, idx, idx:] = a[:, None] * lower
+        K[:, idx, idx - 1] = b
+        g = np.where(live, norm, f)
+    return K
+
+
+def reflector_kernels_loop(V):
+    """The reflectors through np.linalg.norm, np.sum and np.eye: the form
+    that the builder replaced, kept as its bitwise reference."""
+    head = V[:, 0]
+    size = np.abs(head)
+    y = V.copy()
+    y[:, 0] += np.divide(head, size, out=np.ones_like(head), where=size > 0) * np.linalg.norm(V, axis=1)
+    scale = 2.0 / np.sum(np.abs(y) ** 2, axis=1)
+    return np.eye(V.shape[1]) - scale[:, None, None] * y[:, :, None] * y[:, None, :].conj()
+
+
+class TestKernelBuildersAgainstLoops:
+    """Both builders return bitwise the kernels of the loops above, for real
+    and complex windows with graded magnitudes, trailing zero padding and
+    zeros inside the window, in batches of the sizes the updating loop
+    builds."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        r=st.integers(min_value=2, max_value=6),
+        B=st.sampled_from([1, 2, 3, 5, 17, 32, 100]),
+        is_complex=st.booleans(),
+        span=st.sampled_from([0, 20, 150, 300]),
+    )
+    def test_bitwise_equal(self, seed, r, B, is_complex, span):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((B, r))
+        if is_complex:
+            V = V + 1j * rng.standard_normal((B, r))
+        V *= 10.0 ** rng.uniform(-span / 2, span / 2, (B, r))
+        head = V[:, 0].copy()
+        pad = rng.integers(0, r, B)
+        V[np.arange(r) >= r - pad[:, None]] = 0.0
+        V[rng.random((B, r)) < 0.2] = 0.0
+        if is_complex:
+            V.imag[rng.random((B, r)) < 0.2] = 0.0
+        # the window's head row is the subdiagonal entry, so no window of
+        # the updating loop is all zero
+        empty = ~V.any(axis=1)
+        V[empty, 0] = head[empty]
+        with np.errstate(over="ignore", under="ignore"):
+            for built, loop in ((hiep._rotation_kernels(V), rotation_kernels_loop(V)),
+                                (hiep._reflector_kernels(V), reflector_kernels_loop(V))):
+                assert built.dtype == loop.dtype and built.shape == loop.shape
+                assert built.tobytes() == loop.tobytes()
 
 
 class TestUpdateSolve:
@@ -368,10 +441,10 @@ class TestUpdateSolve:
         solve_hessenberg(Z, w, 40, method="update-rot")
         solve_hessenberg(*other, 40, method="update-rot")
         assert calls == [(Z.m, 41), (Z.m, 40), (other[0].m, 40)]
-        wins, cells, steps = hiep._schedule(other[0]._ends, 40)
+        wins, cells, steps, lower = hiep._schedule(other[0]._ends, 40)
         assert len(calls) == 3
         pair = next(pair for _, _, _, pair, _ in steps if pair is not None)
-        for index in (wins, cells, pair):
+        for index in (wins, cells, pair, lower):
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 0
 

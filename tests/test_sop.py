@@ -2,6 +2,7 @@
 recurrence built from the recurrence Hessenberg matrix."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,26 @@ class TestHermiteLeastSquares:
         ones = np.ones(self.rule.n)
         with pytest.raises(ValueError, match=f"grid_points={grid_points} must be at least 1"):
             self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=grid_points)
+
+    @pytest.mark.parametrize("argument, bad", [
+        ("node_weights", np.nan), ("node_weights", np.inf), ("f_values", np.nan),
+        ("f_values", -np.inf), ("f_values", complex(1.0, np.nan)), ("fprime_values", np.nan),
+        ("fprime_values", complex(np.inf, 0.0)),
+    ])
+    def test_rejects_non_finite_samples(self, argument, bad):
+        # a NaN sample gave NaN coefficients and errors, an infinite weight a
+        # numpy RuntimeWarning; one bad entry must stop the fit instead
+        arrays = {"node_weights": self.rule.weights, "f_values": np.ones(self.rule.n),
+                  "fprime_values": np.zeros(self.rule.n)}
+        arrays[argument] = arrays[argument].astype(type(bad))
+        arrays[argument][4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{argument} must be finite"):
+                hermite_least_squares(
+                    self.H, self.w_norm, self.rule.nodes, arrays["node_weights"],
+                    arrays["f_values"], arrays["fprime_values"], self.gamma, 3, f_exact=np.ones_like,
+                )
 
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
