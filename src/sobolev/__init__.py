@@ -19,17 +19,11 @@ from .quadrature import (
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
-    PolyCoeffs,
-    ProductTerm,
-    SobolevProductSpec,
     WeightVector,
     build_discrete_laguerre_sobolev,
     build_radau_endpoint,
     build_same_measure,
-    inner_product_direct,
     jordan_matvec,
-    jordan_poly_column,
-    spec_of,
     spectral_from_json,
     spectral_to_json,
 )
@@ -44,7 +38,6 @@ from .eigen import Spectrum, hessenberg_eigenvalues, smallest_root, smallest_roo
 from .sop import (
     LsqFit,
     SopEvaluation,
-    coefficients,
     evaluate,
     hermite_least_squares,
     pentadiagonal_recurrence,
@@ -63,16 +56,10 @@ __all__ = [
     "JordanBlockSpec",
     "JordanOperator",
     "WeightVector",
-    "ProductTerm",
-    "SobolevProductSpec",
-    "PolyCoeffs",
     "build_same_measure",
     "build_discrete_laguerre_sobolev",
     "build_radau_endpoint",
-    "spec_of",
-    "inner_product_direct",
     "jordan_matvec",
-    "jordan_poly_column",
     "spectral_to_json",
     "spectral_from_json",
     "ArnoldiResult",
@@ -86,7 +73,6 @@ __all__ = [
     "smallest_roots",
     "SopEvaluation",
     "evaluate",
-    "coefficients",
     "LsqFit",
     "hermite_least_squares",
     "pentadiagonal_recurrence",

@@ -6,11 +6,11 @@ product, the orthonormal sequence satisfies p_0 = 1/||w|| and
     h_{j+1,j} p_j(x) = x p_{j-1}(x) - sum_{i=1}^{j} h_{i,j} p_{i-1}(x).
 
 Everything here runs off that relation: pointwise evaluation with
-derivatives, monomial coefficient recovery for small degrees, Hermite
-least-squares fitting in the orthonormal basis, and the banded matrix of
-the induced five-term recurrence for point-mass products.  Input of a
-real dtype (recurrence matrix, points, samples) stays in float64; input
-of a complex dtype runs in complex128, whatever its values.
+derivatives, Hermite least-squares fitting in the orthonormal basis, and
+the banded matrix of the induced five-term recurrence for point-mass
+products.  Input of a real dtype (recurrence matrix, points, samples)
+stays in float64; input of a complex dtype runs in complex128, whatever
+its values.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hiep import DEFAULT_SOLVER, solve_hessenberg
-from .spectral import JordanOperator, PolyCoeffs, WeightVector
+from .spectral import JordanOperator, WeightVector
 
 __all__ = [
     "SopEvaluation",
     "evaluate",
-    "coefficients",
     "LsqFit",
     "hermite_least_squares",
     "pentadiagonal_recurrence",
@@ -140,25 +139,6 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
                "seconds": time.perf_counter() - start})
     basis = basis.reshape((k + 1, 2) + x.shape)
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
-
-
-def coefficients(H, w_norm: float, k: int):
-    """Monomial coefficients of p_0..p_k as PolyCoeffs.
-
-    Exact-degree expansion of the recurrence; intended for small k where
-    the coefficients stay representable (tests, oracles).  H and w_norm
-    are checked as in :func:`evaluate`.
-    """
-    H = _section(H, w_norm, k).astype(complex)
-    coeff = [np.array([1.0 / w_norm], dtype=complex)]
-    for j in range(1, k + 1):
-        h = _subdiagonal(H, j)
-        c = np.zeros(j + 1, dtype=complex)
-        c[1:] = coeff[j - 1]
-        for i in range(j):
-            c[: i + 1] -= H[i, j - 1] * coeff[i]
-        coeff.append(c / h)
-    return [PolyCoeffs(c) for c in coeff]
 
 
 def _prefix_errors(coeff, rows, exact, degrees) -> list[float]:

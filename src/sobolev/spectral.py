@@ -9,9 +9,8 @@ vector w that carries one entry beta_j per block.  The translation rests
 on the identity (q(Z) w)^H (p(Z) w) = <p, q>, which holds whenever the
 order-r weight at node j equals |beta_j|^2 |alpha_1 ... alpha_r|^2 / (r!)^2
 with alpha_i the superdiagonal scalings of block j.  This module provides
-both representations, builders for the standard product families, and a
-direct polynomial-derivative evaluator used as an oracle against the
-matrix form.
+that matrix form, builders for the standard product families, the O(m)
+product with Z, and a JSON form of the spectral data.
 """
 
 from __future__ import annotations
@@ -21,55 +20,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .quadrature import QuadratureRule
 
 __all__ = [
-    "PolyCoeffs",
     "JordanBlockSpec",
     "JordanOperator",
     "WeightVector",
-    "ProductTerm",
-    "SobolevProductSpec",
     "build_same_measure",
     "build_discrete_laguerre_sobolev",
     "build_radau_endpoint",
-    "spec_of",
-    "inner_product_direct",
     "jordan_matvec",
-    "jordan_poly_column",
     "spectral_to_json",
     "spectral_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Polynomial in the monomial basis, coefficients ordered low to high."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-d sequence")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def derivative(self, order: int = 1) -> "PolyCoeffs":
-        """Exact derivative, still as monomial coefficients."""
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        if order == 0:
-            return self
-        return PolyCoeffs(P.polyder(self.coeffs, order))
-
-    def __call__(self, x):
-        return P.polyval(x, self.coeffs)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -240,57 +204,6 @@ class WeightVector:
         return w
 
 
-@dataclass(frozen=True)
-class ProductTerm:
-    """One node of a discretized Sobolev product with its derivative weights.
-
-    ``weights[r]`` multiplies p^(r)(node) conj(q^(r)(node)).  A nonzero
-    weight at some order requires nonzero weights at every lower order,
-    and the highest order present must carry positive weight.
-    """
-
-    node: complex
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must form a non-empty 1-d sequence")
-        if np.any(weights < 0):
-            raise ValueError("derivative weights must be non-negative")
-        if weights[-1] <= 0:
-            raise ValueError("highest-order weight must be positive")
-        seen_zero = False
-        for v in weights:
-            if v == 0:
-                seen_zero = True
-            elif seen_zero:
-                raise ValueError(
-                    "nonzero derivative weight above a zero one breaks "
-                    "sequential dominance"
-                )
-        object.__setattr__(self, "node", complex(self.node))
-        object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class SobolevProductSpec:
-    """Symbolic form of a discretized Sobolev inner product."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("need at least one product term")
-        if not all(isinstance(t, ProductTerm) for t in terms):
-            raise ValueError("terms must be ProductTerm instances")
-        nodes = [t.node for t in terms]
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("product nodes must be pairwise distinct")
-        object.__setattr__(self, "terms", terms)
-
-
 def build_same_measure(rule: QuadratureRule, gammas):
     """Spectral data for a product with one measure shared by all derivatives.
 
@@ -370,44 +283,6 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
     return Z, WeightVector(betas)
 
 
-def spec_of(Z: JordanOperator, w: WeightVector) -> SobolevProductSpec:
-    """Read off the product encoded by (Z, w).
-
-    The order-r weight at the node of block j is
-    |beta_j|^2 |alpha_1 ... alpha_r|^2 / (r!)^2.
-    """
-    if len(Z.blocks) != w.betas.size:
-        raise ValueError("weight count does not match block count")
-    terms = []
-    for b, beta in zip(Z.blocks, w.betas):
-        weights = np.empty(b.size)
-        prod = 1.0 + 0.0j
-        for r in range(b.size):
-            if r > 0:
-                prod *= b.superdiag[r - 1]
-            weights[r] = abs(beta) ** 2 * abs(prod) ** 2 / math.factorial(r) ** 2
-        terms.append(ProductTerm(b.z, weights))
-    return SobolevProductSpec(tuple(terms))
-
-
-def inner_product_direct(p: PolyCoeffs, q: PolyCoeffs, spec: SobolevProductSpec) -> complex:
-    """Evaluate the product by differentiating p and q at the nodes.
-
-    Serves as the matrix-free oracle for the identity
-    (q(Z) w)^H (p(Z) w) = <p, q>.
-    """
-    total = 0.0 + 0.0j
-    for term in spec.terms:
-        dp, dq = p, q
-        for r, weight in enumerate(term.weights):
-            if r > 0:
-                dp = dp.derivative()
-                dq = dq.derivative()
-            if weight != 0.0:
-                total += weight * dp(term.node) * np.conj(dq(term.node))
-    return complex(total)
-
-
 def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
     """Apply Z to a vector in O(m) from its diagonal and superdiagonal bands."""
     x = np.asarray(x)
@@ -416,23 +291,6 @@ def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
     y = Z._diag * x
     y[:-1] += Z._sup * x[1:]
     return y
-
-
-def jordan_poly_column(block: JordanBlockSpec, p: PolyCoeffs) -> np.ndarray:
-    """Last column of p(J) for a single block J.
-
-    Entry r from the bottom equals (alpha_1 ... alpha_r / r!) p^(r)(z), so
-    the final entry is p(z) itself.
-    """
-    col = np.empty(block.size, dtype=complex)
-    dp = p
-    prod = 1.0 + 0.0j
-    for r in range(block.size):
-        if r > 0:
-            prod *= block.superdiag[r - 1]
-            dp = dp.derivative()
-        col[block.size - 1 - r] = prod / math.factorial(r) * dp(block.z)
-    return col
 
 
 def _c2pair(value) -> list:

@@ -51,6 +51,12 @@ def pytest_configure(config):
     set_hypothesis_home_dir(_hypothesis_home.name)
 
 
+def pytest_unconfigure(config):
+    """Remove Hypothesis's temporary storage at the end of the run."""
+    if _hypothesis_home is not None:
+        _hypothesis_home.cleanup()
+
+
 @pytest.fixture(autouse=True)
 def empty_schedule_slot():
     """Start and end every test with no updating schedule kept, so that no
@@ -65,10 +71,10 @@ def gentle_jordan(rng, max_m=12):
     """Random (Z, w) kept well conditioned: nodes in a small box, far
     apart, with scalings of moderate size.
 
-    Oracles that round-trip through monomial coefficients (column
-    correspondence, direct-product orthonormality) lose digits fast when
-    nodes cluster or scalings shrink, so they need tamer inputs than the
-    solvers themselves.
+    The oracles of ``oracles.py`` that round-trip through monomial
+    coefficients (column correspondence, direct-product orthonormality)
+    lose digits fast when nodes cluster or scalings shrink, so they need
+    tamer inputs than the solvers themselves.
     """
     m_target = int(rng.integers(2, max_m + 1))
     blocks, betas, dim = [], [], 0

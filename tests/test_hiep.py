@@ -6,6 +6,7 @@ from conftest import gentle_jordan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import coefficients
 
 from sobolev import (
     JordanBlockSpec,
@@ -14,7 +15,6 @@ from sobolev import (
     WeightVector,
     arnoldi,
     build_same_measure,
-    coefficients,
     golub_welsch,
     hessenberg_defect,
     laguerre_jacobi,
@@ -579,7 +579,7 @@ class TestColumnPolynomialCorrespondence:
             eye = np.eye(Z.m)
             for j, p in enumerate(polys):
                 col = np.zeros((Z.m, Z.m), dtype=complex)
-                for ck in p.coeffs[::-1]:
+                for ck in p.coef[::-1]:
                     col = Zd @ col + ck * eye
                 col = col @ wd
                 worst = max(worst, np.max(np.abs(res.Q[:, j] - col)))

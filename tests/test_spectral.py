@@ -1,32 +1,34 @@
-"""Tests for the spectral-data types, builders, and the direct inner
-product used as the matrix-identity oracle."""
+"""Tests for the spectral-data types and builders, and for the direct
+oracles of ``oracles.py`` against the matrix form."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
+from oracles import (
+    ProductTerm,
+    SobolevProductSpec,
+    inner_product_direct,
+    jordan_poly_column,
+    spec_of,
+)
 
 from sobolev import (
     JordanBlockSpec,
     JordanOperator,
-    PolyCoeffs,
-    ProductTerm,
     QuadratureRule,
-    SobolevProductSpec,
     WeightVector,
     build_discrete_laguerre_sobolev,
     build_radau_endpoint,
     build_same_measure,
     gauss_radau_right,
     golub_welsch,
-    inner_product_direct,
     jordan_matvec,
-    jordan_poly_column,
     laguerre_jacobi,
     legendre_jacobi,
-    spec_of,
     spectral_from_json,
     spectral_to_json,
 )
@@ -99,27 +101,9 @@ def _band_built():
 def horner(Zd, p, v):
     """p(Z) v on a dense matrix, highest coefficient first."""
     out = np.zeros_like(v)
-    for c in p.coeffs[::-1]:
+    for c in p.coef[::-1]:
         out = Zd @ out + c * v
     return out
-
-
-class TestPolyCoeffs:
-    def test_evaluation_and_degree(self):
-        p = PolyCoeffs([1.0, 0.0, 2.0])  # 1 + 2 x^2
-        assert p.degree == 2
-        assert p(3.0) == pytest.approx(19.0)
-
-    def test_derivative(self):
-        p = PolyCoeffs([0.0, 0.0, 1.0])
-        assert_allclose(p.derivative().coeffs, [0.0, 2.0])
-        assert_allclose(p.derivative(2).coeffs, [2.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PolyCoeffs([])
-        with pytest.raises(ValueError):
-            PolyCoeffs([0.0, 1.0]).derivative(-1)
 
 
 class TestJordanBlockSpec:
@@ -410,12 +394,12 @@ class TestSequentialDominance:
 class TestInnerProductDirect:
     def test_hand_example(self):
         spec = SobolevProductSpec((ProductTerm(0.0, [1.0, 1.0]),))
-        z = PolyCoeffs([0.0, 1.0])
+        z = Polynomial([0.0, 1.0])
         assert inner_product_direct(z, z, spec) == pytest.approx(1.0)
 
     def test_constants_give_weight_norm(self):
         Z, w = random_jordan(np.random.default_rng(11))
-        one = PolyCoeffs([1.0])
+        one = Polynomial([1.0])
         got = inner_product_direct(one, one, spec_of(Z, w))
         assert got == pytest.approx(w.norm() ** 2, rel=1e-13)
 
@@ -427,8 +411,8 @@ class TestInnerProductDirect:
         spec = spec_of(Z, w)
         for _ in range(5):
             deg = int(rng.integers(0, 6))
-            p = PolyCoeffs(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-            q = PolyCoeffs(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            p = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            q = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
             x = horner(Zd, p, wd)
             y = horner(Zd, q, wd)
             direct = inner_product_direct(p, q, spec)
@@ -486,11 +470,11 @@ class TestJordanMatvec:
 class TestJordanPolyColumn:
     def test_constant(self):
         block = JordanBlockSpec(0.7, [1.0, 2.0])
-        assert_allclose(jordan_poly_column(block, PolyCoeffs([1.0])), [0, 0, 1])
+        assert_allclose(jordan_poly_column(block, Polynomial([1.0])), [0, 0, 1])
 
     def test_linear(self):
         block = JordanBlockSpec(0.0, [1.0])
-        assert_allclose(jordan_poly_column(block, PolyCoeffs([0.0, 1.0])), [1.0, 0.0])
+        assert_allclose(jordan_poly_column(block, Polynomial([0.0, 1.0])), [1.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_horner(self, seed):
@@ -502,7 +486,7 @@ class TestJordanPolyColumn:
             * np.exp(2j * np.pi * rng.uniform(0, 1, size - 1)),
         )
         deg = int(rng.integers(0, 7))
-        p = PolyCoeffs(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        p = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
         e_last = np.zeros(size, dtype=complex)
         e_last[-1] = 1.0
         expected = horner(block.dense(), p, e_last)
@@ -521,8 +505,8 @@ class TestTheoremEquivalence:
         Zd, wd = Z.dense(), w.dense(Z)
         spec = spec_of(Z, w)
         deg = int(rng.integers(0, Z.m))
-        p = PolyCoeffs(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        q = PolyCoeffs(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        p = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        q = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
         x = horner(Zd, p, wd)
         y = horner(Zd, q, wd)
         direct = inner_product_direct(p, q, spec)
