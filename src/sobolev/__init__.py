@@ -34,7 +34,7 @@ from .hiep import (
     solve_hessenberg,
     update_solve,
 )
-from .eigen import Spectrum, hessenberg_eigenvalues, smallest_root, smallest_roots
+from .eigen import hessenberg_eigenvalues, smallest_root, smallest_roots
 from .sop import (
     LsqFit,
     SopEvaluation,
@@ -67,7 +67,6 @@ __all__ = [
     "update_solve",
     "solve_hessenberg",
     "hessenberg_defect",
-    "Spectrum",
     "hessenberg_eigenvalues",
     "smallest_root",
     "smallest_roots",

@@ -2,15 +2,17 @@
 
 Usage: ``sobolev <command> [flags]`` with commands laguerre-roots,
 althammer-roots, least-squares, penta, compare-solvers.  Results print to
-stdout (or --out) as CSV or JSON; --dump-spectral writes the solved
-spectral data as JSON next to --out; --trace streams per-step solver,
+stdout (or --out) as CSV or JSON.  This module writes every file, after
+the run: the report at --out, then next to it under its stem the
+least-squares error curves (.svg) and, with --dump-spectral, the solved
+spectral data (.spectral.json).  --trace streams per-step solver,
 eigensolver and basis-evaluation events as JSON lines on stderr.
 
-Invalid arguments, and an --out path that cannot be written, end in the
-subcommand's usage error (exit code 2); a missing --out directory is
-found before the run.  A solver that fails its numerical contract ends
-in exit code 3, with its message and its diagnostic fields as one JSON
-object on stderr.
+Invalid arguments, and an output file that cannot be written, end in the
+subcommand's usage error (exit code 2); a missing --out directory, and
+an --out that the figure would overwrite, are found before the run.  A
+solver that fails its numerical contract ends in exit code 3, with its
+message and its diagnostic fields as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .experiments import (
     cmd_laguerre_roots,
     cmd_least_squares,
     cmd_penta,
+    least_squares_figure,
     report_to_csv,
     report_to_json,
 )
@@ -40,7 +43,10 @@ def _parse_degrees(text: str):
     """Accept '1,11,21' or a range 'start:stop:step' (stop inclusive)."""
     text = text.strip()
     if ":" in text:
-        parts = [int(p) for p in text.split(":")]
+        try:
+            parts = [int(p) for p in text.split(":")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad degree range {text!r}") from exc
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 1
         elif len(parts) == 3:
@@ -63,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "roots, banded recurrences and Hermite least squares.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--solver",
-        choices=SOLVER_NAMES,
-        default=DEFAULT_SOLVER,
-        help=f"inverse-problem solver (default: {DEFAULT_SOLVER})",
-    )
     common.add_argument("--out", type=Path, help="write the result to this file")
     common.add_argument(
         "--format",
@@ -78,21 +78,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: csv)",
     )
     common.add_argument(
-        "--dump-spectral",
-        action="store_true",
-        help="also write the solved (Z, w) as JSON (requires --out)",
-    )
-    common.add_argument(
         "--trace",
         action="store_true",
         help="stream solver, eigensolver and basis-evaluation steps as JSON lines on stderr",
     )
+    # not for compare-solvers, which runs every solver on many instances
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument(
+        "--solver",
+        choices=SOLVER_NAMES,
+        default=DEFAULT_SOLVER,
+        help=f"inverse-problem solver (default: {DEFAULT_SOLVER})",
+    )
+    solving.add_argument(
+        "--dump-spectral",
+        action="store_true",
+        help="also write the solved (Z, w) as JSON (requires --out)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, run, summary):
+    def add_command(name, run, summary, parents=(solving, common)):
         # no flag defaults here: each default lives in the driver's signature
         p = sub.add_parser(
-            name, parents=[common], help=summary, argument_default=argparse.SUPPRESS
+            name, parents=list(parents), help=summary, argument_default=argparse.SUPPRESS
         )
         p.set_defaults(run=run, error=p.error)
         return p
@@ -140,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-solvers",
         cmd_compare_solvers,
         "cross-validate the solvers on random spectral data",
+        parents=[common],
     )
     p.add_argument("--count", type=int)
     p.add_argument("--max-m", type=int)
@@ -152,16 +161,12 @@ def _stderr_trace(record: dict):
     print(json.dumps(record), file=sys.stderr)
 
 
-def _cannot_write(exc: OSError) -> str:
-    return f"cannot write {exc.filename}: {exc.strerror or exc}"
-
-
 def _write(path: Path, text: str, error) -> None:
     """Write text to path and say so; an unwritable path is a usage error."""
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        error(_cannot_write(exc))
+        error(f"cannot write {exc.filename}: {exc.strerror or exc}")
     print(f"wrote {path}")
 
 
@@ -170,7 +175,7 @@ def main(argv=None) -> int:
     options = vars(parser.parse_args(argv))
     command, run, error = options.pop("command"), options.pop("run"), options.pop("error")
     out, fmt = options.pop("out"), options.pop("fmt")
-    dump_spectral = options.pop("dump_spectral")
+    dump_spectral = options.pop("dump_spectral", False)
     options["trace"] = _stderr_trace if options["trace"] else None
 
     if dump_spectral and out is None:
@@ -178,33 +183,31 @@ def main(argv=None) -> int:
     if out is not None and not out.parent.is_dir():
         # fail before the run, not after it; a write can still fail later
         error(f"cannot write {out}: no such directory {out.parent}")
+    figure = None
     if command == "least-squares" and out is not None:
-        options["svg_path"] = out.with_name(out.stem + ".svg")
+        figure = out.with_name(out.stem + ".svg")
+        if figure == out:
+            error(f"--out {out} is the path of the figure; give the report another suffix")
 
     try:
         report, data = run(**options)
     except ValueError as exc:
         error(str(exc))
-    except OSError as exc:
-        # the least-squares driver writes its SVG next to --out
-        error(_cannot_write(exc))
     except NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    if out is not None:
-        _write(out, text, error)
-    else:
+    if out is None:
         sys.stdout.write(text)
-
+        return 0
+    _write(out, text, error)
+    if figure is not None:
+        _write(figure, least_squares_figure(report), error)
     if dump_spectral:
-        if data is None:
-            print("no spectral data to dump for this command", file=sys.stderr)
-        else:
-            path = out.with_name(out.stem + ".spectral.json")
-            _write(path, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
+        path = out.with_name(out.stem + ".spectral.json")
+        _write(path, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
     return 0
 
 

@@ -13,29 +13,13 @@ imaginary part of exactly zero; a complex H reaches ``zgeev``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .hiep import hessenberg_defect
 
-__all__ = ["Spectrum", "hessenberg_eigenvalues", "smallest_root", "smallest_roots"]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by real part, ties by imaginary part; float64 if all real."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.eigenvalues))
-        object.__setattr__(self, "eigenvalues", vals)
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
+__all__ = ["hessenberg_eigenvalues", "smallest_root", "smallest_roots"]
 
 
 def _lapack_eigenvalues(T: np.ndarray, trace) -> np.ndarray:
@@ -59,14 +43,24 @@ def _as_float_matrix(H) -> np.ndarray:
     return A
 
 
+def _leading(H, k: int, name: str) -> np.ndarray:
+    """H as an array whose leading k x k section exists, else a ValueError."""
+    A = np.asarray(H)
+    if A.ndim != 2 or not 1 <= k <= min(A.shape):
+        raise ValueError(f"leading dimension {name}={k} must lie in 1..{min(A.shape, default=0)}")
+    return A
+
+
 def _smallest(vals: np.ndarray) -> complex:
     """Smallest real part, exact ties by smallest absolute imaginary part,
     then by the imaginary part itself (the lower of a conjugate pair)."""
     return complex(vals[np.lexsort((vals.imag, np.abs(vals.imag), vals.real))[0]])
 
 
-def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
-    """All eigenvalues of an upper Hessenberg matrix, real or complex.
+def hessenberg_eigenvalues(H, trace=None) -> np.ndarray:
+    """All eigenvalues of an upper Hessenberg matrix, real or complex,
+    sorted by real part, ties by imaginary part; float64 if H is real and
+    every eigenvalue is real.
 
     Entries below the subdiagonal may deviate from zero by at most
     1e-13 * max(||H||_F, 1); they are then set to zero before LAPACK sees
@@ -86,7 +80,7 @@ def hessenberg_eigenvalues(H, trace=None) -> Spectrum:
     if hessenberg_defect(A) > 1e-13 * max(float(np.linalg.norm(A)), 1.0):
         raise ValueError("matrix is not upper Hessenberg within tolerance")
     vals = _lapack_eigenvalues(np.triu(A, -1), trace)
-    return Spectrum(vals[np.lexsort((vals.imag, vals.real))])
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def smallest_root(H, k: int, trace=None) -> complex:
@@ -96,10 +90,8 @@ def smallest_root(H, k: int, trace=None) -> complex:
     absolute imaginary part.  ``trace`` is passed on to
     :func:`hessenberg_eigenvalues`.
     """
-    H = np.asarray(H)
-    if not 1 <= k <= H.shape[0]:
-        raise ValueError(f"leading dimension k={k} must lie in 1..{H.shape[0]}")
-    return _smallest(hessenberg_eigenvalues(H[:k, :k], trace=trace).eigenvalues)
+    H = _leading(H, k, "k")
+    return _smallest(hessenberg_eigenvalues(H[:k, :k], trace=trace))
 
 
 def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
@@ -113,10 +105,7 @@ def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
     sections share one copy with the entries below the subdiagonal set to
     zero; each gets one LAPACK call and one ``eigen`` trace event.
     """
-    A = np.asarray(H)
-    if A.ndim != 2 or not 1 <= k_max <= min(A.shape):
-        raise ValueError(f"leading dimension k_max={k_max} must lie in 1..{min(A.shape, default=0)}")
-    A = _as_float_matrix(A[:k_max, :k_max])
+    A = _as_float_matrix(_leading(H, k_max, "k_max")[:k_max, :k_max])
     # section k holds entry (i, j) iff max(i, j) < k, and its defect is the
     # largest one of rows 0 .. k-1; only a defect above 1e-13 can fail
     rows, cols = np.nonzero(~np.isfinite(A))

@@ -2,7 +2,8 @@
 
 Each ``cmd_*`` function runs one experiment end to end and returns an
 ExperimentReport (configuration echo, result rows, diagnostics, wall
-time) plus the spectral data it solved, so the CLI can serialize either.
+time) plus the spectral data it solved.  No driver writes a file: the CLI
+serializes the report, the spectral data and the least-squares figure.
 Everything is deterministic given the arguments; randomized runs take an
 explicit seed.
 """
@@ -36,6 +37,7 @@ __all__ = [
     "cmd_laguerre_roots",
     "cmd_althammer_roots",
     "cmd_least_squares",
+    "least_squares_figure",
     "cmd_penta",
     "cmd_compare_solvers",
 ]
@@ -190,7 +192,7 @@ def cmd_althammer_roots(
     rule = golub_welsch(legendre_jacobi(n_quad))
     Z, w = build_same_measure(rule, [1.0, gamma])
     H = solve_hessenberg(Z, w, n, method=solver, trace=trace)
-    roots = hessenberg_eigenvalues(H[:n, :n], trace=trace).eigenvalues
+    roots = hessenberg_eigenvalues(H[:n, :n], trace=trace)
     rows = [
         {"index": i + 1, "root_re": r.real, "root_im": r.imag}
         for i, r in enumerate(roots)
@@ -259,7 +261,6 @@ def cmd_least_squares(
     degrees=None,
     solver: str = DEFAULT_SOLVER,
     trace=None,
-    svg_path=None,
     grid_points: int = 2001,
 ):
     """Least-squares fits of exp(-100(x-1/5)^2) on m Gauss-Legendre nodes.
@@ -306,21 +307,6 @@ def cmd_least_squares(
         {"degree": d, **e0, **eg, "effective_degree_plain": d0}
         for d, d0, e0, eg in zip(degrees, degrees0, errors0, errorsg)
     ]
-    if svg_path is not None:
-        svgplot.write_svg(
-            svg_path,
-            [row["degree"] for row in rows],
-            {
-                "value err, gamma=0": [row["value_error_plain"] for row in rows],
-                f"value err, gamma={gamma:g}": [row["value_error_sobolev"] for row in rows],
-                "deriv err, gamma=0": [row["deriv_error_plain"] for row in rows],
-                f"deriv err, gamma={gamma:g}": [row["deriv_error_sobolev"] for row in rows],
-            },
-            title="Least-squares max-norm errors",
-            xlabel="degree",
-            ylabel="max error (log10)",
-            logy=True,
-        )
     report = ExperimentReport(
         experiment="least-squares",
         config={
@@ -335,6 +321,24 @@ def cmd_least_squares(
         wall_time=time.perf_counter() - start,
     )
     return report, (Zg, wg)
+
+
+def least_squares_figure(report: ExperimentReport) -> str:
+    """The error curves of a least-squares report as an SVG document: value
+    and derivative errors of both fits against the degree, log10 y axis."""
+    rows, gamma = report.rows, report.config["gamma"]
+    return svgplot.line_plot_svg(
+        [row["degree"] for row in rows],
+        {
+            "value err, gamma=0": [row["value_error_plain"] for row in rows],
+            f"value err, gamma={gamma:g}": [row["value_error_sobolev"] for row in rows],
+            "deriv err, gamma=0": [row["deriv_error_plain"] for row in rows],
+            f"deriv err, gamma={gamma:g}": [row["deriv_error_sobolev"] for row in rows],
+        },
+        title="Least-squares max-norm errors",
+        xlabel="degree",
+        ylabel="max error (log10)",
+    )
 
 
 def cmd_penta(
@@ -389,15 +393,13 @@ def cmd_compare_solvers(
     count: int = 100,
     max_m: int = 40,
     seed: int = 20260826,
-    solver: str = DEFAULT_SOLVER,
     trace=None,
 ):
     """Cross-validate the three solvers on random spectral data.
 
     For each instance the Arnoldi recurrence matrix is the reference;
     rows carry the relative Frobenius differences of both updating
-    strategies.  The ``solver`` argument is accepted for CLI uniformity
-    but every solver runs regardless.
+    strategies.  The spectral data returned are None: each row has its own.
     """
     if count < 1:
         raise ValueError("need at least one instance")

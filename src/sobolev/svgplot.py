@@ -1,7 +1,8 @@
 """Minimal standalone SVG line plots (no plotting dependency).
 
-Good enough for the error-curve figures the CLI emits: linear x axis,
-optional log10 y axis, one polyline per series, small legend.
+Good enough for the error-curve figure of ``least-squares``: linear x
+axis, log10 y axis with decade ticks, one polyline per series, small
+legend.  The plot is returned as text; the CLI writes it.
 """
 
 from __future__ import annotations
@@ -38,33 +39,24 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def line_plot_svg(xs, series, title="", xlabel="", ylabel="", logy=False) -> str:
-    """Render one plot as an SVG document string.
+def line_plot_svg(xs, series, title, xlabel, ylabel) -> str:
+    """Render one plot with a log10 y axis as an SVG document string.
 
     Parameters
     ----------
     xs : shared x values.
-    series : mapping name -> y values (same length as xs); non-finite or
-        (for log plots) non-positive entries break the polyline.
-    logy : plot log10(y) with decade ticks.
+    series : mapping name -> y values (same length as xs); zero, negative
+        and non-finite entries break the polyline.  A plot with no
+        positive finite value spans one decade.
     """
     xs = [float(v) for v in xs]
-    if not xs or not series:
-        raise ValueError("need x values and at least one series")
-
-    def transform_y(v):
-        return math.log10(v) if logy else v
-
-    ys = []
-    for vals in series.values():
-        for v in vals:
-            v = float(v)
-            if math.isfinite(v) and (not logy or v > 0):
-                ys.append(transform_y(v))
-    if not ys:
-        raise ValueError("no plottable y values")
+    logs = [
+        [math.log10(v) if math.isfinite(v) and v > 0 else None for v in map(float, vals)]
+        for vals in series.values()
+    ]
+    ys = [y for line in logs for y in line if y is not None]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -88,12 +80,9 @@ def line_plot_svg(xs, series, title="", xlabel="", ylabel="", logy=False) -> str
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         parts.append(
@@ -104,45 +93,36 @@ def line_plot_svg(xs, series, title="", xlabel="", ylabel="", logy=False) -> str
             f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 18}" '
             f'text-anchor="middle">{_fmt(t)}</text>'
         )
-    if logy:
-        y_ticks = range(math.ceil(y_lo), math.floor(y_hi) + 1)
-        labels = [f"1e{k}" for k in y_ticks]
-    else:
-        y_ticks = _ticks(y_lo, y_hi)
-        labels = [_fmt(t) for t in y_ticks]
-    for t, label in zip(y_ticks, labels):
-        y = py(t)
+    for k in range(math.ceil(y_lo), math.floor(y_hi) + 1):
+        y = py(k)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
             f'y2="{y:.1f}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>'
+            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">1e{k}</text>'
         )
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{y:.1f}" x2="{_MARGIN_L + plot_w}" '
             f'y2="{y:.1f}" stroke="#ddd"/>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        y_mid = _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="18" y="{y_mid:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {y_mid:.1f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
+        f'text-anchor="middle">{xlabel}</text>'
+    )
+    y_mid = _MARGIN_T + plot_h / 2
+    parts.append(
+        f'<text x="18" y="{y_mid:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {y_mid:.1f})">{ylabel}</text>'
+    )
 
-    for idx, (name, vals) in enumerate(series.items()):
+    for idx, (name, line) in enumerate(zip(series, logs)):
         color = _COLORS[idx % len(_COLORS)]
         segments = []
         current = []
-        for x, v in zip(xs, vals):
-            v = float(v)
-            if math.isfinite(v) and (not logy or v > 0):
-                current.append(f"{px(x):.1f},{py(transform_y(v)):.1f}")
+        for x, y in zip(xs, line):
+            if y is not None:
+                current.append(f"{px(x):.1f},{py(y):.1f}")
             elif current:
                 segments.append(current)
                 current = []
@@ -162,11 +142,3 @@ def line_plot_svg(xs, series, title="", xlabel="", ylabel="", logy=False) -> str
         parts.append(f'<text x="{lx + 30}" y="{ly}">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg(path, xs, series, **kwargs):
-    """Render and write the plot; returns the path."""
-    doc = line_plot_svg(xs, series, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return path

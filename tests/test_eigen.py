@@ -42,12 +42,12 @@ def char_poly_at(H, lam):
 
 class TestHessenbergEigenvalues:
     def test_nilpotent_block(self):
-        spectrum = hessenberg_eigenvalues([[0.0, 0.0], [1.0, 0.0]])
-        assert_allclose(spectrum.eigenvalues, [0.0, 0.0], atol=1e-15)
+        vals = hessenberg_eigenvalues([[0.0, 0.0], [1.0, 0.0]])
+        assert_allclose(vals, [0.0, 0.0], atol=1e-15)
 
     def test_upper_triangular(self):
         H = np.triu(np.arange(16.0).reshape(4, 4)) + np.eye(4)
-        got = hessenberg_eigenvalues(H).eigenvalues
+        got = hessenberg_eigenvalues(H)
         assert_allclose(got, sort_key(np.diag(H)), atol=1e-12)
 
     def test_rejects_non_square(self):
@@ -84,7 +84,7 @@ class TestHessenbergEigenvalues:
         n = 40
         H = solve_hessenberg(Z, w, n, method="arnoldi")[:n, :n]
         bound = 10 * n * np.finfo(float).eps * np.linalg.norm(H, 2)
-        for lam in hessenberg_eigenvalues(H).eigenvalues:
+        for lam in hessenberg_eigenvalues(H):
             sigma_min = np.linalg.svd(H - lam * np.eye(n), compute_uv=False)[-1]
             assert sigma_min <= bound
 
@@ -100,7 +100,7 @@ class TestHessenbergEigenvalues:
     def test_against_reference_eigensolver(self, n):
         rng = np.random.default_rng(n)
         H = random_hessenberg(rng, n)
-        got = hessenberg_eigenvalues(H).eigenvalues
+        got = hessenberg_eigenvalues(H)
         ref = sort_key(np.linalg.eigvals(H))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.linalg.norm(H)
 
@@ -110,15 +110,15 @@ class TestHessenbergEigenvalues:
         n = int(rng.integers(3, 15))
         H = random_hessenberg(rng, n)
         D = np.diag(np.exp(2j * np.pi * rng.uniform(size=n)))
-        got = hessenberg_eigenvalues(D.conj().T @ H @ D).eigenvalues
-        ref = hessenberg_eigenvalues(H).eigenvalues
+        got = hessenberg_eigenvalues(D.conj().T @ H @ D)
+        ref = hessenberg_eigenvalues(H)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.linalg.norm(H), 1.0)
 
     @pytest.mark.parametrize("n", [2, 5, 12, 30])
     def test_trace_and_determinant(self, n):
         rng = np.random.default_rng(77 + n)
         H = random_hessenberg(rng, n)
-        vals = hessenberg_eigenvalues(H).eigenvalues
+        vals = hessenberg_eigenvalues(H)
         assert np.sum(vals) == pytest.approx(np.trace(H), rel=1e-11)
         assert np.prod(vals) == pytest.approx(np.linalg.det(H), rel=1e-9)
 
@@ -127,7 +127,7 @@ class TestHessenbergEigenvalues:
         rule = golub_welsch(legendre_jacobi(10))
         Z, w = build_same_measure(rule, [1.0])
         H = solve_hessenberg(Z, w, Z.m, method="arnoldi")
-        got = hessenberg_eigenvalues(H).eigenvalues
+        got = hessenberg_eigenvalues(H)
         assert np.max(np.abs(got - rule.nodes)) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -135,7 +135,7 @@ class TestHessenbergEigenvalues:
         rng = np.random.default_rng(n * 11)
         H = random_hessenberg(rng, n)
         scale = np.linalg.norm(H) ** n
-        for lam in hessenberg_eigenvalues(H).eigenvalues:
+        for lam in hessenberg_eigenvalues(H):
             assert abs(char_poly_at(H, lam)) <= 1e-9 * scale
 
 
@@ -155,16 +155,16 @@ class TestArithmetic:
 
     def test_real_h_is_bitwise_real_lapack(self, section):
         assert section.dtype == np.float64
-        got = hessenberg_eigenvalues(section).eigenvalues
+        got = hessenberg_eigenvalues(section)
         assert np.array_equal(got, self.lapack(section))
         assert not got.imag.any()
 
     def test_complex_typed_h_takes_the_complex_path(self, section):
         H = section.astype(complex)
-        got = hessenberg_eigenvalues(H).eigenvalues
+        got = hessenberg_eigenvalues(H)
         assert np.array_equal(got, self.lapack(H))
         assert got.imag.any()
-        assert np.max(np.abs(got - hessenberg_eigenvalues(section).eigenvalues)) <= 1e-12
+        assert np.max(np.abs(got - hessenberg_eigenvalues(section))) <= 1e-12
 
 
 class TestSmallestRoot:
@@ -193,6 +193,13 @@ class TestSmallestRoot:
             smallest_root(H, 0)
         with pytest.raises(ValueError):
             smallest_root(H, 4)
+
+    @pytest.mark.parametrize("H", [np.float64(1.0), np.ones(3)], ids=["0-d", "1-d"])
+    def test_rejects_non_matrix_like_smallest_roots(self, H):
+        with pytest.raises(ValueError, match="leading dimension k=1 must lie in"):
+            smallest_root(H, 1)
+        with pytest.raises(ValueError, match="leading dimension k_max=1 must lie in"):
+            smallest_roots(H, 1)
 
 
 class TestSmallestRoots:

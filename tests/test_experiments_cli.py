@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 from collections import Counter
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from sobolev.experiments import (
     cmd_laguerre_roots,
     cmd_least_squares,
     cmd_penta,
+    least_squares_figure,
     random_spectral_data,
     report_to_csv,
     report_to_json,
@@ -55,6 +57,15 @@ class TestParseDegrees:
     def test_rejects_malformed(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_degrees(text)
+
+    @pytest.mark.parametrize("text", ["a:b", "1:x", "1:5:two"])
+    def test_bad_range_is_named_in_the_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["least-squares", "--degrees", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad degree range {text!r}" in err
+        assert "_parse_degrees" not in err
 
 
 class TestReportSerialization:
@@ -287,6 +298,64 @@ class TestCmdLeastSquares:
         assert captured.out == ""
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+LEGEND = ["value err, gamma=0", "value err, gamma=0.01", "deriv err, gamma=0", "deriv err, gamma=0.01"]
+
+
+class TestLeastSquaresFigure:
+    """The error curves that ``least-squares --out`` writes next to its report."""
+
+    @staticmethod
+    def _figure(plain_value, sobolev_value, plain_deriv, sobolev_deriv):
+        columns = {
+            "value_error_plain": plain_value,
+            "value_error_sobolev": sobolev_value,
+            "deriv_error_plain": plain_deriv,
+            "deriv_error_sobolev": sobolev_deriv,
+        }
+        rows = [
+            {"degree": d, **{key: vals[i] for key, vals in columns.items()}}
+            for i, d in enumerate([1, 11, 21, 31])
+        ]
+        svg = least_squares_figure(ExperimentReport("least-squares", {"gamma": 0.01}, rows))
+        root = ElementTree.fromstring(svg)
+        # legend swatches, in series order, carry each series' colour
+        colors = [e.get("stroke") for e in root.iter(f"{SVG}line") if e.get("stroke-width") == "1.6"]
+        lines = [[e.get("points").split() for e in root.iter(f"{SVG}polyline") if e.get("stroke") == c]
+                 for c in colors]
+        texts = [e.text for e in root.iter(f"{SVG}text")]
+        return colors, lines, texts
+
+    def test_one_line_and_one_legend_entry_per_series(self):
+        decay = [1e-2, 1e-4, 1e-6, 1e-8]
+        colors, lines, texts = self._figure(decay, decay, decay, decay)
+        assert len(set(colors)) == 4
+        assert [[len(points) for points in group] for group in lines] == [[4]] * 4
+        assert [texts.count(name) for name in LEGEND] == [1] * 4
+
+    def test_decade_tick_labels(self):
+        colors, _, texts = self._figure([1e-2] * 4, [3e-9] * 4, [1e-5] * 4, [0.5] * 4)
+        ticks = [t for t in texts if re.fullmatch(r"1e-?\d+", t)]
+        # log10 of the data spans -8.52 .. -0.30, padded by 0.41 on each side
+        assert ticks == [f"1e{k}" for k in range(-8, 1)]
+
+    def test_zero_or_non_finite_error_breaks_the_line(self):
+        colors, lines, texts = self._figure(
+            [1e-2, 0.0, 1e-6, 1e-8],
+            [1e-2, 1e-4, np.nan, 1e-8],
+            [np.inf, 1e-4, 1e-6, 1e-8],
+            [1e-2, -np.inf, 0.0, 1e-8],
+        )
+        assert [[len(points) for points in group] for group in lines] == [[1, 2], [2, 1], [3], [1, 1]]
+        assert [texts.count(name) for name in LEGEND] == [1] * 4
+
+    def test_no_positive_finite_error_draws_axes_only(self):
+        colors, lines, texts = self._figure([0.0] * 4, [np.nan] * 4, [0.0] * 4, [np.inf] * 4)
+        assert lines == [[]] * 4
+        assert [texts.count(name) for name in LEGEND] == [1] * 4
+        assert [t for t in texts if re.fullmatch(r"1e-?\d+", t)] == ["1e0", "1e1"]
+
+
 class TestCmdPenta:
     def test_default_run(self):
         report, data = cmd_penta()
@@ -463,13 +532,59 @@ class TestCli:
         svg = (tmp_path / "errors.svg").read_text()
         assert svg.lstrip().startswith("<svg")
         assert out.exists()
+        # the report first, then its figure, each with its own line
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out}", f"wrote {tmp_path / 'errors.svg'}"]
+
+    @pytest.mark.parametrize("name", ["r.svg", "./r.svg"])
+    def test_out_that_is_the_figure_path_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        def must_not_run(**kwargs):
+            pytest.fail("cmd_least_squares ran although its figure would overwrite --out")
+
+        monkeypatch.setattr(sobolev.cli, "cmd_least_squares", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["least-squares", "--out", name])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sobolev least-squares")
+        assert "path of the figure" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_directory_is_a_usage_error_and_writes_no_figure(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["least-squares", "--m", "15", "--degrees", "1:13:6", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {out}" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags", [["--solver", "arnoldi"], ["--dump-spectral", "--out", "x.csv"]]
+    )
+    def test_compare_solvers_takes_no_flag_it_would_ignore(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-solvers", "--count", "1", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
         [["penta"], ["least-squares", "--m", "15", "--degrees", "1:13:6"]],
     )
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
-        # least-squares fails on its SVG, written inside the driver
         out = tmp_path / "missing" / "x.csv"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out)])
@@ -605,6 +720,21 @@ DISPATCH = [
 ]
 
 
+# one row with the columns the least-squares figure plots
+FAKE_REPORT = ExperimentReport(
+    experiment="fake",
+    config={"gamma": 0.5},
+    rows=[{"degree": 1, **dict.fromkeys(
+        ["value_error_plain", "deriv_error_plain", "value_error_sobolev", "deriv_error_sobolev"], 0.1
+    )}],
+)
+
+
+def solver_option(command, name="update-rot"):
+    """The --solver value a driver receives; compare-solvers takes none."""
+    return {} if command == "compare-solvers" else {"solver": name}
+
+
 @pytest.mark.parametrize("command, driver, flag, param, value", DISPATCH)
 class TestCliDispatch:
     @staticmethod
@@ -613,7 +743,7 @@ class TestCliDispatch:
 
         def fake(**kwargs):
             calls.append(kwargs)
-            return ExperimentReport(experiment="fake", config={}, rows=[]), None
+            return FAKE_REPORT, None
 
         monkeypatch.setattr(sobolev.cli, driver, fake)
         return calls
@@ -623,24 +753,27 @@ class TestCliDispatch:
     ):
         calls = self._record_calls(monkeypatch, driver)
         assert main([command]) == 0
-        assert calls == [{"solver": "update-rot", "trace": None}]
+        assert calls == [{**solver_option(command), "trace": None}]
 
     def test_flag_arrives_under_parameter_name(
         self, monkeypatch, capsys, command, driver, flag, param, value
     ):
         calls = self._record_calls(monkeypatch, driver)
-        assert main([command, *flag, "--solver", "arnoldi"]) == 0
-        assert calls == [{"solver": "arnoldi", "trace": None, param: value}]
+        solver = [] if command == "compare-solvers" else ["--solver", "arnoldi"]
+        assert main([command, *flag, *solver]) == 0
+        assert calls == [{**solver_option(command, "arnoldi"), "trace": None, param: value}]
 
     def test_out_adds_svg_path_for_least_squares_only(
         self, monkeypatch, capsys, tmp_path, command, driver, flag, param, value
     ):
+        # the driver gets no path; main writes the figure next to --out
         calls = self._record_calls(monkeypatch, driver)
-        assert main([command, "--out", str(tmp_path / "r.csv")]) == 0
-        expected = {"solver": "update-rot", "trace": None}
-        if command == "least-squares":
-            expected["svg_path"] = tmp_path / "r.svg"
-        assert calls == [expected]
+        out = tmp_path / "r.csv"
+        assert main([command, "--out", str(out)]) == 0
+        assert calls == [{**solver_option(command), "trace": None}]
+        written = [out, tmp_path / "r.svg"] if command == "least-squares" else [out]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in written]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
 
     def test_every_flag_names_a_driver_parameter(
         self, command, driver, flag, param, value

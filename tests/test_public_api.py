@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sobolev
-from sobolev import sop, spectral
+from sobolev import eigen, sop, spectral
 
 # direct oracles that only the tests use; they live in tests/oracles.py
 ORACLES = [
@@ -32,6 +32,13 @@ def test_every_exported_name_resolves():
 def test_oracles_are_not_in_the_package(module):
     assert [name for name in ORACLES if hasattr(module, name)] == []
     assert not set(ORACLES) & set(module.__all__)
+
+
+@pytest.mark.parametrize("module", [sobolev, eigen], ids=lambda m: m.__name__)
+def test_spectrum_wrapper_is_gone(module):
+    # hessenberg_eigenvalues returns the sorted eigenvalues as an ndarray
+    assert not hasattr(module, "Spectrum")
+    assert "Spectrum" not in module.__all__
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -496,7 +496,7 @@ class TestRootConsistency:
         H = solve_hessenberg(Z, w, 11)
         w_norm = w.norm()
         for k in range(2, 11):
-            roots = hessenberg_eigenvalues(H[:k, :k]).eigenvalues
+            roots = hessenberg_eigenvalues(H[:k, :k])
             assert np.max(np.abs(roots.imag)) <= 1e-8
             roots = np.sort(roots.real)
 
