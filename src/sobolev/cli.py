@@ -8,9 +8,11 @@ least-squares error curves (.svg) and, with --dump-spectral, the solved
 spectral data (.spectral.json).  --trace streams per-step solver,
 eigensolver and basis-evaluation events as JSON lines on stderr.
 
-Invalid arguments, and an output file that cannot be written, end in the
-subcommand's usage error (exit code 2); a missing --out directory, and
-an --out that the figure would overwrite, are found before the run.  A
+Invalid arguments, a flag the subcommand does not take, and an output
+file that cannot be written end in the subcommand's usage error (exit
+code 2).  Every output path is checked before the run: a missing
+directory, a directory or an unwritable file in the way, and an --out
+that the figure would overwrite, fail at once, not after the run.  A
 solver that fails its numerical contract ends in exit code 3, with its
 message and its diagnostic fields as one JSON object on stderr.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +164,18 @@ def _stderr_trace(record: dict):
     print(json.dumps(record), file=sys.stderr)
 
 
+def _unwritable(path: Path) -> str | None:
+    """Why path cannot be written, when that shows before writing: a
+    missing directory, a directory at the path, or no write permission."""
+    if not path.parent.is_dir():
+        return f"no such directory {path.parent}"
+    if path.is_dir():
+        return "it is a directory"
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _write(path: Path, text: str, error) -> None:
     """Write text to path and say so; an unwritable path is a usage error."""
     try:
@@ -172,22 +187,34 @@ def _write(path: Path, text: str, error) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    options = vars(parser.parse_args(argv))
+    namespace, extra = parser.parse_known_args(argv)
+    options = vars(namespace)
     command, run, error = options.pop("command"), options.pop("run"), options.pop("error")
+    if extra:
+        # flags the subcommand does not take: report them with its own usage
+        error(f"unrecognized arguments: {' '.join(extra)}")
     out, fmt = options.pop("out"), options.pop("fmt")
     dump_spectral = options.pop("dump_spectral", False)
     options["trace"] = _stderr_trace if options["trace"] else None
 
     if dump_spectral and out is None:
         error("--dump-spectral requires --out")
-    if out is not None and not out.parent.is_dir():
-        # fail before the run, not after it; a write can still fail later
-        error(f"cannot write {out}: no such directory {out.parent}")
-    figure = None
+    # every output path is checked before the run, so that none is left
+    # behind by a run whose later write is bound to fail
+    paths = [] if out is None else [out]
+    figure = spectral = None
     if command == "least-squares" and out is not None:
         figure = out.with_name(out.stem + ".svg")
         if figure == out:
             error(f"--out {out} is the path of the figure; give the report another suffix")
+        paths.append(figure)
+    if dump_spectral:
+        spectral = out.with_name(out.stem + ".spectral.json")
+        paths.append(spectral)
+    for path in paths:
+        reason = _unwritable(path)
+        if reason is not None:
+            error(f"cannot write {path}: {reason}")
 
     try:
         report, data = run(**options)
@@ -205,9 +232,8 @@ def main(argv=None) -> int:
     _write(out, text, error)
     if figure is not None:
         _write(figure, least_squares_figure(report), error)
-    if dump_spectral:
-        path = out.with_name(out.stem + ".spectral.json")
-        _write(path, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
+    if spectral is not None:
+        _write(spectral, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
     return 0
 
 

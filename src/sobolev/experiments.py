@@ -19,7 +19,7 @@ import numpy as np
 from .eigen import hessenberg_eigenvalues, smallest_roots
 from .hiep import DEFAULT_SOLVER, arnoldi, solve_hessenberg
 from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import _prefix_errors, evaluate, hermite_least_squares, pentadiagonal_recurrence
+from .sop import _fit_and_grid, _prefix_errors, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
@@ -234,22 +234,20 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None
     suffixed by ``family``.
 
     The coefficients do not depend on the fit degree, so the degree-d fit
-    is a prefix of the top-degree fit: one fit and one basis evaluation
-    on the grid serve every degree.  The approximants are running sums
-    over the degrees (:func:`sop._prefix_errors`, the sums that
-    :func:`hermite_least_squares` measures its own errors with), read off
-    at each requested degree, so every row has the bits of a separate
-    fit of its degree.
+    is a prefix of the top-degree fit, and one basis evaluation on the
+    nodes and the grid together serves every degree.  The fit and the
+    running sums over the degrees are those of :func:`hermite_least_squares`
+    (:func:`sop._fit_and_grid`, :func:`sop._prefix_errors`), read off at
+    each requested degree, so every row has the bits of a separate fit of
+    its degree.
     """
-    top = max(degrees)
-    fit = hermite_least_squares(
-        H, w_norm, rule.nodes, rule.weights, _gauss_bump(rule.nodes),
-        _gauss_bump_prime(rule.nodes), gamma, top, trace=trace,
-    )
     grid = np.linspace(-1.0, 1.0, grid_points)
-    on_grid = evaluate(H, w_norm, grid, top, trace=trace)
-    value = _prefix_errors(fit.coefficients, on_grid.values, _gauss_bump(grid), degrees)
-    deriv = _prefix_errors(fit.coefficients, on_grid.derivs, _gauss_bump_prime(grid), degrees)
+    coeff, values, derivs = _fit_and_grid(
+        H, w_norm, rule.nodes, rule.weights, _gauss_bump(rule.nodes),
+        _gauss_bump_prime(rule.nodes), gamma, max(degrees), grid, trace,
+    )
+    value = _prefix_errors(coeff, values, _gauss_bump(grid), degrees)
+    deriv = _prefix_errors(coeff, derivs, _gauss_bump_prime(grid), degrees)
     return [
         {f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)
     ]
@@ -270,7 +268,7 @@ def cmd_least_squares(
     value-only basis ends at degree m-1 (the m-point discrete product
     cannot separate higher degrees), so such degrees are clamped and the
     clamp recorded per row.  ``trace`` goes to both solves and to the
-    four basis evaluations.
+    two basis evaluations, one per family.
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")

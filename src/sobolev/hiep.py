@@ -99,6 +99,13 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     It runs in the dtype of Z's bands and w combined (float64 for real
     data), which H, Q and ``q_next`` keep.
 
+    The basis is kept as Q^T, one contiguous row per vector, so both
+    Gram-Schmidt passes read whole rows, and they update the new vector
+    in place.  The closing orthogonality check forms Q^H Q as one Gram
+    product of that array with its own transpose, which numpy runs as a
+    symmetric rank-k update for real data.  ``Q`` and ``H`` are returned
+    C-contiguous.
+
     Parameters
     ----------
     Z, w : spectral data of the discretized product.
@@ -112,23 +119,25 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     wd = w.dense(Z).astype(dtype, copy=False)
     wnorm = _norm(wd)
 
-    Q = np.zeros((m, k), dtype=dtype)
-    Hext = np.zeros((k + 1, k), dtype=dtype)
-    Q[:, 0] = wd / wnorm
+    # row j of QT is column j of Q, row j of HT column j of the (k+1) x k H
+    QT = np.zeros((k, m), dtype=dtype)
+    HT = np.zeros((k, k + 1), dtype=dtype)
+    work = np.empty(m, dtype=dtype)
+    QT[0] = wd / wnorm
     ncols = k
     h_next = 0.0
     q_next = None
     for col in range(k):
-        v = jordan_matvec(Z, Q[:, col])
+        v = jordan_matvec(Z, QT[col])
         tol = 1e-13 * _norm(v)
-        basis = Q[:, : col + 1]
-        adjoint = basis.conj().T
+        basis = QT[: col + 1]
+        adjoint = basis.conj()
         h = adjoint @ v
-        v = v - basis @ h
+        v -= np.matmul(h, basis, out=work)
         correction = adjoint @ v
-        v = v - basis @ correction
+        v -= np.matmul(correction, basis, out=work)
         h += correction
-        Hext[: col + 1, col] = h
+        HT[col, : col + 1] = h
         hn = _norm(v)
         if trace is not None:
             trace(
@@ -144,22 +153,25 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             h_next = hn
             q_next = None
             break
-        Hext[col + 1, col] = hn
+        HT[col, col + 1] = hn
         if col + 1 < k:
-            Q[:, col + 1] = v / hn
+            np.divide(v, hn, out=QT[col + 1])
         else:
             h_next = hn
             q_next = v / hn
 
-    Q = np.ascontiguousarray(Q[:, :ncols])
-    H = np.ascontiguousarray(Hext[:ncols, :ncols])
-    ortho = float(np.linalg.norm(Q.conj().T @ Q - np.eye(ncols)))
+    QT = QT[:ncols]
+    gram = QT.conj() @ QT.T
+    gram[np.diag_indices(ncols)] -= 1.0
+    ortho = float(np.linalg.norm(gram))
     if ortho > 1e-8:
         raise NumericalFailure(
             "orthogonality lost beyond recovery despite reorthogonalization",
             orthogonality=ortho,
             columns=ncols,
         )
+    Q = np.ascontiguousarray(QT.T)
+    H = np.ascontiguousarray(HT[:ncols, :ncols].T)
     return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
 
 

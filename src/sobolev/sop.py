@@ -46,18 +46,30 @@ class SopEvaluation:
     derivs: np.ndarray
 
 
-# degrees per block of the basis recurrence in :func:`evaluate`
+# degrees per block of the basis recurrence in :func:`evaluate`, the rows
+# of a block's coupling product padded to a multiple of _ROWS, and the
+# point count padded to a multiple of _POINTS
 _BLOCK = 32
+_ROWS = 8
+_POINTS = 16
 
 
-def _subdiagonal(H: np.ndarray, j: int) -> float:
-    h = H[j, j - 1]
-    if not h.real > 0 or abs(h.imag) > 1e-12 * max(h.real, 1.0):
+def _round_up(n: int, step: int) -> int:
+    return -(-n // step) * step
+
+
+def _subdiagonal(H: np.ndarray) -> np.ndarray:
+    """The subdiagonal h_{j+1,j}, j = 1..k, of the (k+1) x (k+1) section H as
+    float64, after checking that every entry is real positive."""
+    sub = np.diagonal(H, -1)
+    bad = ~(sub.real > 0) | (np.abs(sub.imag) > 1e-12 * np.maximum(sub.real, 1.0))
+    if bad.any():
+        j = int(np.argmax(bad)) + 1
         raise ValueError(
             f"subdiagonal entry ({j + 1},{j}) must be real positive; "
             f"the polynomial sequence ends before degree {j}"
         )
-    return float(h.real)
+    return sub.real
 
 
 def _section(H, w_norm: float, k: int) -> np.ndarray:
@@ -90,10 +102,15 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     row j, so each step of the recurrence updates both with the same
     coefficients.  Degrees go in blocks of 32: one matrix product per
     block adds the terms of every lower degree, and only the terms within
-    the block are added degree by degree; zero rows pad the last block to
-    32, so no degree's rounding depends on k.  A real H with real points
-    runs in float64.  ``values`` and ``derivs`` of the result are views
-    of that one array.
+    the block are added degree by degree.  Zero rows pad each block's
+    product to a multiple of 8 rows, and zero points pad the points to a
+    multiple of 16, so that every BLAS call runs on whole kernel tiles.
+    That makes two invariants hold bitwise: no degree's rounding depends
+    on k, so a lower degree is a prefix of a higher one, and no point's
+    (p_j, p_j') depends on the other points in the call, so one call on
+    several point sets equals one call per set.  A real H with real
+    points runs in float64.  ``values`` and ``derivs`` of the result are
+    views of that one array.
 
     Parameters
     ----------
@@ -103,8 +120,8 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     x : finite evaluation point(s), real or complex.
     k : highest degree to evaluate, k <= dim(H) - 1.
     trace : optional callable receiving one dict per call with ``k``,
-        the number of ``points``, whether the ``real`` path ran, and the
-        wall time ``seconds``.
+        the number of ``points`` given, whether the ``real`` path ran,
+        and the wall time ``seconds``.
     """
     start = time.perf_counter()
     H = _section(H, w_norm, k)
@@ -113,8 +130,10 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
         raise ValueError("evaluation points must be finite")
     dtype = np.result_type(H, x, float)
     H = H.astype(dtype, copy=False)
-    sub = [_subdiagonal(H, j) for j in range(1, k + 1)]
-    points = x.reshape(-1).astype(dtype, copy=False)
+    sub = _subdiagonal(H)
+    size = x.size
+    points = np.zeros(_round_up(size, _POINTS), dtype=dtype)
+    points[:size] = x.reshape(-1)
 
     # basis[j] = (p_j, p_j'); flat[j] is the same row as one vector
     basis = np.empty((k + 1, 2, points.size), dtype=dtype)
@@ -124,7 +143,7 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     for j0 in range(1, k + 1, _BLOCK):
         j1 = min(j0 + _BLOCK, k + 1)
         # row j - j0: sum over i < j0 of h_{i,j-1} (p_i, p_i'), for j in the block
-        coupling = np.zeros((_BLOCK, j0), dtype=dtype)
+        coupling = np.zeros((_round_up(j1 - j0, _ROWS), j0), dtype=dtype)
         coupling[: j1 - j0] = H[:j0, j0 - 1 : j1 - 1].T
         proj = coupling @ flat[:j0]
         for j in range(j0, j1):
@@ -135,9 +154,9 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
             cur -= proj[j - j0].reshape(2, -1)
             cur /= sub[j - 1]
     if trace is not None:
-        trace({"event": "evaluate", "k": k, "points": points.size, "real": dtype == float,
+        trace({"event": "evaluate", "k": k, "points": size, "real": dtype == float,
                "seconds": time.perf_counter() - start})
-    basis = basis.reshape((k + 1, 2) + x.shape)
+    basis = basis[:, :, :size].reshape((k + 1, 2) + x.shape)
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
@@ -148,15 +167,42 @@ def _prefix_errors(coeff, rows, exact, degrees) -> list[float]:
     The sum runs degree by degree in order with one add per degree, so
     S_d has the same bits whichever degrees are asked for: a fit's error
     at its own degree equals the one read off a higher fit's prefix.
+    Each term and each misfit is formed in a buffer of its own, allocated
+    once for all degrees.
     """
     wanted = set(degrees)
+    exact = np.asarray(exact)
     total = np.zeros(rows.shape[1:], dtype=np.result_type(coeff, rows))
+    term = np.empty_like(total)
+    misfit = np.empty(total.shape, dtype=np.result_type(total, exact))
+    distance = np.empty(total.shape)
     errors = {}
     for i in range(max(degrees) + 1):
-        total += coeff[i] * rows[i]
+        total += np.multiply(coeff[i], rows[i], out=term)
         if i in wanted:
-            errors[i] = float(np.max(np.abs(total - exact)))
+            np.subtract(total, exact, out=misfit)
+            errors[i] = float(np.max(np.abs(misfit, out=distance)))
     return [errors[d] for d in degrees]
+
+
+def _fit_and_grid(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, n, grid,
+                  trace=None):
+    """The coefficients c_0..c_n of the Hermite least-squares fit, and the
+    values and derivatives of p_0..p_n on ``grid``, from one
+    :func:`evaluate` call on the nodes followed by the grid points.
+
+    Since no point's basis depends on the other points of the call, the
+    coefficients are bitwise those from the nodes alone, whatever the grid
+    (which may be empty).  Each c_j sums its own row, so a lower-degree
+    fit is bitwise a prefix.
+    """
+    size = nodes.size
+    basis = evaluate(H, w_norm, np.concatenate((nodes, grid)), n, trace=trace)
+    values, derivs = basis.values[:, :size], basis.derivs[:, :size]
+    coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
+    if gamma > 0:
+        coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
+    return coeff, basis.values[:, size:], basis.derivs[:, size:]
 
 
 @dataclass(frozen=True)
@@ -204,7 +250,9 @@ def hermite_least_squares(
     that is given (a callable) has its error measured in the max norm on
     a uniform grid of ``grid_points`` >= 1 points over [-1, 1], by the
     running sum over degrees that :func:`_prefix_errors` shares with the
-    experiment drivers.  ``trace`` goes to :func:`evaluate`.
+    experiment drivers.  The basis is evaluated once, on the nodes and
+    that grid together, and the coefficients are bitwise the same whether
+    or not errors are asked for.  ``trace`` goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -226,19 +274,18 @@ def hermite_least_squares(
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
 
-    basis = evaluate(H, w_norm, nodes, n, trace=trace)
-    coeff = (basis.values.conj() * (node_weights * f_values)).sum(axis=1)
-    if gamma > 0:
-        coeff += gamma * (basis.derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
-
-    value_error = deriv_error = None
-    if f_exact is not None or fprime_exact is not None:
+    if f_exact is None and fprime_exact is None:
+        grid = np.empty(0)
+    else:
         grid = np.linspace(-1.0, 1.0, grid_points)
-        on_grid = evaluate(H, w_norm, grid, n, trace=trace)
-        if f_exact is not None:
-            (value_error,) = _prefix_errors(coeff, on_grid.values, f_exact(grid), [n])
-        if fprime_exact is not None:
-            (deriv_error,) = _prefix_errors(coeff, on_grid.derivs, fprime_exact(grid), [n])
+    coeff, values, derivs = _fit_and_grid(
+        H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, n, grid, trace
+    )
+    value_error = deriv_error = None
+    if f_exact is not None:
+        (value_error,) = _prefix_errors(coeff, values, f_exact(grid), [n])
+    if fprime_exact is not None:
+        (deriv_error,) = _prefix_errors(coeff, derivs, fprime_exact(grid), [n])
     return LsqFit(
         coefficients=coeff, degree=n, value_error=value_error, deriv_error=deriv_error
     )

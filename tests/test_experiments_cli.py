@@ -260,12 +260,11 @@ class TestCmdLeastSquares:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        # hermite_least_squares evaluates the basis on the nodes through sop
+        # each family fits and measures on one basis, evaluated through sop
+        # on the nodes and the grid together
         counted(sobolev.sop, "evaluate")
-        counted(sobolev.experiments, "evaluate")
-        counted(sobolev.experiments, "hermite_least_squares")
         cmd_least_squares(m=15, degrees=degrees, grid_points=101)
-        assert calls == {"evaluate": 4, "hermite_least_squares": 2}
+        assert calls == {"evaluate": 2}
 
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
@@ -500,14 +499,14 @@ class TestCli:
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
-        # per family one basis on the nodes and one on the 2001-point grid;
+        # per family one basis on the 15 nodes and the 2001-point grid together;
         # the Arnoldi H of real spectral data is float64, so every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
-        assert evaluations == [(13, 15, True), (13, 2001, True)] * 2
+        assert evaluations == [(13, 15 + 2001, True)] * 2
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -564,6 +563,47 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["least-squares", "--m", "15", "--degrees", "1:13:6"], "r.svg"),
+            (["penta", "--m", "4", "--dump-spectral"], "r.spectral.json"),
+        ],
+    )
+    def test_unwritable_companion_file_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, argv, blocked
+    ):
+        # a directory where the figure or the spectral dump goes used to
+        # surface after the run, with the report already written
+        driver = {"least-squares": "cmd_least_squares", "penta": "cmd_penta"}[argv[0]]
+
+        def must_not_run(**kwargs):
+            pytest.fail(f"{driver} ran although {blocked} cannot be written")
+
+        monkeypatch.setattr(sobolev.cli, driver, must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "r.csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {argv[0]}")
+        assert f"cannot write {blocked}: it is a directory" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize(
+        "argv", [["compare-solvers", "--solver", "arnoldi"], ["penta", "--bogus"]]
+    )
+    def test_unknown_flag_gets_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {argv[0]}")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags", [["--solver", "arnoldi"], ["--dump-spectral", "--out", "x.csv"]]

@@ -547,6 +547,19 @@ class TestLongDoubleReference:
         H = solve_hessenberg(Z, w, 202, method=method)
         assert np.linalg.norm(H - reference) <= 1e-13 * np.linalg.norm(reference)
 
+    @pytest.mark.parametrize("product, gammas, k", [
+        ("sobolev", [1.0, 0.01], 202), ("plain", [1.0], 201),
+    ])
+    def test_arnoldi_at_roundoff(self, legendre_references, product, gammas, k):
+        # measured: relative error 3.7e-16 (sobolev) and 3.1e-16 (plain),
+        # ||Q^T Q - I|| 8.2e-15 and 7.7e-15; the updating solvers' 1e-13
+        # above would not see a hundredfold loss here
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(201)), gammas)
+        reference = legendre_references[product][:k, :k].astype(float)
+        res = arnoldi(Z, w, k)
+        assert np.linalg.norm(res.H - reference) <= 1e-15 * np.linalg.norm(reference)
+        assert np.linalg.norm(res.Q.T @ res.Q - np.eye(k)) <= 5e-14
+
 
 class TestBreakdownIndex:
     def test_breakdown_exactly_at_full_dimension(self):
