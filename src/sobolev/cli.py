@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=SOLVER_NAMES,
         default=DEFAULT_SOLVER,
-        help=f"inverse-problem solver (default: {DEFAULT_SOLVER})",
+        help=f"inverse-problem solver (default: {DEFAULT_SOLVER}); update-hh can print wrong "
+        "results with exit 0, e.g. laguerre-roots --gamma 1e300 (see README)",
     )
     solving.add_argument(
         "--dump-spectral",

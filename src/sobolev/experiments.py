@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .eigen import hessenberg_eigenvalues, smallest_roots
+from .errors import NumericalFailure
 from .hiep import DEFAULT_SOLVER, arnoldi, solve_hessenberg
 from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
 from .sop import _fit_and_grid, _prefix_errors, pentadiagonal_recurrence
@@ -138,8 +139,8 @@ def cmd_laguerre_roots(
     """Smallest roots of p_k, k = 1..k_max, for the product
     integral (p conj(q) + gamma p' conj(q')) x^alpha e^{-x} dx discretized
     by an n_quad-point Gauss-Laguerre rule."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma={gamma} must be positive and finite")
     if k_max < 1:
         raise ValueError(f"k_max={k_max} must be at least 1")
     if n_quad < 1:
@@ -180,8 +181,8 @@ def cmd_althammer_roots(
     """All roots of the degree-n polynomial for the Legendre-plus-derivative
     product, with qualitative checks: roots should be simple, real, inside
     [-1, 1]."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma={gamma} must be positive and finite")
     if n < 1:
         raise ValueError(f"degree n={n} must be at least 1")
     if n_quad < 1:
@@ -281,8 +282,8 @@ def cmd_least_squares(
         raise ValueError("degrees must be positive")
     if max(degrees) > 2 * m - 1:
         raise ValueError(f"degrees above 2m-1 = {2 * m - 1} are not resolvable")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive (the gamma=0 fit is always run)")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma={gamma} must be positive and finite (the gamma=0 fit is always run)")
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
     start = time.perf_counter()
@@ -349,7 +350,8 @@ def cmd_penta(
     trace=None,
 ):
     """Banded matrix of the five-term recurrence for the Laguerre product
-    with point masses M, N at c, from an (m+1)-point rule shifted by c."""
+    with point masses M, N at c, from an (m+1)-point rule shifted by c.
+    A failed cross-check keeps the matrix: see ``cross_solver_failure``."""
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
     start = time.perf_counter()
@@ -358,11 +360,15 @@ def cmd_penta(
     Zs = Z.shift(c)
     B = pentadiagonal_recurrence(Zs, w, m, solver=solver, trace=trace)
     bnorm = float(np.linalg.norm(B))
-    offband = max(
-        np.abs(np.triu(B, 3)).max(initial=0.0), np.abs(np.tril(B, -3)).max(initial=0.0)
-    )
+    def relative(size):
+        return float(size) / bnorm if bnorm else 0.0
+    offband = max(np.abs(np.triu(B, 3)).max(initial=0.0), np.abs(np.tril(B, -3)).max(initial=0.0))
     reference = "arnoldi" if solver != "arnoldi" else "update-rot"
-    B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
+    try:
+        B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
+        cross = {"cross_solver_rel": relative(np.linalg.norm(B - B_ref))}
+    except NumericalFailure as exc:
+        cross = {"cross_solver_failure": {"error": str(exc), **exc.details}}
     rows = [
         {"i": i + 1, "j": j + 1, "re": B[i, j].real, "im": B[i, j].imag}
         for i in range(m)
@@ -373,14 +379,10 @@ def cmd_penta(
         config={"m": m, "alpha": alpha, "c": c, "M": M, "N": N, "solver": solver},
         rows=rows,
         diagnostics={
-            "offband_rel": offband / bnorm if bnorm else 0.0,
-            "hermitian_rel": float(np.linalg.norm(B - B.conj().T)) / bnorm
-            if bnorm
-            else 0.0,
-            "cross_solver_rel": float(np.linalg.norm(B - B_ref)) / bnorm
-            if bnorm
-            else 0.0,
+            "offband_rel": relative(offband),
+            "hermitian_rel": relative(np.linalg.norm(B - B.conj().T)),
             "cross_solver": reference,
+            **cross,
         },
         wall_time=time.perf_counter() - start,
     )

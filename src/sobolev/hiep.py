@@ -27,14 +27,13 @@ rounded to multiples of 16 so that every BLAS call rounds as the product
 over all of H would.  The products on columns (H[:, win] K^H, Q[:, win]
 K^H and the injection on columns) run as row products on the transposed
 workspace, conj(K) H^T[win, :]; real H and Q are bitwise those of the
-column products, complex ones differ in the last bits.  The index work
-of a schedule is done once and kept for the next updating solve with the
-same block layout and k.  Both compute in the dtype of Z's bands
-and w combined, float64 for real data and complex128 otherwise, and
-return H and Q in that dtype.  :func:`solve_hessenberg`
-needs only the leading k x k section of H, so with the updating solvers it
-skips the accumulation of Q and stops every merge after column k-2, which
-leaves that section bitwise unchanged.
+column products, complex ones differ in the last bits.  Each solve
+builds its own schedule of windows and groups and keeps none.  Both
+compute in the dtype of Z's bands and w combined, float64 for real data
+and complex128 otherwise, and return H and Q in that dtype.
+:func:`solve_hessenberg` needs only the leading k x k section of H, so
+with the updating solvers it skips the accumulation of Q and stops every
+merge after column k-2, which leaves that section bitwise unchanged.
 
 Complex H is bitwise reproducible only under the same numpy SIMD
 dispatch: numpy's vectorized complex loops (``np.abs``, products,
@@ -285,98 +284,93 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     row runs of its right product (see update_solve).
 
     Merge j restores column c at step t = j - 1 + c, for c = 0 ..
-    min(d_j - 3, k - 2).  The steps run to the last restore, and at least
-    to the last merge's injection at step len(ends) - 2.  Groups and
-    envelopes are cut from the full schedule (k = m), so a leading solve
-    keeps of each group the part it restores, in the full solve's slices.
+    min(d_j - 3, k - 2), so step t holds the merges j <= t + 1 with
+    j + d_j >= t + 4: one range of j, generated in step order with no
+    sort.  The steps run to the last restore, and at least to the last
+    merge's injection at step len(ends) - 2.  Groups and envelopes are
+    cut from the full schedule (k = m), so a leading solve keeps of each
+    group the part it restores, in the full solve's slices.
     """
-    count = ends[1:] - 2
-    j = np.repeat(np.arange(1, len(ends)), count)
-    c = np.arange(j.size) - np.repeat(count.cumsum() - count, count)
-    order = (j + c).argsort(kind="stable")
-    j, c = j[order], c[order]
-    t = j + c - 1
-    lo = np.maximum(c + 2, ends[j - 1])
-    hi = np.minimum(ends[j], ends[j - 1] + c + 2)
-    tail = lo[:, None] + np.arange(r - 1)
-    wins = np.concatenate(((c + 1)[:, None], np.where(tail < hi[:, None], tail, m)), axis=1)
+    last = len(ends) - 1
+    # the last merge makes the last restore; step t holds merges first ..
+    # newest of the full schedule and keeps those from kept on (c <= k - 2),
+    # neither past newest + 1
+    steps = last + max(min(int(ends[-1]) - 3, k - 2), 0) if last else 0
+    reach = ends + np.arange(last + 1)
+    t = np.arange(steps)
+    newest = np.minimum(t + 1, last)
+    first = reach[1:].searchsorted(t + 4) + 1
+    kept = np.maximum(first, t + 3 - k)
+    count = newest + 1 - kept
+    bounds = np.zeros(steps + 1, dtype=count.dtype)
+    count.cumsum(out=bounds[1:])
 
-    # groups of _GROUP windows from the start of each step of the full schedule;
-    # the last window of step t is its newest merge's, at column t + 1 - newest,
-    # where the left product over all of H starts
-    cut = ((np.arange(t.size) - t.searchsorted(t)) % _GROUP == 0).nonzero()[0]
-    tg = t[cut]
-    newest = np.minimum(tg + 1, len(ends) - 1)
-    dmax = ends[newest]
-    origin = tg + 1 - newest
-    # the left product runs over columns left0 .. left1-1, the right one over
-    # rows 0 .. top-1 and bottom .. dmax-1
-    left0 = origin + (np.minimum.reduceat(c, cut) - origin) // _ALIGN * _ALIGN
-    left1 = np.minimum(dmax, origin - (origin - np.maximum.reduceat(hi, cut)) // _ALIGN * _ALIGN)
-    top = np.minimum(dmax, -(-(np.maximum.reduceat(c, cut) + 3) // _ALIGN) * _ALIGN)
+    # window of merge j at column c = c2 - 2: row c+1 and the size rows from lo
+    step = np.repeat(t, count)
+    j = np.arange(bounds[-1]) - bounds[step] + kept[step]
+    c2 = step + 3 - j
+    prev = ends[j - 1]
+    lo = np.maximum(c2, prev)
+    size = np.minimum(ends[j], prev + c2) - lo
+    wins = np.full((j.size, r), m, dtype=ends.dtype)
+    np.subtract(c2, 1, out=wins[:, 0])
+    for i in range(1, r):
+        np.add(lo, i - 1, out=wins[:, i], where=size >= i)
+
+    # groups of _GROUP windows from the start of each step of the full
+    # schedule, merges ja .. jb, of which the section keeps g_lo .. g_hi-1
+    per_step = -((first - 1 - newest) // _GROUP)
+    tg = np.repeat(t, per_step)
+    ja = first[tg] + _GROUP * (np.arange(tg.size) - np.repeat(per_step.cumsum() - per_step, per_step))
+    jb = np.minimum(ja + _GROUP - 1, newest[tg])
+    live = jb >= kept[tg]
+    tg, ja, jb = tg[live], ja[live], jb[live]
+    base = kept[tg]
+    g_lo, g_hi = np.maximum(ja - base, 0), jb + 1 - base
+    # over a group c falls and hi grows with j; lo = max(c + 2, d_{j-1})
+    # falls by one per merge up to jt, the first j with d_{j-1} + j - 1 >=
+    # t + 2, and grows from there, so it is least at jt or at jt - 1
+    tg1 = tg + 1
+    jt = np.minimum(np.maximum(reach.searchsorted(tg1 + 1) + 1, ja), jb)
+    lo_min = np.maximum(tg1 + 2 - jt, ends[jt - 1])
+    np.minimum(lo_min, tg1 + 3 - jt, out=lo_min, where=jt > ja)
+    c_min, c_max = tg1 - jb, tg1 - ja
+    hi_max = np.minimum(ends[jb], ends[jb - 1] + c_min + 2)
+    # the newest merge of step t is at column t + 1 - newest, where the left
+    # product over all of H starts; the left product runs over columns
+    # left0 .. left1-1, the right one over rows 0 .. top-1 and bottom .. dmax-1
+    dmax, origin = ends[newest[tg]], tg1 - newest[tg]
+    left0 = origin + (c_min - origin) // _ALIGN * _ALIGN
+    left1 = np.minimum(dmax, origin - (origin - hi_max) // _ALIGN * _ALIGN)
+    top = np.minimum(dmax, -(-(c_max + 3) // _ALIGN) * _ALIGN)
     # the second row run keeps at least two rows: numpy multiplies one as a vector
-    bottom = np.minimum(np.minimum.reduceat(lo, cut), dmax - 2) // _ALIGN * _ALIGN
-
-    # the leading schedule keeps the windows of columns <= k-2, and of each
-    # group the part kept, with its envelope in the full schedule
-    keep = c <= k - 2
-    wins, t = wins[keep], t[keep]
-    steps = max(len(ends) - 1, int(t.max(initial=-1)) + 1)
-    bounds = t.searchsorted(np.arange(steps + 1))
-    kept = keep.cumsum() - keep
-    base = bounds[np.minimum(tg, steps)]
-    g_lo, g_hi = kept[cut] - base, np.concatenate((kept[cut[1:]], [t.size])) - base
-    live = g_lo < g_hi
+    bottom = np.minimum(lo_min, dmax - 2) // _ALIGN * _ALIGN
     groups = [
         (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
         for i0, i1, c0, c1, a, b, dm in zip(
-            g_lo[live].tolist(), g_hi[live].tolist(), left0[live].tolist(), left1[live].tolist(),
-            top[live].tolist(), bottom[live].tolist(), dmax[live].tolist())
+            g_lo.tolist(), g_hi.tolist(), left0.tolist(), left1.tolist(),
+            top.tolist(), bottom.tolist(), dmax.tolist())
     ]
-    per_step = tg[live].searchsorted(np.arange(steps + 1)).tolist()
+    cuts = tg.searchsorted(np.arange(steps + 1)).tolist()
     bounds = bounds.tolist()
-    return wins, [(bounds[i], bounds[i + 1], groups[per_step[i]:per_step[i + 1]]) for i in range(steps)]
+    return wins, [(bounds[i], bounds[i + 1], groups[cuts[i]:cuts[i + 1]]) for i in range(steps)]
 
 
-# the schedule of the last updating solve, keyed by (block ends, k)
-_schedule_slot: dict = {}
-
-
-def _schedule(ends: np.ndarray, k: int):
-    """:func:`_wavefront` of a block layout and section size k, with each
-    step's index work done once: the windows, the flat workspace index of
-    each window entry in the column it restores, per step (start, stop,
-    dmax, pair, groups), where pair holds the rows (0, d_{j-1}) of the
-    merge j injected at that step, or is None, and the mask of the entries
-    below the subdiagonal of H[:m, :k-1], which must end up zero.
-
-    One slot keeps the last schedule built and hands it out while the next
-    updating solve has the same block ends and k, as when a second solver
-    runs on one operator; its arrays are read-only, so no solve can change
-    what the next one reads.
-    """
-    key = (ends.tobytes(), k)
-    cached = _schedule_slot.get(key)
-    if cached is not None:
-        return cached
+def _schedule(ends: np.ndarray, r: int, k: int):
+    """:func:`_wavefront` with the flat workspace index of each window entry
+    in the column it restores, and per step (start, stop, dmax, pair,
+    groups), where pair holds the rows (0, d_{j-1}) of the merge j
+    injected at that step, or is None."""
     m = int(ends[-1])
-    r = int((ends - np.concatenate(([0], ends[:-1]))).max()) + 1
     wins, steps = _wavefront(ends, m, r, k)
-    cells = wins * (m + 1) + (wins[:, :1] - 1)
+    cells = wins * (m + 1)
+    cells += wins[:, :1] - 1
     last = len(ends) - 1
     pairs = np.zeros((last, 2), dtype=ends.dtype)
     pairs[:, 1] = ends[:-1]
-    lower = np.tri(m, k - 1, -2, dtype=bool)
-    for index in (wins, cells, pairs, lower):
-        index.flags.writeable = False
-    dmax = ends.tolist()
-    steps = tuple(
-        (start, stop, dmax[min(t + 1, last)], pairs[t] if t < last else None, tuple(groups))
-        for t, (start, stop, groups) in enumerate(steps)
-    )
-    _schedule_slot.clear()
-    _schedule_slot[key] = cached = (wins, cells, steps, lower)
-    return cached
+    dims = ends.tolist()
+    return wins, cells, [(start, stop, dims[min(t + 1, last)], pairs[t] if t < last else None, groups)
+                         for t, (start, stop, groups) in enumerate(steps)]
 
 
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
@@ -436,16 +430,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     complex instances up to dimension 150, the distance to Arnoldi grew
     on about half and shrank on the other half).
 
-    Each step's index work is done once per schedule: the flat workspace
-    indices of the gathered entries V = H[win, col], which the
-    elimination then zeroes, the injection rows, and the groups.  The
-    residual check reads what the left products leave below each
-    window's head row, the entries the elimination discards, without a
-    product of its own.  The schedule depends only on the block ends and
-    k, so one slot keeps the last one, read-only, and the next updating
-    solve with the same layout and k reuses it, as when both updating
-    solvers run on one operator.  A different layout or k replaces it, so
-    at most one schedule is kept.
+    Each call builds its own schedule, and keeps none: the flat indices
+    of the gathered entries V = H[win, col], which the elimination then
+    zeroes, the injection rows, and the groups.  The residual check reads
+    what the left products leave below each window's head row, the
+    entries the elimination discards, without a product of its own.
 
     A caller that keeps only the leading k x k section needs only columns
     0 .. k-2 restored, so every merge stops there.  The skipped restores
@@ -529,7 +518,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     rotations[:, 0, 1] = moduli[1:]
     rotations[:, 1, 0] = -moduli[1:]
     rotations /= norms[1:, None, None]
-    wins, cells, steps, lower = _schedule(ends, k)
+    wins, cells, steps = _schedule(ends, int(sizes.max()) + 1, k)
     cells_of_H = H.reshape(-1)
     HT = H.T
     conj = H.dtype.kind == "c"
@@ -578,7 +567,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
 
     # columns 0..k-2 over all rows: the restored columns that fix H[:k, :k]
     restored = H[:m, :k - 1]
-    if restored[lower].any():
+    if restored[np.tri(m, k - 1, -2, dtype=bool)].any():
         raise NumericalFailure(
             "Hessenberg restoration missed an entry outside the bulge window",
             defect=hessenberg_defect(restored),
@@ -609,6 +598,12 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
     bitwise the leading k x k part of the full :func:`update_solve`.
     The result is exactly k x k: an Arnoldi breakdown before column k
     raises NumericalFailure with the breakdown ``column`` and ``k``.
+
+    "update-hh" can return a wrong H without an error: with it,
+    ``laguerre-roots --gamma 1e300`` repeats the k=2 root -0.2071 at k=3
+    and 4 and reads -3.05e132 from k=5 on (the default: -0.1312, -0.0961,
+    -0.0758), and on Laguerre n_quad=40, alpha=-1/2, gamma=1 its H moves
+    with the block order by up to 0.16 relative (update-rot: 1.4e-14).
     """
     if method == "arnoldi":
         H = arnoldi(Z, w, k, trace=trace).H

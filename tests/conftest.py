@@ -18,7 +18,6 @@ from sobolev import (
     golub_welsch,
     legendre_jacobi,
 )
-from sobolev import hiep
 
 ACCEPTANCE_LINES = []
 _hypothesis_home = None
@@ -55,16 +54,6 @@ def pytest_unconfigure(config):
     """Remove Hypothesis's temporary storage at the end of the run."""
     if _hypothesis_home is not None:
         _hypothesis_home.cleanup()
-
-
-@pytest.fixture(autouse=True)
-def empty_schedule_slot():
-    """Start and end every test with no updating schedule kept, so that no
-    test runs on a schedule another test built, and a test that wraps the
-    schedule builder always reaches its wrapper."""
-    hiep._schedule_slot.clear()
-    yield
-    hiep._schedule_slot.clear()
 
 
 def gentle_jordan(rng, max_m=12):

@@ -383,6 +383,21 @@ class TestCmdPenta:
         assert offband > 0.0  # rounding leaves the off-band entries nonzero
         assert report.diagnostics["offband_rel"] == offband / float(np.linalg.norm(B))
 
+    def test_failed_cross_check_keeps_the_solve(self, capsys):
+        # at N=1e300 the Arnoldi cross-check breaks down at column 2 after the
+        # requested update-rot solve succeeded; asked for Arnoldi, the solve
+        # itself breaks down
+        assert main(["penta", "--N", "1e300", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["rows"]) == 25
+        assert "cross_solver_rel" not in report["diagnostics"]
+        assert report["diagnostics"]["cross_solver_failure"] == {
+            "error": "Arnoldi iteration broke down before k columns", "column": 2, "k": 6}
+        assert main(["penta", "--N", "1e300", "--solver", "arnoldi"]) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1])["column"] == 2
+
     def test_arnoldi_driver_cross_checks_against_updating(self):
         report, _ = cmd_penta(solver="arnoldi")
         assert report.diagnostics["cross_solver"] == "update-rot"
@@ -695,6 +710,17 @@ class TestCli:
         assert captured.err.startswith(f"usage: sobolev {argv[0]}")
         assert message in captured.err
         assert "need at least one point" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["least-squares", "althammer-roots", "laguerre-roots"])
+    def test_non_finite_gamma_is_a_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gamma", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: sobolev {command}")
+        assert f"gamma={value} must be positive and finite" in captured.err
         assert captured.out == ""
 
     def test_numerical_failure_is_reported_without_traceback(self, capsys, monkeypatch):

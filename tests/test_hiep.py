@@ -294,6 +294,70 @@ class TestKernelBuildersAgainstLoops:
                 assert built.tobytes() == loop.tobytes()
 
 
+def wavefront_reference(ends, m, r, k):
+    """The schedule built from all (merge, column) pairs by a stable sort
+    on their step, with each group's envelope reduced over its windows:
+    the builder that the step-order one replaced, kept as its reference."""
+    count = ends[1:] - 2
+    j = np.repeat(np.arange(1, len(ends)), count)
+    c = np.arange(j.size) - np.repeat(count.cumsum() - count, count)
+    order = (j + c).argsort(kind="stable")
+    j, c = j[order], c[order]
+    t = j + c - 1
+    lo = np.maximum(c + 2, ends[j - 1])
+    hi = np.minimum(ends[j], ends[j - 1] + c + 2)
+    tail = lo[:, None] + np.arange(r - 1)
+    wins = np.concatenate(((c + 1)[:, None], np.where(tail < hi[:, None], tail, m)), axis=1)
+
+    align = hiep._ALIGN
+    cut = ((np.arange(t.size) - t.searchsorted(t)) % hiep._GROUP == 0).nonzero()[0]
+    tg = t[cut]
+    newest = np.minimum(tg + 1, len(ends) - 1)
+    dmax = ends[newest]
+    origin = tg + 1 - newest
+    left0 = origin + (np.minimum.reduceat(c, cut) - origin) // align * align
+    left1 = np.minimum(dmax, origin - (origin - np.maximum.reduceat(hi, cut)) // align * align)
+    top = np.minimum(dmax, -(-(np.maximum.reduceat(c, cut) + 3) // align) * align)
+    bottom = np.minimum(np.minimum.reduceat(lo, cut), dmax - 2) // align * align
+
+    keep = c <= k - 2
+    wins, t = wins[keep], t[keep]
+    steps = max(len(ends) - 1, int(t.max(initial=-1)) + 1)
+    bounds = t.searchsorted(np.arange(steps + 1))
+    kept = keep.cumsum() - keep
+    base = bounds[np.minimum(tg, steps)]
+    g_lo, g_hi = kept[cut] - base, np.concatenate((kept[cut[1:]], [t.size])) - base
+    live = g_lo < g_hi
+    groups = [
+        (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
+        for i0, i1, c0, c1, a, b, dm in zip(
+            g_lo[live].tolist(), g_hi[live].tolist(), left0[live].tolist(), left1[live].tolist(),
+            top[live].tolist(), bottom[live].tolist(), dmax[live].tolist())
+    ]
+    per_step = tg[live].searchsorted(np.arange(steps + 1)).tolist()
+    bounds = bounds.tolist()
+    return wins, [(bounds[i], bounds[i + 1], groups[per_step[i]:per_step[i + 1]]) for i in range(steps)]
+
+
+class TestWavefrontAgainstReference:
+    """The step-order schedule equals the sorted one: the same windows, and
+    per step the same window range and groups with the same envelopes,
+    for every leading section of every layout."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(sizes=st.integers(min_value=1, max_value=60).flatmap(
+        lambda n: st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n)))
+    def test_equal_for_every_k(self, sizes):
+        ends = np.cumsum(sizes)
+        m, r = int(ends[-1]), max(sizes) + 1
+        for k in range(1, m + 1):
+            wins, steps = hiep._wavefront(ends, m, r, k)
+            ref_wins, ref_steps = wavefront_reference(ends, m, r, k)
+            assert wins.dtype == ref_wins.dtype
+            assert np.array_equal(wins, ref_wins)
+            assert steps == ref_steps
+
+
 class TestUpdateSolve:
     def test_single_real_block(self):
         # one block needs no restoration: H bidiagonal, Q the flip matrix
@@ -414,39 +478,6 @@ class TestUpdateSolve:
         with pytest.raises(NumericalFailure, match="outside the bulge window"):
             solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
         assert calls == [Z.m // 2]
-
-    def test_schedule_is_reused_for_the_same_layout_and_k(self, monkeypatch):
-        # update-rot then update-hh on one operator build the schedule once,
-        # and each section is bitwise that of a solve from an empty slot; a
-        # different k or block layout builds a new one
-        Z, w = legendre_instance(m=40)
-        other = multi_group_instance()
-        methods = ("update-rot", "update-hh")
-        cold = {}
-        for method in methods:
-            hiep._schedule_slot.clear()
-            cold[method] = solve_hessenberg(Z, w, 41, method=method)
-        hiep._schedule_slot.clear()
-        wavefront = hiep._wavefront
-        calls = []
-
-        def counting(ends, m, r, k):
-            calls.append((m, k))
-            return wavefront(ends, m, r, k)
-
-        monkeypatch.setattr(hiep, "_wavefront", counting)
-        for method in methods:
-            assert np.array_equal(solve_hessenberg(Z, w, 41, method=method), cold[method])
-        assert calls == [(Z.m, 41)]
-        solve_hessenberg(Z, w, 40, method="update-rot")
-        solve_hessenberg(*other, 40, method="update-rot")
-        assert calls == [(Z.m, 41), (Z.m, 40), (other[0].m, 40)]
-        wins, cells, steps, lower = hiep._schedule(other[0]._ends, 40)
-        assert len(calls) == 3
-        pair = next(pair for _, _, _, pair, _ in steps if pair is not None)
-        for index in (wins, cells, pair, lower):
-            with pytest.raises(ValueError, match="read-only"):
-                index[0] = 0
 
 
 class TestSolverContract:
