@@ -340,6 +340,14 @@ def least_squares_figure(report: ExperimentReport) -> str:
     )
 
 
+# largest relative deviation of the penta matrix from Hermitian and from
+# pentadiagonal that counts as rounding.  Over m = 2..20, alpha -1/2..3,
+# M 0..1e8 and c -1, -0.1 the worst deviation of every solver grows like
+# eps sqrt(N): below 4.5e-8 up to N = 1e16, 2.2e-6 at 1e20, 2e-4 at 1e24;
+# the default input reads 7.9e-3 (update-rot) at N = 1e30 and 1.4 at 1e300
+PENTA_STRUCTURE_BOUND = 1e-6
+
+
 def cmd_penta(
     m: int = 5,
     alpha: float = 0.0,
@@ -351,7 +359,11 @@ def cmd_penta(
 ):
     """Banded matrix of the five-term recurrence for the Laguerre product
     with point masses M, N at c, from an (m+1)-point rule shifted by c.
-    A failed cross-check keeps the matrix: see ``cross_solver_failure``."""
+
+    A matrix that deviates from Hermitian or from pentadiagonal by more
+    than PENTA_STRUCTURE_BOUND relative to its norm raises
+    NumericalFailure with both deviations.  A failed cross-check keeps
+    the matrix: see ``cross_solver_failure``."""
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
     start = time.perf_counter()
@@ -363,6 +375,16 @@ def cmd_penta(
     def relative(size):
         return float(size) / bnorm if bnorm else 0.0
     offband = max(np.abs(np.triu(B, 3)).max(initial=0.0), np.abs(np.tril(B, -3)).max(initial=0.0))
+    structure = {
+        "offband_rel": relative(offband),
+        "hermitian_rel": relative(np.linalg.norm(B - B.conj().T)),
+    }
+    if max(structure.values()) > PENTA_STRUCTURE_BOUND:
+        raise NumericalFailure(
+            "recurrence matrix is not Hermitian and pentadiagonal to rounding",
+            bound=PENTA_STRUCTURE_BOUND,
+            **structure,
+        )
     reference = "arnoldi" if solver != "arnoldi" else "update-rot"
     try:
         B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
@@ -379,8 +401,7 @@ def cmd_penta(
         config={"m": m, "alpha": alpha, "c": c, "M": M, "N": N, "solver": solver},
         rows=rows,
         diagnostics={
-            "offband_rel": relative(offband),
-            "hermitian_rel": relative(np.linalg.norm(B - B.conj().T)),
+            **structure,
             "cross_solver": reference,
             **cross,
         },

@@ -19,18 +19,20 @@ one step behind the previous, so one batched step restores a column of
 every merge in flight, and one rescaling at the end makes the
 subdiagonal real non-negative.  A step builds the elimination kernels of
 all its windows at once, in a fixed set of whole-batch array operations
-plus at most two single ufunc calls per window row, so the cost of the
+plus at most one single ufunc call per window row, so the cost of the
 build does not grow with the number of windows.  Each step applies its kernels to H in
 groups of 32 windows, each group only inside its envelope, the part of H
 where its rows and columns can be nonzero; the envelope's cuts are
 rounded to multiples of 16 so that every BLAS call rounds as the product
-over all of H would.  The products on columns (H[:, win] K^H, Q[:, win]
-K^H and the injection on columns) run as row products on the transposed
-workspace, conj(K) H^T[win, :]; real H and Q are bitwise those of the
-column products, complex ones differ in the last bits.  Each solve
-builds its own schedule of windows and groups and keeps none.  Both
-compute in the dtype of Z's bands and w combined, float64 for real data
-and complex128 otherwise, and return H and Q in that dtype.
+over all of H would.  The workspace is one row-major array holding H^T
+over Q^T, so the products on columns (H[:, win] K^H, Q[:, win] K^H and
+the injection on columns) run as row products conj(K) H^T[win, :], and
+a group whose rows span all of H takes H's and Q's in one product; real
+H and Q are bitwise those of the column products, complex ones differ
+in the last bits.  Each solve builds its own schedule of windows and
+groups and keeps none.  Both compute in the dtype of Z's bands and w
+combined, float64 for real data and complex128 otherwise, and return H
+and Q in that dtype.
 :func:`solve_hessenberg` needs only the leading k x k section of H, so
 with the updating solvers it skips the accumulation of Q and stops every
 merge after column k-2, which leaves that section bitwise unchanged.
@@ -100,10 +102,12 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
 
     The basis is kept as Q^T, one contiguous row per vector, so both
     Gram-Schmidt passes read whole rows, and they update the new vector
-    in place.  The closing orthogonality check forms Q^H Q as one Gram
-    product of that array with its own transpose, which numpy runs as a
-    symmetric rank-k update for real data.  ``Q`` and ``H`` are returned
-    C-contiguous.
+    in place; complex data keep the conjugated rows next to it, each
+    written once, and the first pass writes its projections straight
+    into their row of H^T.  The closing orthogonality check forms Q^H Q
+    as one Gram product of the conjugated rows with the transpose of
+    Q^T, which numpy runs as a symmetric rank-k update for real data.
+    ``Q`` and ``H`` are returned C-contiguous.
 
     Parameters
     ----------
@@ -118,25 +122,26 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     wd = w.dense(Z).astype(dtype, copy=False)
     wnorm = _norm(wd)
 
-    # row j of QT is column j of Q, row j of HT column j of the (k+1) x k H
+    # row j of QT is column j of Q, row j of HT column j of the (k+1) x k H;
+    # complex data keep the conjugated rows in QH, real data read QT twice
     QT = np.zeros((k, m), dtype=dtype)
+    QH = np.zeros_like(QT) if dtype.kind == "c" else QT
     HT = np.zeros((k, k + 1), dtype=dtype)
     work = np.empty(m, dtype=dtype)
     QT[0] = wd / wnorm
+    np.conjugate(QT[0], out=QH[0])
     ncols = k
     h_next = 0.0
     q_next = None
     for col in range(k):
         v = jordan_matvec(Z, QT[col])
         tol = 1e-13 * _norm(v)
-        basis = QT[: col + 1]
-        adjoint = basis.conj()
-        h = adjoint @ v
+        basis, adjoint = QT[: col + 1], QH[: col + 1]
+        h = np.matmul(adjoint, v, out=HT[col, : col + 1])
         v -= np.matmul(h, basis, out=work)
         correction = adjoint @ v
         v -= np.matmul(correction, basis, out=work)
         h += correction
-        HT[col, : col + 1] = h
         hn = _norm(v)
         if trace is not None:
             trace(
@@ -155,12 +160,14 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
         HT[col, col + 1] = hn
         if col + 1 < k:
             np.divide(v, hn, out=QT[col + 1])
+            if QH is not QT:
+                np.conjugate(QT[col + 1], out=QH[col + 1])
         else:
             h_next = hn
             q_next = v / hn
 
     QT = QT[:ncols]
-    gram = QT.conj() @ QT.T
+    gram = QH[:ncols] @ QT.T
     gram[np.diag_indices(ncols)] -= 1.0
     ortho = float(np.linalg.norm(gram))
     if ortho > 1e-8:
@@ -203,9 +210,10 @@ def _rotation_kernels(V: np.ndarray) -> np.ndarray:
     and columns in K.
 
     The chain is not run pair by pair.  Its carried values are known in
-    advance: the tail norms G_i = hypot(|v_i|, G_{i+1}), one call per row,
-    are the rho of every pair, and the lower entry g of pair idx is
-    G_idx when pair idx+1 rotated and v_idx when it did not.  So a and b
+    advance: the tail norms G_i = hypot(|v_i|, G_{i+1}), one hypot
+    accumulation over the reversed rows, are the rho of every pair, and
+    the lower entry g of pair idx is G_idx when pair idx+1 rotated and
+    v_idx when it did not.  So a and b
     of all pairs come from whole-batch operations, and row idx-1 of K is
     conj(a_idx) followed by -conj(b_idx) times row idx from column idx on,
     one product per row, with the scalar on the left as in the chain.
@@ -213,17 +221,16 @@ def _rotation_kernels(V: np.ndarray) -> np.ndarray:
     and the zeros below it restored, since a_idx * 0 can be -0.0.  The
     batch works in an (r, r, B) layout, contiguous along the batch, and
     one transposing copy returns K.  Every operation is the chain's own on
-    the same operands, given hypot(x, 0) = |x| (C99 Annex F) and
+    the same operands, given hypot(x, 0) = |x| (C99 Annex F), the symmetry
+    of hypot, which the accumulation applies as hypot(G_{i+1}, |v_i|), and
     |G + 0i| = G, which hold exactly; so K is bitwise the chain's, which
     the tests keep as the reference.
     """
     B, r = V.shape
     v = V.T.copy()
-    # tail norms G[i] = ||v_i .. v_{r-1}||, hypot-chained bottom up from G[r] = 0
+    # tail norms G[i] = ||v_i .. v_{r-1}||, hypot-accumulated bottom up; G[r] = 0
     G = np.zeros((r + 1, B))
-    np.abs(v, out=G[:r])
-    for i in range(r - 1, -1, -1):
-        np.hypot(G[i], G[i + 1], out=G[i])
+    np.hypot.accumulate(np.abs(v)[::-1], axis=0, out=G[r - 1 :: -1])
     # pair p = 1 .. r-1 (row p-1 here) rotates when its lower entry is
     # nonzero; that entry is G[p] if pair p+1 rotated, else v_p itself
     nonzero = G != 0
@@ -357,20 +364,23 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
 
 
 def _schedule(ends: np.ndarray, r: int, k: int):
-    """:func:`_wavefront` with the flat workspace index of each window entry
-    in the column it restores, and per step (start, stop, dmax, pair,
-    groups), where pair holds the rows (0, d_{j-1}) of the merge j
-    injected at that step, or is None."""
+    """:func:`_wavefront` with, for each window entry H[i, c] of the column c
+    it restores, its flat index c (m+1) + i in H^T, and per step (start,
+    stop, dmax, inject, groups), where inject holds the rows (0, d_{j-1})
+    of the merge j injected at that step, as an index array and as the
+    slice 0:d_{j-1}+1:d_{j-1}, or is None."""
     m = int(ends[-1])
     wins, steps = _wavefront(ends, m, r, k)
-    cells = wins * (m + 1)
-    cells += wins[:, :1] - 1
+    cells = (wins[:, :1] - 1) * (m + 1) + wins
     last = len(ends) - 1
     pairs = np.zeros((last, 2), dtype=ends.dtype)
     pairs[:, 1] = ends[:-1]
     dims = ends.tolist()
-    return wins, cells, [(start, stop, dims[min(t + 1, last)], pairs[t] if t < last else None, groups)
-                         for t, (start, stop, groups) in enumerate(steps)]
+    return wins, cells, [
+        (start, stop, dims[min(t + 1, last)],
+         (pairs[t], slice(0, dims[t] + 1, dims[t])) if t < last else None, groups)
+        for t, (start, stop, groups) in enumerate(steps)
+    ]
 
 
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
@@ -390,9 +400,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     disjoint and no merge writes the column another one reads, so each
     step builds all kernels in one batched call from the state at its
     start and applies them with batched products.  The rotation kernels
-    come from the tail norms of each window, one hypot call per window
-    row, and their rows from one product per window row; everything else
-    is a fixed set of whole-batch operations (see
+    come from the tail norms of each window, one hypot accumulation over
+    the batch, and their rows from one product per window row; everything
+    else is a fixed set of whole-batch operations (see
     :func:`_rotation_kernels`).  Both builders are bitwise the loop over
     the pairs of a window that they replace.  Windows are padded
     with a scratch index m, whose row and column stay zero.  After the
@@ -418,22 +428,34 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     So H and Q are bitwise those of the products over all of H.  Q is
     multiplied over all rows.
 
-    Every product on columns runs as a row product on the transposed
-    workspace: the right product as conj(K) @ H^T[win, rows], Q's as
-    conj(K) @ Q^T[win, :dmax], with Q kept transposed, and the injection as
-    R @ H^T[pair, :dmax].  A batched product then streams the long rows of
-    its operand instead of multiplying a tall, skinny matrix from the
-    right and transposing the result.  Each entry is the same sum of the
-    same products, so real H and Q are bitwise those of (H[:, win] K^H);
-    complex products round by operand order under fused multiply-add, so
-    complex H and Q differ from them in the last bits (on 520 random
-    complex instances up to dimension 150, the distance to Arnoldi grew
-    on about half and shrank on the other half).
+    The workspace is one row-major array S with H^T in rows 0 .. m and,
+    when Q is accumulated, Q^T in rows m+1 .. 2m+1; H is the transposed
+    view of its first m+1 rows.  Every product on columns is then a product
+    on rows of S: the right product as conj(K) @ H^T[win, rows], Q's as
+    conj(K) @ Q^T[win, :dmax], and the injection as R @ S[(0, d_{j-1}),
+    :dmax] in H^T and Q^T at once, through a strided slice.  A group
+    whose right product is the single run [0, dmax) gathers the window
+    rows of H^T and Q^T as one index, multiplies them in one call with
+    its kernels broadcast over both, and scatters them back in one; each
+    window's product is still its own BLAS call on the same operands.  A
+    batched product streams the long rows of its operand instead of
+    multiplying a tall, skinny matrix from the right and transposing the
+    result.  Each entry is the same sum of the same products, so real H
+    and Q are bitwise those of (H[:, win] K^H); complex products round by
+    operand order under fused multiply-add, so complex H and Q differ
+    from them in the last bits (on 520 random complex instances up to
+    dimension 150, the distance to Arnoldi grew on about half and shrank
+    on the other half).  The products on rows (the left products and the
+    injection on rows) gather their rows of H through the transposed
+    view; the gather is a contiguous copy, so the BLAS operands are those
+    of a row-major H.  The injection on rows stays a gather: numpy would
+    multiply a strided slice of H's rows, whose entries are not adjacent,
+    in its own loop, which rounds differently.
 
     Each call builds its own schedule, and keeps none: the flat indices
-    of the gathered entries V = H[win, col], which the elimination then
-    zeroes, the injection rows, and the groups.  The residual check reads
-    what the left products leave below each window's head row, the
+    in H^T of the gathered entries V = H[win, col], which the elimination
+    then zeroes, the injection rows, and the groups.  The residual check
+    reads what the left products leave below each window's head row, the
     entries the elimination discards, without a product of its own.
 
     A caller that keeps only the leading k x k section needs only columns
@@ -478,13 +500,17 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     m = Z.m
     k = m if _leading is None else _leading
     dtype = np.result_type(Z._diag, w.betas)
-    # row and column m are the scratch index that pads every window
-    H = np.zeros((m + 1, m + 1), dtype=dtype)
-    QT = np.zeros((m + 1, m + 1), dtype=dtype) if _leading is None else None
+    # one row-major workspace S: H^T in rows 0..m and, when Q is accumulated,
+    # Q^T in rows m+1..2m+1, so that every product on columns of H or Q is
+    # a product on rows of S; index m is the scratch index that pads every
+    # window.  H is the transposed view of the H^T plane.
+    planes = 2 if _leading is None else 1
+    S = np.zeros((planes * (m + 1), m + 1), dtype=dtype)
+    H = S[: m + 1].T
+    QT = S[m + 1 :] if planes == 2 else None
     # single-block solutions: H lower bidiagonal with the scaling magnitudes
     # below the eigenvalue; Q the flip matrix with the phases that make
     # Q e_1 = (beta/|beta|) e_last and the subdiagonal of H real positive.
-    # QT holds Q transposed, so that the products on Q's columns read rows.
     # Index i is at position pos[i] of its block, and flip[i] mirrors it.
     ends = Z._ends
     starts = np.concatenate(([0], ends[:-1]))
@@ -519,28 +545,29 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     rotations[:, 1, 0] = -moduli[1:]
     rotations /= norms[1:, None, None]
     wins, cells, steps = _schedule(ends, int(sizes.max()) + 1, k)
-    cells_of_H = H.reshape(-1)
-    HT = H.T
-    conj = H.dtype.kind == "c"
-    for t, (start, stop, dmax, pair, groups) in enumerate(steps):
-        if pair is not None:
+    cells_of_S = S.reshape(-1)
+    # S as a stack of its H^T and Q^T planes, and the row offset of each
+    stack = S.reshape(planes, m + 1, m + 1)
+    offsets = np.arange(0, S.shape[0], m + 1)[:, None, None]
+    conj = dtype.kind == "c"
+    for t, (start, stop, dmax, inject, groups) in enumerate(steps):
+        if inject is not None:
             R = rotations[t]
+            pair, rows = inject
             H[pair, :dmax] = R @ H[pair, :dmax]
-            HT[pair, :dmax] = R @ HT[pair, :dmax]
-            if QT is not None:
-                QT[pair, :dmax] = R @ QT[pair, :dmax]
+            stack[:, rows, :dmax] = R @ stack[:, rows, :dmax]
         if start == stop:
             continue
         win, cell = wins[start:stop], cells[start:stop]
-        K = kernels_of(cells_of_H[cell])
+        K = kernels_of(cells_of_S[cell])
         for lo, hi, cols, _ in groups:
             part = win[lo:hi]
             H[part, cols] = K[lo:hi] @ H[part, cols]
         # the left products wrote K V into the window's column: what they
         # left below its head row is the residual of the elimination
         below = cell[:, 1:]
-        leftover = np.abs(cells_of_H[below])
-        if leftover.max() > tol:
+        leftover = np.abs(cells_of_S[below])
+        if np.maximum.reduce(leftover, axis=None) > tol:
             residual = leftover.max(axis=1)
             bad = int(np.argmax(residual > tol))
             c = int(win[bad, 0]) - 1
@@ -550,15 +577,20 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
                 block=t + 1 - c,
                 residual=float(residual[bad]),
             )
-        cells_of_H[below] = 0.0
-        # the right products H[:, win] K^H run as row products on H^T
+        cells_of_S[below] = 0.0
+        # the right products H[:, win] K^H and Q[:, win] K^H run as row
+        # products conj(K) @ S[win, rows]; a group whose run is all of
+        # 0..dmax-1 takes the window rows of both planes in one product
         Kc = K.conj() if conj else K
         for lo, hi, _, runs in groups:
             part, Kg = win[lo:hi], Kc[lo:hi]
+            if QT is not None:
+                if len(runs) == 1:
+                    part = part + offsets
+                else:
+                    QT[part, :dmax] = Kg @ QT[part, :dmax]
             for rows in runs:
-                HT[part, rows] = Kg @ HT[part, rows]
-        if QT is not None:
-            QT[win, :dmax] = Kc @ QT[win, :dmax]
+                S[part, rows] = Kg @ S[part, rows]
         if trace is not None:
             for c, eliminated, res in zip((win[:, 0] - 1).tolist(), (win[:, 1:] < m).sum(axis=1).tolist(),
                                           leftover.max(axis=1).tolist()):

@@ -383,20 +383,53 @@ class TestCmdPenta:
         assert offband > 0.0  # rounding leaves the off-band entries nonzero
         assert report.diagnostics["offband_rel"] == offband / float(np.linalg.norm(B))
 
-    def test_failed_cross_check_keeps_the_solve(self, capsys):
-        # at N=1e300 the Arnoldi cross-check breaks down at column 2 after the
-        # requested update-rot solve succeeded; asked for Arnoldi, the solve
-        # itself breaks down
-        assert main(["penta", "--N", "1e300", "--format", "json"]) == 0
+    def test_failed_cross_check_keeps_the_solve(self, capsys, monkeypatch):
+        # the Arnoldi cross-check breaks down only where the requested
+        # update-rot matrix already fails its structure bound, so the
+        # reference solve is made to fail here; at N=1e300 the requested
+        # solve itself fails, by structure or by breakdown
+        recurrence = sobolev.experiments.pentadiagonal_recurrence
+
+        def failing_reference(Z, w, m, solver, trace=None):
+            if solver == "arnoldi":
+                raise NumericalFailure("Arnoldi iteration broke down before k columns", column=2, k=m + 1)
+            return recurrence(Z, w, m, solver=solver, trace=trace)
+
+        monkeypatch.setattr(sobolev.experiments, "pentadiagonal_recurrence", failing_reference)
+        assert main(["penta", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["rows"]) == 25
         assert "cross_solver_rel" not in report["diagnostics"]
         assert report["diagnostics"]["cross_solver_failure"] == {
             "error": "Arnoldi iteration broke down before k columns", "column": 2, "k": 6}
+        monkeypatch.undo()
+        assert main(["penta", "--N", "1e300", "--format", "json"]) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failure = json.loads(captured.err.strip().splitlines()[-1])
+        assert failure["hermitian_rel"] > 1.0 and failure["offband_rel"] > 0.5
         assert main(["penta", "--N", "1e300", "--solver", "arnoldi"]) == EXIT_NUMERICAL_FAILURE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err.strip().splitlines()[-1])["column"] == 2
+
+    @pytest.mark.parametrize("solver", sobolev.hiep.SOLVER_NAMES)
+    def test_structure_failure_exits_3(self, solver, capsys):
+        # from N = 1e21..1e23 on, rounding amplified by the sqrt(N) scaling
+        # leaves B neither Hermitian nor pentadiagonal (Arnoldi breaks down
+        # first at 1e30); at N=1e16 every solver is within 4.5e-8 of both
+        assert main(["penta", "--N", "1e30", "--solver", solver]) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failure = json.loads(captured.err.strip().splitlines()[-1])
+        if solver == "arnoldi":
+            assert failure == {"error": "Arnoldi iteration broke down before k columns", "column": 2, "k": 6}
+        else:
+            assert failure["error"] == "recurrence matrix is not Hermitian and pentadiagonal to rounding"
+            assert failure["bound"] == sobolev.experiments.PENTA_STRUCTURE_BOUND
+            assert max(failure["hermitian_rel"], failure["offband_rel"]) > 1e-3
+        report, _ = cmd_penta(N=1e16, solver=solver)
+        assert max(report.diagnostics["hermitian_rel"], report.diagnostics["offband_rel"]) <= 1e-7
 
     def test_arnoldi_driver_cross_checks_against_updating(self):
         report, _ = cmd_penta(solver="arnoldi")

@@ -415,15 +415,37 @@ class TestUpdateSolve:
             assert {e["eliminated"] for e in events} <= {1, 2}
 
     def test_residual_check_raises(self, monkeypatch):
-        # a kernel that eliminates nothing must trip the per-column check
-        monkeypatch.setitem(
-            hiep._KERNELS, "rotations", lambda V: np.broadcast_to(np.eye(V.shape[1]), V.shape + V.shape[1:])
-        )
-        Z, w = random_spectral_data(np.random.default_rng(4), max_m=10)
-        with pytest.raises(NumericalFailure, match="residual"):
-            update_solve(Z, w)
-        with pytest.raises(NumericalFailure, match="residual"):
-            solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
+        # a kernel that eliminates nothing must trip the per-column check.
+        # With 2x2 blocks, step 0 restores column 0 of merge 1, and step 1
+        # column 1 of merge 1 and column 0 of merge 2, in that order; only
+        # the last window of a batch gets the identity, so the check passes
+        # step 0 and names merge 2 at column 0 (column 1 of H), whose
+        # residual is what its window held below the head row
+        batches = []
+
+        def spoiled(build):
+            def kernels(V):
+                batches.append(V.copy())
+                K = build(V)
+                if len(V) > 1:
+                    K[-1] = np.eye(V.shape[1])
+                return K
+            return kernels
+
+        for strategy, method in (("rotations", "update-rot"), ("householder", "update-hh")):
+            monkeypatch.setitem(hiep._KERNELS, strategy, spoiled(hiep._KERNELS[strategy]))
+            for shift in (0.0, 0.3j):  # real and complex data
+                Z, w = legendre_instance()
+                Z = Z.shift(shift)
+                for solve in (lambda: update_solve(Z, w, strategy=strategy),
+                              lambda: solve_hessenberg(Z, w, Z.m // 2, method=method)):
+                    batches.clear()
+                    with pytest.raises(NumericalFailure, match="residual") as failure:
+                        solve()
+                    assert [len(V) for V in batches] == [1, 2]
+                    residual = float(np.abs(batches[-1][-1, 1:]).max())
+                    assert residual > 1e-10 * Z.frobenius_norm()
+                    assert failure.value.details == {"column": 1, "block": 2, "residual": residual}
 
     @pytest.mark.parametrize("strategy", ["rotations", "householder"])
     def test_envelope_products_round_as_products_over_all_rows(self, strategy, monkeypatch):
