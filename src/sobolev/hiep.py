@@ -20,19 +20,18 @@ every merge in flight, and one rescaling at the end makes the
 subdiagonal real non-negative.  A step builds the elimination kernels of
 all its windows at once, in a fixed set of whole-batch array operations
 plus at most one single ufunc call per window row, so the cost of the
-build does not grow with the number of windows.  Each step applies its kernels to H in
-groups of 32 windows, each group only inside its envelope, the part of H
-where its rows and columns can be nonzero; the envelope's cuts are
-rounded to multiples of 16 so that every BLAS call rounds as the product
-over all of H would.  The workspace is one row-major array holding H^T
-over Q^T, so the products on columns (H[:, win] K^H, Q[:, win] K^H and
-the injection on columns) run as row products conj(K) H^T[win, :], and
-a group whose rows span all of H takes H's and Q's in one product; real
-H and Q are bitwise those of the column products, complex ones differ
-in the last bits.  Each solve builds its own schedule of windows and
-groups and keeps none.  Both compute in the dtype of Z's bands and w
-combined, float64 for real data and complex128 otherwise, and return H
-and Q in that dtype.
+build does not grow with the number of windows.  Each step applies its
+kernels to H in groups of 32 windows.  A group's left product covers only
+the columns where its rows can be nonzero, cut at multiples of 16 so that
+every BLAS call rounds as the product over all columns would; its right
+product covers all rows.  The workspace is one row-major array holding
+H^T over Q^T, so the products on columns (H[:, win] K^H, Q[:, win] K^H
+and the injection on columns) run as row products conj(K) H^T[win, :],
+H's and Q's in one product; real H and Q are bitwise those of the column
+products, complex ones differ in the last bits.  Each solve builds its
+own schedule of windows and groups and keeps none.  Both compute in the
+dtype of Z's bands and w combined, float64 for real data and complex128
+otherwise, and return H and Q in that dtype.
 :func:`solve_hessenberg` needs only the leading k x k section of H, so
 with the updating solvers it skips the accumulation of Q and stops every
 merge after column k-2, which leaves that section bitwise unchanged.
@@ -277,8 +276,8 @@ def _reflector_kernels(V: np.ndarray) -> np.ndarray:
 _KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}
 
 
-# windows per batched product, and the multiple to which the cuts of a
-# group's envelope are rounded (see update_solve)
+# windows per batched product, and the multiple to which the column cuts
+# of a group's left product are rounded (see update_solve)
 _GROUP = 32
 _ALIGN = 16
 
@@ -286,15 +285,15 @@ _ALIGN = 16
 def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     """Windows of all (merge j, column c) pairs in step order, padded to r
     indices with m, and per step (start, stop, groups): its windows
-    start .. stop-1 and its groups (lo, hi, cols, runs), each its windows
-    start+lo .. start+hi-1 with the columns of its left product and the
-    row runs of its right product (see update_solve).
+    start .. stop-1 and its groups (lo, hi, cols), each its windows
+    start+lo .. start+hi-1 with the columns of its left product (see
+    update_solve).
 
     Merge j restores column c at step t = j - 1 + c, for c = 0 ..
     min(d_j - 3, k - 2), so step t holds the merges j <= t + 1 with
     j + d_j >= t + 4: one range of j, generated in step order with no
     sort.  The steps run to the last restore, and at least to the last
-    merge's injection at step len(ends) - 2.  Groups and envelopes are
+    merge's injection at step len(ends) - 2.  Groups and their columns are
     cut from the full schedule (k = m), so a leading solve keeps of each
     group the part it restores, in the full solve's slices.
     """
@@ -334,29 +333,19 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     tg, ja, jb = tg[live], ja[live], jb[live]
     base = kept[tg]
     g_lo, g_hi = np.maximum(ja - base, 0), jb + 1 - base
-    # over a group c falls and hi grows with j; lo = max(c + 2, d_{j-1})
-    # falls by one per merge up to jt, the first j with d_{j-1} + j - 1 >=
-    # t + 2, and grows from there, so it is least at jt or at jt - 1
+    # over a group c falls and hi grows with j, so its columns run from c of
+    # jb to hi of jb; the newest merge of step t is at column t + 1 - newest,
+    # where the left product over all of H starts, and the group's left
+    # product runs over columns left0 .. left1-1
     tg1 = tg + 1
-    jt = np.minimum(np.maximum(reach.searchsorted(tg1 + 1) + 1, ja), jb)
-    lo_min = np.maximum(tg1 + 2 - jt, ends[jt - 1])
-    np.minimum(lo_min, tg1 + 3 - jt, out=lo_min, where=jt > ja)
-    c_min, c_max = tg1 - jb, tg1 - ja
+    c_min = tg1 - jb
     hi_max = np.minimum(ends[jb], ends[jb - 1] + c_min + 2)
-    # the newest merge of step t is at column t + 1 - newest, where the left
-    # product over all of H starts; the left product runs over columns
-    # left0 .. left1-1, the right one over rows 0 .. top-1 and bottom .. dmax-1
     dmax, origin = ends[newest[tg]], tg1 - newest[tg]
     left0 = origin + (c_min - origin) // _ALIGN * _ALIGN
     left1 = np.minimum(dmax, origin - (origin - hi_max) // _ALIGN * _ALIGN)
-    top = np.minimum(dmax, -(-(c_max + 3) // _ALIGN) * _ALIGN)
-    # the second row run keeps at least two rows: numpy multiplies one as a vector
-    bottom = np.minimum(lo_min, dmax - 2) // _ALIGN * _ALIGN
     groups = [
-        (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
-        for i0, i1, c0, c1, a, b, dm in zip(
-            g_lo.tolist(), g_hi.tolist(), left0.tolist(), left1.tolist(),
-            top.tolist(), bottom.tolist(), dmax.tolist())
+        (i0, i1, slice(c0, c1))
+        for i0, i1, c0, c1 in zip(g_lo.tolist(), g_hi.tolist(), left0.tolist(), left1.tolist())
     ]
     cuts = tg.searchsorted(np.arange(steps + 1)).tolist()
     bounds = bounds.tolist()
@@ -388,7 +377,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     """Solve the inverse problem by updating with one Jordan block at a time.
 
     (1) The closed-form single-block solutions are laid out once on the
-    block diagonal of one workspace for H (and one for Q).  Block j then
+    block diagonal of one workspace for H (and Q).  Block j then
     merges into the leading d_j x d_j section: (2) a plane rotation on
     (0, d_{j-1}) turns the first basis column into the enlarged weight
     vector, and (3) column by column, the entries below the subdiagonal
@@ -410,38 +399,33 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     Hessenberg in every row, and (4) one unimodular diagonal makes its
     subdiagonal non-negative.
 
-    The products touch only each window's envelope.  With the window of
-    merge j at column c being rows c+1 and lo .. hi-1, its rows are zero
-    outside columns c .. hi-1 and its columns are zero in rows c+3 ..
-    lo-1.  A step's windows are cut into groups of 32; each group gets one
-    left product on the union of its windows' columns and one right
-    product on each of the row runs [0, a) and [b, dmax) that hold every
-    nonzero of its columns.  On the Legendre m=201 input at k=202 these
-    touch 70% of the entries that products over rows 0 .. dmax-1 and
-    columns c_new .. dmax-1 would, where c_new is the step's newest column.
-    Each cut is rounded outward to a multiple of 16 counted from row 0 and
-    from c_new, which adds only zero entries and keeps every row and
+    The left products touch only each window's envelope.  With the window
+    of merge j at column c being rows c+1 and lo .. hi-1, its rows are
+    zero outside columns c .. hi-1.  A step's windows are cut into groups
+    of 32; each group gets one left product on the union of its windows'
+    columns and one right product on rows 0 .. dmax-1.  On the Legendre
+    m=201 input at k=202 the left products touch 70% of the entries that
+    products over columns c_new .. dmax-1 would, where c_new is the step's
+    newest column.  Each cut is rounded outward to a multiple of 16
+    counted from c_new, which adds only zero entries and keeps every
     column at its position modulo 16 within the BLAS call, by which the
     complex OpenBLAS kernels round: unrounded cuts changed the last bits
-    of H on most random complex instances.  A row run never has a
-    single row, which numpy multiplies as a vector, with other rounding.
-    So H and Q are bitwise those of the products over all of H.  Q is
-    multiplied over all rows.
+    of H on most random complex instances.  So H and Q are bitwise those
+    of the products over all of H.
 
     The workspace is one row-major array S with H^T in rows 0 .. m and,
     when Q is accumulated, Q^T in rows m+1 .. 2m+1; H is the transposed
     view of its first m+1 rows.  Every product on columns is then a product
-    on rows of S: the right product as conj(K) @ H^T[win, rows], Q's as
-    conj(K) @ Q^T[win, :dmax], and the injection as R @ S[(0, d_{j-1}),
-    :dmax] in H^T and Q^T at once, through a strided slice.  A group
-    whose right product is the single run [0, dmax) gathers the window
-    rows of H^T and Q^T as one index, multiplies them in one call with
-    its kernels broadcast over both, and scatters them back in one; each
-    window's product is still its own BLAS call on the same operands.  A
-    batched product streams the long rows of its operand instead of
-    multiplying a tall, skinny matrix from the right and transposing the
-    result.  Each entry is the same sum of the same products, so real H
-    and Q are bitwise those of (H[:, win] K^H); complex products round by
+    on rows of S: the right product as conj(K) @ S[win, :dmax] in H^T and
+    Q^T at once, and the injection as R @ S[(0, d_{j-1}), :dmax], through
+    a strided slice.  Each group gathers the window rows of H^T and Q^T
+    as one index, multiplies them in one call with its kernels broadcast
+    over both, and scatters them back in one; each window's product is
+    still its own BLAS call on the same operands.  A batched product
+    streams the long rows of its operand instead of multiplying a tall,
+    skinny matrix from the right and transposing the result.  Each entry
+    is the same sum of the same products, so real H and Q are bitwise
+    those of (H[:, win] K^H); complex products round by
     operand order under fused multiply-add, so complex H and Q differ
     from them in the last bits (on 520 random complex instances up to
     dimension 150, the distance to Arnoldi grew on about half and shrank
@@ -462,9 +446,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     0 .. k-2 restored, so every merge stops there.  The skipped restores
     act on rows and columns >= k, and later merges mix into a column
     c+1 < k only their own new-block columns, so nothing skipped flows
-    back into H[:k, :k].  The groups and envelopes are those of the full
-    solve, so every window kept runs in the same slices, and the section
-    is bitwise the one of the full solve.
+    back into H[:k, :k].  The groups and their columns are those of the
+    full solve, so every window kept runs in the same slices, and the
+    section is bitwise the one of the full solve.
 
     Accuracy is that of the leading section only while the subdiagonal of
     H stays large.  On Legendre m=201 with gamma=0.01 (dimension 402), the
@@ -560,7 +544,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             continue
         win, cell = wins[start:stop], cells[start:stop]
         K = kernels_of(cells_of_S[cell])
-        for lo, hi, cols, _ in groups:
+        for lo, hi, cols in groups:
             part = win[lo:hi]
             H[part, cols] = K[lo:hi] @ H[part, cols]
         # the left products wrote K V into the window's column: what they
@@ -579,22 +563,15 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             )
         cells_of_S[below] = 0.0
         # the right products H[:, win] K^H and Q[:, win] K^H run as row
-        # products conj(K) @ S[win, rows]; a group whose run is all of
-        # 0..dmax-1 takes the window rows of both planes in one product
+        # products conj(K) @ S[win, :dmax], both planes in one product
         Kc = K.conj() if conj else K
-        for lo, hi, _, runs in groups:
-            part, Kg = win[lo:hi], Kc[lo:hi]
-            if QT is not None:
-                if len(runs) == 1:
-                    part = part + offsets
-                else:
-                    QT[part, :dmax] = Kg @ QT[part, :dmax]
-            for rows in runs:
-                S[part, rows] = Kg @ S[part, rows]
+        for lo, hi, _ in groups:
+            part = win[lo:hi] + offsets
+            S[part, :dmax] = Kc[lo:hi] @ S[part, :dmax]
         if trace is not None:
             for c, eliminated, res in zip((win[:, 0] - 1).tolist(), (win[:, 1:] < m).sum(axis=1).tolist(),
                                           leftover.max(axis=1).tolist()):
-                trace({"event": "update-restore", "block": t + 2 - c, "column": c + 1,
+                trace({"event": "update-restore", "block": t + 1 - c, "column": c + 1,
                        "eliminated": eliminated, "residual": res})
 
     # columns 0..k-2 over all rows: the restored columns that fix H[:k, :k]

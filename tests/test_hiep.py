@@ -296,7 +296,7 @@ class TestKernelBuildersAgainstLoops:
 
 def wavefront_reference(ends, m, r, k):
     """The schedule built from all (merge, column) pairs by a stable sort
-    on their step, with each group's envelope reduced over its windows:
+    on their step, with each group's columns reduced over its windows:
     the builder that the step-order one replaced, kept as its reference."""
     count = ends[1:] - 2
     j = np.repeat(np.arange(1, len(ends)), count)
@@ -317,8 +317,6 @@ def wavefront_reference(ends, m, r, k):
     origin = tg + 1 - newest
     left0 = origin + (np.minimum.reduceat(c, cut) - origin) // align * align
     left1 = np.minimum(dmax, origin - (origin - np.maximum.reduceat(hi, cut)) // align * align)
-    top = np.minimum(dmax, -(-(np.maximum.reduceat(c, cut) + 3) // align) * align)
-    bottom = np.minimum(np.minimum.reduceat(lo, cut), dmax - 2) // align * align
 
     keep = c <= k - 2
     wins, t = wins[keep], t[keep]
@@ -329,10 +327,9 @@ def wavefront_reference(ends, m, r, k):
     g_lo, g_hi = kept[cut] - base, np.concatenate((kept[cut[1:]], [t.size])) - base
     live = g_lo < g_hi
     groups = [
-        (i0, i1, slice(c0, c1), (slice(0, dm),) if a >= b else (slice(0, a), slice(b, dm)))
-        for i0, i1, c0, c1, a, b, dm in zip(
-            g_lo[live].tolist(), g_hi[live].tolist(), left0[live].tolist(), left1[live].tolist(),
-            top[live].tolist(), bottom[live].tolist(), dmax[live].tolist())
+        (i0, i1, slice(c0, c1))
+        for i0, i1, c0, c1 in zip(g_lo[live].tolist(), g_hi[live].tolist(),
+                                  left0[live].tolist(), left1[live].tolist())
     ]
     per_step = tg[live].searchsorted(np.arange(steps + 1)).tolist()
     bounds = bounds.tolist()
@@ -341,7 +338,7 @@ def wavefront_reference(ends, m, r, k):
 
 class TestWavefrontAgainstReference:
     """The step-order schedule equals the sorted one: the same windows, and
-    per step the same window range and groups with the same envelopes,
+    per step the same window range and groups with the same columns,
     for every leading section of every layout."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -414,6 +411,25 @@ class TestUpdateSolve:
             assert len(events) == sum(min(d - 2, k - 1) for d in range(4, Z.m + 1, 2))
             assert {e["eliminated"] for e in events} <= {1, 2}
 
+    @pytest.mark.parametrize("method, strategy", [("update-hh", "householder"), ("update-rot", "rotations")])
+    def test_restore_events_name_their_merge(self, method, strategy):
+        # merge j of 2x2 blocks has d_j = 2(j + 1) and restores columns 1 ..
+        # min(d_j - 2, k - 1) of H, each traced as block j, the number that
+        # the residual check's NumericalFailure gives the same window
+        Z, w = legendre_instance()
+        for k in (Z.m, Z.m // 2):
+            events = []
+            if k == Z.m:
+                update_solve(Z, w, strategy=strategy, trace=events.append)
+            else:
+                solve_hessenberg(Z, w, k, method=method, trace=events.append)
+            columns = {}
+            for e in events:
+                columns.setdefault(e["block"], []).append(e["column"])
+            expected = {j: min(2 * (j + 1) - 2, k - 1) for j in range(1, len(Z._ends))}
+            assert {j: len(cols) for j, cols in columns.items()} == expected
+            assert all(sorted(cols) == list(range(1, len(cols) + 1)) for cols in columns.values())
+
     def test_residual_check_raises(self, monkeypatch):
         # a kernel that eliminates nothing must trip the per-column check.
         # With 2x2 blocks, step 0 restores column 0 of merge 1, and step 1
@@ -449,11 +465,11 @@ class TestUpdateSolve:
 
     @pytest.mark.parametrize("strategy", ["rotations", "householder"])
     def test_envelope_products_round_as_products_over_all_rows(self, strategy, monkeypatch):
-        # cutting each group's products to its envelope adds only zero
+        # cutting each group's left product to its columns adds only zero
         # entries and keeps every BLAS call's rounding: H and Q are bitwise
         # those of one product per step over rows 0..dmax-1 and columns
-        # c_new..dmax-1 (rng 2 draws a step whose second row run would
-        # otherwise hold a single row)
+        # c_new..dmax-1 (rng 2 draws complex data in blocks of sizes 1 and 2,
+        # with up to 48 windows and two groups in a step)
         instances = [
             random_spectral_data(np.random.default_rng(2), max_m=140, max_block=2),
             multi_group_instance(),
@@ -469,7 +485,7 @@ class TestUpdateSolve:
             for t, (start, stop, _) in enumerate(steps):
                 dmax = int(ends[min(t + 1, len(ends) - 1)])
                 c_new = int(wins[stop - 1, 0]) - 1 if stop > start else 0
-                dense.append((start, stop, [(0, stop - start, slice(c_new, dmax), (slice(0, dmax),))]))
+                dense.append((start, stop, [(0, stop - start, slice(c_new, dmax))]))
             return wins, dense
 
         monkeypatch.setattr(hiep, "_wavefront", whole)
