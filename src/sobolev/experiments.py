@@ -88,9 +88,10 @@ def _jsonable(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        # strict JSON has no NaN or Infinity
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (complex, np.complexfloating)):
-        return [value.real, value.imag]
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     return value

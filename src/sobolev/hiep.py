@@ -34,7 +34,11 @@ dtype of Z's bands and w combined, float64 for real data and complex128
 otherwise, and return H and Q in that dtype.
 :func:`solve_hessenberg` needs only the leading k x k section of H, so
 with the updating solvers it skips the accumulation of Q and stops every
-merge after column k-2, which leaves that section bitwise unchanged.
+merge after column k-2, which leaves that section bitwise unchanged.  Its
+steps group only the windows they keep, so a window can share its group
+with other windows than in the full solve; its bits do not change, since
+each window's product is its own BLAS call and the rounded cuts round as
+the product over all columns.
 
 Complex H is bitwise reproducible only under the same numpy SIMD
 dispatch: numpy's vectorized complex loops (``np.abs``, products,
@@ -282,31 +286,32 @@ _GROUP = 32
 _ALIGN = 16
 
 
-def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
+def _schedule(ends: np.ndarray, r: int, k: int):
     """Windows of all (merge j, column c) pairs in step order, padded to r
-    indices with m, and per step (start, stop, groups): its windows
-    start .. stop-1 and its groups (lo, hi, cols), each its windows
-    start+lo .. start+hi-1 with the columns of its left product (see
-    update_solve).
+    indices with the scratch index m, and per step (start, stop, dmax,
+    inject, groups): its windows start .. stop-1, the dimension d_j of its
+    newest merge, the rows (0, d_{j-1}) of the merge j injected at that
+    step, as an index array and as the slice 0:d_{j-1}+1:d_{j-1}, or None,
+    and its groups (lo, hi, cols), each its windows start+lo .. start+hi-1
+    with the columns of its left product (see update_solve).
 
     Merge j restores column c at step t = j - 1 + c, for c = 0 ..
     min(d_j - 3, k - 2), so step t holds the merges j <= t + 1 with
-    j + d_j >= t + 4: one range of j, generated in step order with no
-    sort.  The steps run to the last restore, and at least to the last
-    merge's injection at step len(ends) - 2.  Groups and their columns are
-    cut from the full schedule (k = m), so a leading solve keeps of each
-    group the part it restores, in the full solve's slices.
+    j + d_j >= t + 4 and j >= t + 3 - k: one range of j, generated in step
+    order with no sort.  The steps run to the last restore, and at least to
+    the last merge's injection at step len(ends) - 2.  A step's groups are
+    cut every _GROUP windows from its first window, so a leading solve
+    groups only the windows it keeps: no window's bits depend on which
+    windows share its group (see update_solve).
     """
-    last = len(ends) - 1
-    # the last merge makes the last restore; step t holds merges first ..
-    # newest of the full schedule and keeps those from kept on (c <= k - 2),
-    # neither past newest + 1
-    steps = last + max(min(int(ends[-1]) - 3, k - 2), 0) if last else 0
+    m, last = int(ends[-1]), len(ends) - 1
+    # the last merge makes the last restore; step t holds merges kept ..
+    # newest, and kept <= newest + 1
+    steps = last + max(min(m - 3, k - 2), 0) if last else 0
     reach = ends + np.arange(last + 1)
     t = np.arange(steps)
     newest = np.minimum(t + 1, last)
-    first = reach[1:].searchsorted(t + 4) + 1
-    kept = np.maximum(first, t + 3 - k)
+    kept = np.maximum(reach[1:].searchsorted(t + 4) + 1, t + 3 - k)
     count = newest + 1 - kept
     bounds = np.zeros(steps + 1, dtype=count.dtype)
     count.cumsum(out=bounds[1:])
@@ -323,16 +328,15 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
     for i in range(1, r):
         np.add(lo, i - 1, out=wins[:, i], where=size >= i)
 
-    # groups of _GROUP windows from the start of each step of the full
-    # schedule, merges ja .. jb, of which the section keeps g_lo .. g_hi-1
-    per_step = -((first - 1 - newest) // _GROUP)
+    # groups of _GROUP windows from the start of each step, its windows
+    # g_lo .. g_hi-1 and merges kept + g_lo .. jb
+    per_step = -(-count // _GROUP)
+    cuts = np.zeros(steps + 1, dtype=count.dtype)
+    per_step.cumsum(out=cuts[1:])
     tg = np.repeat(t, per_step)
-    ja = first[tg] + _GROUP * (np.arange(tg.size) - np.repeat(per_step.cumsum() - per_step, per_step))
-    jb = np.minimum(ja + _GROUP - 1, newest[tg])
-    live = jb >= kept[tg]
-    tg, ja, jb = tg[live], ja[live], jb[live]
-    base = kept[tg]
-    g_lo, g_hi = np.maximum(ja - base, 0), jb + 1 - base
+    g_lo = _GROUP * (np.arange(tg.size) - cuts[tg])
+    g_hi = np.minimum(g_lo + _GROUP, count[tg])
+    jb = kept[tg] + g_hi - 1
     # over a group c falls and hi grows with j, so its columns run from c of
     # jb to hi of jb; the newest merge of step t is at column t + 1 - newest,
     # where the left product over all of H starts, and the group's left
@@ -347,28 +351,14 @@ def _wavefront(ends: np.ndarray, m: int, r: int, k: int):
         (i0, i1, slice(c0, c1))
         for i0, i1, c0, c1 in zip(g_lo.tolist(), g_hi.tolist(), left0.tolist(), left1.tolist())
     ]
-    cuts = tg.searchsorted(np.arange(steps + 1)).tolist()
-    bounds = bounds.tolist()
-    return wins, [(bounds[i], bounds[i + 1], groups[cuts[i]:cuts[i + 1]]) for i in range(steps)]
-
-
-def _schedule(ends: np.ndarray, r: int, k: int):
-    """:func:`_wavefront` with, for each window entry H[i, c] of the column c
-    it restores, its flat index c (m+1) + i in H^T, and per step (start,
-    stop, dmax, inject, groups), where inject holds the rows (0, d_{j-1})
-    of the merge j injected at that step, as an index array and as the
-    slice 0:d_{j-1}+1:d_{j-1}, or is None."""
-    m = int(ends[-1])
-    wins, steps = _wavefront(ends, m, r, k)
-    cells = (wins[:, :1] - 1) * (m + 1) + wins
-    last = len(ends) - 1
     pairs = np.zeros((last, 2), dtype=ends.dtype)
     pairs[:, 1] = ends[:-1]
-    dims = ends.tolist()
-    return wins, cells, [
-        (start, stop, dims[min(t + 1, last)],
-         (pairs[t], slice(0, dims[t] + 1, dims[t])) if t < last else None, groups)
-        for t, (start, stop, groups) in enumerate(steps)
+    dims, bounds, cuts = ends.tolist(), bounds.tolist(), cuts.tolist()
+    return wins, [
+        (bounds[i], bounds[i + 1], dims[min(i + 1, last)],
+         (pairs[i], slice(0, dims[i] + 1, dims[i])) if i < last else None,
+         groups[cuts[i]:cuts[i + 1]])
+        for i in range(steps)
     ]
 
 
@@ -402,15 +392,15 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     The left products touch only each window's envelope.  With the window
     of merge j at column c being rows c+1 and lo .. hi-1, its rows are
     zero outside columns c .. hi-1.  A step's windows are cut into groups
-    of 32; each group gets one left product on the union of its windows'
-    columns and one right product on rows 0 .. dmax-1.  On the Legendre
-    m=201 input at k=202 the left products touch 70% of the entries that
-    products over columns c_new .. dmax-1 would, where c_new is the step's
-    newest column.  Each cut is rounded outward to a multiple of 16
-    counted from c_new, which adds only zero entries and keeps every
-    column at its position modulo 16 within the BLAS call, by which the
-    complex OpenBLAS kernels round: unrounded cuts changed the last bits
-    of H on most random complex instances.  So H and Q are bitwise those
+    of 32 from its first; each group gets one left product on the union of
+    its windows' columns and one right product on rows 0 .. dmax-1.  On the
+    Legendre m=201 input at k=202 the left products touch 70% of the
+    entries that products over columns c_new .. dmax-1 would, where c_new
+    is the step's newest column.  Each cut is rounded outward to a
+    multiple of 16 counted from c_new, which adds only zero entries and
+    keeps every column at its position modulo 16 within the BLAS call, by
+    which the complex OpenBLAS kernels round: unrounded cuts changed the
+    last bits of H on most random complex instances.  So H and Q are bitwise those
     of the products over all of H.
 
     The workspace is one row-major array S with H^T in rows 0 .. m and,
@@ -436,19 +426,23 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     multiply a strided slice of H's rows, whose entries are not adjacent,
     in its own loop, which rounds differently.
 
-    Each call builds its own schedule, and keeps none: the flat indices
+    Each call builds its own schedule, and keeps none: the windows, the
+    injection rows and the groups, and from the windows the flat indices
     in H^T of the gathered entries V = H[win, col], which the elimination
-    then zeroes, the injection rows, and the groups.  The residual check
-    reads what the left products leave below each window's head row, the
-    entries the elimination discards, without a product of its own.
+    then zeroes.  The residual check reads what the left products leave
+    below each window's head row, the entries the elimination discards,
+    without a product of its own.
 
     A caller that keeps only the leading k x k section needs only columns
     0 .. k-2 restored, so every merge stops there.  The skipped restores
     act on rows and columns >= k, and later merges mix into a column
     c+1 < k only their own new-block columns, so nothing skipped flows
-    back into H[:k, :k].  The groups and their columns are those of the
-    full solve, so every window kept runs in the same slices, and the
-    section is bitwise the one of the full solve.
+    back into H[:k, :k].  A step groups only the windows it keeps, so a
+    window kept may share its group, and with it the columns of its left
+    product, with other windows than in the full solve.  Its bits stay:
+    inside the batched product each window is its own BLAS call on its own
+    operands, and any rounded cut rounds as the product over all columns.
+    So the section is bitwise the one of the full solve.
 
     Accuracy is that of the leading section only while the subdiagonal of
     H stays large.  On Legendre m=201 with gamma=0.01 (dimension 402), the
@@ -528,7 +522,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     rotations[:, 0, 1] = moduli[1:]
     rotations[:, 1, 0] = -moduli[1:]
     rotations /= norms[1:, None, None]
-    wins, cells, steps = _schedule(ends, int(sizes.max()) + 1, k)
+    wins, steps = _schedule(ends, int(sizes.max()) + 1, k)
+    # each entry H[i, c] of a window of column c at its flat index c (m+1) + i in H^T
+    cells = (wins[:, :1] - 1) * (m + 1) + wins
     cells_of_S = S.reshape(-1)
     # S as a stack of its H^T and Q^T planes, and the row offset of each
     stack = S.reshape(planes, m + 1, m + 1)

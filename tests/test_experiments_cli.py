@@ -488,6 +488,30 @@ class TestCli:
         assert obj["experiment"] == "penta"
         assert {"experiment", "config", "rows", "diagnostics", "wall_time"} <= set(obj)
 
+    STRICT_JSON_RUNS = {
+        "laguerre-roots": ["--n-quad", "5", "--k-max", "3"],
+        # one root has no pair to measure a gap with: min_pair_gap is inf
+        "althammer-roots": ["--n", "1", "--n-quad", "2"],
+        "least-squares": ["--m", "20", "--degrees", "1,5"],
+        "penta": ["--m", "2"],
+        "compare-solvers": ["--count", "2", "--max-m", "8"],
+    }
+
+    def test_json_output_is_strict_for_every_command(self, capsys):
+        # a non-finite float is written as null, never as NaN or Infinity
+        [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(self.STRICT_JSON_RUNS) == set(subparsers.choices)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        reports = {}
+        for command, flags in self.STRICT_JSON_RUNS.items():
+            assert main([command, *flags, "--format", "json"]) == 0
+            reports[command] = json.loads(capsys.readouterr().out, parse_constant=reject)
+            assert reports[command]["experiment"] == command
+        assert reports["althammer-roots"]["diagnostics"]["min_pair_gap"] is None
+
     def test_out_file_and_byte_stability(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

@@ -294,52 +294,67 @@ class TestKernelBuildersAgainstLoops:
                 assert built.tobytes() == loop.tobytes()
 
 
-def wavefront_reference(ends, m, r, k):
+def schedule_reference(ends, r, k):
     """The schedule built from all (merge, column) pairs by a stable sort
-    on their step, with each group's columns reduced over its windows:
-    the builder that the step-order one replaced, kept as its reference."""
+    on their step, keeping those with c <= k - 2 and cutting their groups
+    after, with each group's columns reduced over its windows: the builder
+    that the step-order one replaced, kept as its reference."""
+    m, last = int(ends[-1]), len(ends) - 1
     count = ends[1:] - 2
     j = np.repeat(np.arange(1, len(ends)), count)
     c = np.arange(j.size) - np.repeat(count.cumsum() - count, count)
     order = (j + c).argsort(kind="stable")
-    j, c = j[order], c[order]
+    keep = c[order] <= k - 2
+    j, c = j[order][keep], c[order][keep]
     t = j + c - 1
     lo = np.maximum(c + 2, ends[j - 1])
     hi = np.minimum(ends[j], ends[j - 1] + c + 2)
     tail = lo[:, None] + np.arange(r - 1)
     wins = np.concatenate(((c + 1)[:, None], np.where(tail < hi[:, None], tail, m)), axis=1)
+    steps = max(last, int(t.max(initial=-1)) + 1)
+    bounds = t.searchsorted(np.arange(steps + 1))
 
     align = hiep._ALIGN
-    cut = ((np.arange(t.size) - t.searchsorted(t)) % hiep._GROUP == 0).nonzero()[0]
+    cut = ((np.arange(t.size) - bounds[t]) % hiep._GROUP == 0).nonzero()[0]
     tg = t[cut]
-    newest = np.minimum(tg + 1, len(ends) - 1)
+    newest = np.minimum(tg + 1, last)
     dmax = ends[newest]
     origin = tg + 1 - newest
     left0 = origin + (np.minimum.reduceat(c, cut) - origin) // align * align
     left1 = np.minimum(dmax, origin - (origin - np.maximum.reduceat(hi, cut)) // align * align)
-
-    keep = c <= k - 2
-    wins, t = wins[keep], t[keep]
-    steps = max(len(ends) - 1, int(t.max(initial=-1)) + 1)
-    bounds = t.searchsorted(np.arange(steps + 1))
-    kept = keep.cumsum() - keep
-    base = bounds[np.minimum(tg, steps)]
-    g_lo, g_hi = kept[cut] - base, np.concatenate((kept[cut[1:]], [t.size])) - base
-    live = g_lo < g_hi
+    g_lo, g_hi = cut - bounds[tg], np.append(cut[1:], t.size) - bounds[tg]
     groups = [
         (i0, i1, slice(c0, c1))
-        for i0, i1, c0, c1 in zip(g_lo[live].tolist(), g_hi[live].tolist(),
-                                  left0[live].tolist(), left1[live].tolist())
+        for i0, i1, c0, c1 in zip(g_lo.tolist(), g_hi.tolist(), left0.tolist(), left1.tolist())
     ]
-    per_step = tg[live].searchsorted(np.arange(steps + 1)).tolist()
-    bounds = bounds.tolist()
-    return wins, [(bounds[i], bounds[i + 1], groups[per_step[i]:per_step[i + 1]]) for i in range(steps)]
+    per_step = tg.searchsorted(np.arange(steps + 1)).tolist()
+    dims, bounds = ends.tolist(), bounds.tolist()
+    return wins, [
+        (bounds[i], bounds[i + 1], dims[min(i + 1, last)],
+         ([0, dims[i]], slice(0, dims[i] + 1, dims[i])) if i < last else None,
+         groups[per_step[i]:per_step[i + 1]])
+        for i in range(steps)
+    ]
+
+
+def regrouped_steps(ends, r, k):
+    """Steps whose kept windows the leading schedule at k groups otherwise
+    than the full schedule does.  A leading step keeps the last windows of
+    the full one, those of the merges that are still at columns <= k-2."""
+    _, full = hiep._schedule(ends, r, int(ends[-1]))
+    _, leading = hiep._schedule(ends, r, k)
+    count = 0
+    for (start, stop, *_, groups), (lead_start, lead_stop, *_, lead_groups) in zip(full, leading):
+        dropped = (stop - start) - (lead_stop - lead_start)
+        cut = [(max(lo - dropped, 0), hi - dropped) for lo, hi, _ in groups if hi > dropped]
+        count += cut != [(lo, hi) for lo, hi, _ in lead_groups]
+    return count
 
 
 class TestWavefrontAgainstReference:
     """The step-order schedule equals the sorted one: the same windows, and
-    per step the same window range and groups with the same columns,
-    for every leading section of every layout."""
+    per step the same window range, dimension, injection and groups with
+    the same columns, for every leading section of every layout."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
     @given(sizes=st.integers(min_value=1, max_value=60).flatmap(
@@ -348,11 +363,14 @@ class TestWavefrontAgainstReference:
         ends = np.cumsum(sizes)
         m, r = int(ends[-1]), max(sizes) + 1
         for k in range(1, m + 1):
-            wins, steps = hiep._wavefront(ends, m, r, k)
-            ref_wins, ref_steps = wavefront_reference(ends, m, r, k)
+            wins, steps = hiep._schedule(ends, r, k)
+            ref_wins, ref_steps = schedule_reference(ends, r, k)
             assert wins.dtype == ref_wins.dtype
             assert np.array_equal(wins, ref_wins)
-            assert steps == ref_steps
+            assert [
+                (start, stop, dmax, inject and (inject[0].tolist(), inject[1]), groups)
+                for start, stop, dmax, inject, groups in steps
+            ] == ref_steps
 
 
 class TestUpdateSolve:
@@ -475,20 +493,19 @@ class TestUpdateSolve:
             multi_group_instance(),
         ]
         results = [update_solve(Z, w, strategy=strategy) for Z, w in instances]
-        wavefront = hiep._wavefront
+        schedule = hiep._schedule
         calls = []
 
-        def whole(ends, m, r, k):
+        def whole(ends, r, k):
             calls.append(k)
-            wins, steps = wavefront(ends, m, r, k)
+            wins, steps = schedule(ends, r, k)
             dense = []
-            for t, (start, stop, _) in enumerate(steps):
-                dmax = int(ends[min(t + 1, len(ends) - 1)])
+            for start, stop, dmax, inject, _ in steps:
                 c_new = int(wins[stop - 1, 0]) - 1 if stop > start else 0
-                dense.append((start, stop, [(0, stop - start, slice(c_new, dmax))]))
+                dense.append((start, stop, dmax, inject, [(0, stop - start, slice(c_new, dmax))]))
             return wins, dense
 
-        monkeypatch.setattr(hiep, "_wavefront", whole)
+        monkeypatch.setattr(hiep, "_schedule", whole)
         for (Z, w), (H, Q) in zip(instances, results):
             H_whole, Q_whole = update_solve(Z, w, strategy=strategy)
             assert np.array_equal(H, H_whole)
@@ -499,19 +516,20 @@ class TestUpdateSolve:
         # the last window of column k-2 loses its last row to the scratch
         # index, so that entry survives below the subdiagonal; only the
         # final check over columns 0..k-2 and all rows can see it
-        wavefront = hiep._wavefront
+        schedule = hiep._schedule
         calls = []
 
-        def dropping(ends, m, r, k):
+        def dropping(ends, r, k):
             calls.append(k)
-            wins, steps = wavefront(ends, m, r, k)
+            wins, steps = schedule(ends, r, k)
+            m = int(ends[-1])
             last = np.flatnonzero(wins[:, 0] == k - 1)[-1]
             pos = np.flatnonzero(wins[last] < m)[-1]
             assert pos > 0
             wins[last, pos] = m
             return wins, steps
 
-        monkeypatch.setattr(hiep, "_wavefront", dropping)
+        monkeypatch.setattr(hiep, "_schedule", dropping)
         Z, w = legendre_instance()
         with pytest.raises(NumericalFailure, match="outside the bulge window"):
             solve_hessenberg(Z, w, Z.m // 2, method="update-rot")
@@ -705,15 +723,18 @@ class TestSolveHessenberg:
                 legendre_instance(),
             )
         ]
-        # steps with several groups of windows; at each k some step keeps
-        # only part of a group
+        # steps with several groups of windows; at some k of each instance a
+        # leading step drops the first windows of a full step and cuts its
+        # groups otherwise than the full solve does
         several = [
             (*legendre_instance(m=100), (2, 33, 67, 101, 160), 2 * hiep._GROUP),
             (*multi_group_instance(), (10, 30, 62, 100), hiep._GROUP),
         ]
         for Z, w, ks, least in several:
-            _, steps = hiep._wavefront(Z._ends, Z.m, np.diff(Z._ends, prepend=0).max() + 1, Z.m)
-            assert max(stop - start for start, stop, _ in steps) > least
+            r = np.diff(Z._ends, prepend=0).max() + 1
+            _, steps = hiep._schedule(Z._ends, r, Z.m)
+            assert max(stop - start for start, stop, *_ in steps) > least
+            assert any(regrouped_steps(Z._ends, r, k) for k in ks)
             cases.append((Z, w, ks))
         for Z, w, ks in cases:
             H, _ = update_solve(Z, w, strategy=strategy)
