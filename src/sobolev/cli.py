@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .errors import NumericalFailure
 from .experiments import (
+    _jsonable,
     cmd_althammer_roots,
     cmd_compare_solvers,
     cmd_laguerre_roots,
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stderr_trace(record: dict):
-    print(json.dumps(record), file=sys.stderr)
+    print(json.dumps(_jsonable(record)), file=sys.stderr)
 
 
 def _unwritable(path: Path) -> str | None:
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
         error(str(exc))
     except NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
-        print(json.dumps({"error": str(exc), **exc.details}, default=str), file=sys.stderr)
+        print(json.dumps(_jsonable({"error": str(exc), **exc.details})), file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)

@@ -8,6 +8,18 @@ tolerance) and the eigenvalues come from LAPACK through
 ``np.linalg.eigvals``.  A real H reaches the real double-shift QR
 (``dhseqr`` via ``dgeev``), which returns real eigenvalues with an
 imaginary part of exactly zero; a complex H reaches ``zgeev``.
+
+A root table makes one LAPACK call for its sections up to order 75:
+section k sits in the top-left corner of a zero matrix of the largest
+order, and the stack goes to LAPACK at once.  Balancing isolates the zero
+rows and columns, so the QR iteration runs on the section's own block.
+xHSEQR picks its small-matrix QR (xLAHQR) by the order of the whole
+matrix, up to order 75 (the crossover of reference LAPACK's ILAENV, which
+OpenBLAS ships), and the multishift QR of Braman, Byers & Mathias (2002)
+above it, whose shifts and deflation windows depend on that order.  So up
+to order 75 a padded section gets exactly the bits of the section alone;
+above it, padding changes them, and each larger section keeps a call of
+its own.
 """
 
 from __future__ import annotations
@@ -22,16 +34,23 @@ from .hiep import hessenberg_defect
 __all__ = ["hessenberg_eigenvalues", "smallest_root", "smallest_roots"]
 
 
+# the largest order at which xHSEQR still runs xLAHQR, and a zero-padded
+# section gets the bits of the section alone
+_STACK_ORDER = 75
+
+
 def _lapack_eigenvalues(T: np.ndarray, trace) -> np.ndarray:
-    """Eigenvalues of a validated, exactly Hessenberg T by one LAPACK call."""
-    n = T.shape[0]
+    """Eigenvalues of a stack of validated, exactly Hessenberg matrices of
+    one order n, shape (sections, n, n), by one LAPACK call."""
+    sections, n = T.shape[:2]
     start = time.perf_counter()
     try:
         vals = np.linalg.eigvals(T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"LAPACK eigenvalue iteration failed: {exc}", n=n) from exc
     if trace is not None:
-        trace({"event": "eigen", "n": n, "seconds": time.perf_counter() - start})
+        trace({"event": "eigen", "n": n, "sections": sections,
+               "seconds": time.perf_counter() - start})
     return vals
 
 
@@ -65,7 +84,8 @@ def hessenberg_eigenvalues(H, trace=None) -> np.ndarray:
     Entries below the subdiagonal may deviate from zero by at most
     1e-13 * max(||H||_F, 1); they are then set to zero before LAPACK sees
     the matrix.  ``trace``, if given, receives one dict per LAPACK call
-    with its dimension ``n`` and wall time ``seconds``.
+    with its dimension ``n``, ``sections`` (1 here) and wall time
+    ``seconds``.
 
     Raises
     ------
@@ -79,7 +99,7 @@ def hessenberg_eigenvalues(H, trace=None) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if hessenberg_defect(A) > 1e-13 * max(float(np.linalg.norm(A)), 1.0):
         raise ValueError("matrix is not upper Hessenberg within tolerance")
-    vals = _lapack_eigenvalues(np.triu(A, -1), trace)
+    vals = _lapack_eigenvalues(np.triu(A, -1)[None], trace)[0]
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
@@ -103,7 +123,11 @@ def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
     1e-13 * max(||H_k||_F, 1) included, and the first section that fails
     one raises its ``ValueError`` after the sections before it ran.  The
     sections share one copy with the entries below the subdiagonal set to
-    zero; each gets one LAPACK call and one ``eigen`` trace event.
+    zero.  Sections 1 .. min(k_max, 75) before the first failing one go to
+    LAPACK as one stack, each zero-padded to the largest order, and give
+    the bits of their own calls (see the module docstring); each larger
+    section gets a call of its own.  Each LAPACK call emits one ``eigen``
+    trace event with its order ``n`` and its ``sections``.
     """
     A = _as_float_matrix(_leading(H, k_max, "k_max")[:k_max, :k_max])
     # section k holds entry (i, j) iff max(i, j) < k, and its defect is the
@@ -117,9 +141,22 @@ def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
             first_bad, message = k + 1, "matrix is not upper Hessenberg within tolerance"
             break
     T = np.triu(A, -1)
+    s = min(first_bad - 1, _STACK_ORDER)
     roots = []
-    for k in range(1, k_max + 1):
+    if s:
+        # section k in layer k - 1; its eigenvalues come out in places
+        # 0 .. k-1 of the layer, the padding's zeros after them
+        stack = np.zeros((s, s, s), dtype=T.dtype)
+        for k in range(1, s + 1):
+            stack[k - 1, :k, :k] = T[:k, :k]
+        vals = _lapack_eigenvalues(stack, trace)
+        layer = np.arange(s)
+        padding = layer > layer[:, None]
+        # _smallest's order in each layer, the padding last
+        smallest = np.lexsort((vals.imag, np.abs(vals.imag), vals.real, padding))[:, 0]
+        roots = vals[layer, smallest].astype(complex).tolist()
+    for k in range(s + 1, k_max + 1):
         if k == first_bad:
             raise ValueError(message)
-        roots.append(_smallest(_lapack_eigenvalues(T[:k, :k], trace)))
+        roots.append(_smallest(_lapack_eigenvalues(T[None, :k, :k], trace)[0]))
     return roots

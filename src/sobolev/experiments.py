@@ -56,6 +56,8 @@ class ExperimentReport:
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return f"{value:.16e}"
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -74,11 +76,14 @@ def report_to_csv(report: ExperimentReport) -> str:
     header = list(report.rows[0].keys())
     lines = [",".join(header)]
     for row in report.rows:
-        lines.append(",".join(_cell(row.get(key)) for key in header))
+        # a list, not a generator: join makes one of it anyway, at more cost
+        lines.append(",".join([_cell(row.get(key)) for key in header]))
     return "\n".join(lines) + "\n"
 
 
 def _jsonable(value):
+    """value in strict JSON types: a non-finite float as None, a complex
+    number as [re, im], and any other non-JSON value as its str."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -94,7 +99,9 @@ def _jsonable(value):
         return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
-    return value
+    if value is None or isinstance(value, str):
+        return value
+    return str(value)
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -196,8 +203,8 @@ def cmd_althammer_roots(
     H = solve_hessenberg(Z, w, n, method=solver, trace=trace)
     roots = hessenberg_eigenvalues(H[:n, :n], trace=trace)
     rows = [
-        {"index": i + 1, "root_re": r.real, "root_im": r.imag}
-        for i, r in enumerate(roots)
+        {"index": i, "root_re": re, "root_im": im}
+        for i, (re, im) in enumerate(zip(roots.real.tolist(), roots.imag.tolist()), start=1)
     ]
     gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(n, 1)]
     diagnostics = {

@@ -544,12 +544,13 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             part = win[lo:hi]
             H[part, cols] = K[lo:hi] @ H[part, cols]
         # the left products wrote K V into the window's column: what they
-        # left below its head row is the residual of the elimination
+        # left below its head row is the residual of the elimination; a NaN
+        # residual fails too (np.maximum propagates it, and no NaN is <= tol)
         below = cell[:, 1:]
         leftover = np.abs(cells_of_S[below])
-        if np.maximum.reduce(leftover, axis=None) > tol:
+        if not np.maximum.reduce(leftover, axis=None) <= tol:
             residual = leftover.max(axis=1)
-            bad = int(np.argmax(residual > tol))
+            bad = int(np.argmax(~(residual <= tol)))
             c = int(win[bad, 0]) - 1
             raise NumericalFailure(
                 "Hessenberg restoration left a residual above tolerance",

@@ -203,8 +203,9 @@ class TestSmallestRoot:
 
 
 class TestSmallestRoots:
-    """Every leading section at once, validated once: the same roots, LAPACK
-    calls, trace events and rejections as smallest_root section by section."""
+    """Every leading section at once, validated once: the same roots and
+    rejections as smallest_root section by section, with the sections up to
+    order 75 in one LAPACK call and one trace event."""
 
     @staticmethod
     def one_by_one(H, k_max):
@@ -229,7 +230,10 @@ class TestSmallestRoots:
         events = []
         roots = smallest_roots(H, k_max, trace=events.append)
         assert [(z.real, z.imag) for z in roots] == [(z.real, z.imag) for z in expected]
-        assert [(e["event"], e["n"]) for e in events] == [(e["event"], e["n"]) for e in expected_events]
+        assert [(e["event"], e["n"], e["sections"]) for e in expected_events] == [
+            ("eigen", k, 1) for k in range(1, k_max + 1)
+        ]
+        assert [(e["event"], e["n"], e["sections"]) for e in events] == [("eigen", k_max, k_max)]
         if kind == "conjugate-pairs":
             assert roots[1] == -5.0 - 1.0j
 
@@ -253,7 +257,9 @@ class TestSmallestRoots:
         seen = []
         with pytest.raises(ValueError, match=message):
             smallest_roots(H, 8, trace=seen.append)
-        assert [e["n"] for e in seen] == [e["n"] for e in events] == list(range(1, max(entry) + 1))
+        # the sections before the failing one ran, as one stack
+        assert [e["n"] for e in events] == list(range(1, max(entry) + 1))
+        assert [(e["n"], e["sections"]) for e in seen] == [(max(entry), max(entry))]
         if np.isfinite(value):
             smallest_root(H, 8)
 
@@ -261,3 +267,52 @@ class TestSmallestRoots:
         for k_max in (0, 4):
             with pytest.raises(ValueError, match="k_max"):
                 smallest_roots(np.eye(3), k_max)
+
+
+def per_section_roots(H, k_max):
+    """Smallest eigenvalue of each leading section by its own
+    np.linalg.eigvals call, as bytes: real and imaginary parts bit for bit."""
+    T = np.triu(np.asarray(H)[:k_max, :k_max], -1)
+    roots = []
+    for k in range(1, k_max + 1):
+        vals = np.linalg.eigvals(T[:k, :k]).astype(complex)
+        roots.append(min(vals, key=lambda z: (z.real, abs(z.imag), z.imag)))
+    return np.array(roots, dtype=complex).tobytes()
+
+
+class TestStackedSections:
+    """Sections up to order 75 zero-padded into one stack give the bits of
+    one LAPACK call per section; larger sections keep a call each."""
+
+    @staticmethod
+    def laguerre(n_quad, solver, k):
+        Z, w = build_same_measure(golub_welsch(laguerre_jacobi(n_quad, -0.5)), [1.0, 1.0])
+        return solve_hessenberg(Z, w, k, method=solver)
+
+    def test_bitwise_on_the_benchmark_table(self):
+        H = self.laguerre(40, "arnoldi", 40)
+        events = []
+        roots = smallest_roots(H, 40, trace=events.append)
+        assert np.array(roots).tobytes() == per_section_roots(H, 40)
+        assert [(e["n"], e["sections"]) for e in events] == [(40, 40)]
+
+    # on these H, sections padded to order 76..80 differ from their own calls
+    # in 72 and more of their smallest roots; padded to 75 in none
+    @pytest.mark.parametrize("solver", ["update-rot", "update-hh"])
+    @pytest.mark.parametrize("k_max", [75, 80])
+    def test_bitwise_at_the_stack_order_and_above(self, solver, k_max):
+        H = self.laguerre(40, solver, 80)
+        events = []
+        roots = smallest_roots(H, k_max, trace=events.append)
+        assert np.array(roots).tobytes() == per_section_roots(H, k_max)
+        assert [(e["n"], e["sections"]) for e in events] == [(75, 75)] + [
+            (k, 1) for k in range(76, k_max + 1)
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_on_complex_graded_sections(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 61))
+        grading = np.exp(rng.uniform(-20.0, 20.0, n))
+        H = random_hessenberg(rng, n) * grading[:, None] / grading[None, :]
+        assert np.array(smallest_roots(H, n)).tobytes() == per_section_roots(H, n)

@@ -551,11 +551,12 @@ class TestCli:
         assert main(["laguerre-roots", "--k-max", "3", "--trace"]) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         eigen = [e for e in events if e["event"] == "eigen"]
-        assert [e["n"] for e in eigen] == [1, 2, 3]
+        # the root table's three sections in one LAPACK call
+        assert [(e["n"], e["sections"]) for e in eigen] == [(3, 3)]
         assert all(e["seconds"] >= 0.0 for e in eigen)
         assert main(["althammer-roots", "--n", "6", "--n-quad", "8", "--trace"]) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
-        assert [e["n"] for e in events if e["event"] == "eigen"] == [6]
+        assert [(e["n"], e["sections"]) for e in events if e["event"] == "eigen"] == [(6, 1)]
         assert main(["laguerre-roots", "--k-max", "3"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -794,6 +795,37 @@ class TestCli:
         assert "breakdown in column 4" in captured.err
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert record == {"error": "breakdown in column 4", "column": 4, "residual": 1e-3}
+
+    def test_failing_trace_is_strict_json_and_stops_at_the_first_nan(self, capsys):
+        # update-hh overflows at gamma=1e300: the first window whose residual
+        # is NaN fails, and its record carries null, not NaN
+        argv = ["althammer-roots", "--gamma", "1e300", "--solver", "update-hh", "--trace"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == EXIT_NUMERICAL_FAILURE
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2] == (
+            "sobolev: numerical failure: Hessenberg restoration left a residual above tolerance"
+        )
+        records = [json.loads(line, parse_constant=reject) for line in lines[:-2] + lines[-1:]]
+        assert records[-1] == {
+            "error": "Hessenberg restoration left a residual above tolerance",
+            "column": 4,
+            "block": 2,
+            "residual": None,
+        }
+        # the loop stops at the failing window's step, block + column - 2 = 4
+        events = records[:-1]
+        assert {e["event"] for e in events} == {"update-restore"}
+        assert max(e["block"] + e["column"] - 2 for e in events) == 3
+
+    def test_trace_events_are_strict_json(self, capsys):
+        sobolev.cli._stderr_trace({"event": "x", "residual": np.float64("nan"), "z": 1j, "n": np.int64(2)})
+        line = capsys.readouterr().err
+        assert line == '{"event": "x", "residual": null, "z": [0.0, 1.0], "n": 2}\n'
 
     def test_bad_arguments_exit_with_usage_error(self):
         with pytest.raises(SystemExit):
