@@ -5,75 +5,28 @@ weight vector; solving the associated Hessenberg inverse eigenvalue
 problem yields the recurrence matrix of the orthonormal polynomial
 sequence, which then drives evaluation, root finding and Hermite least
 squares.
+
+Each layer module lists its public names in its own ``__all__``: the
+package re-exports them in pipeline order (quadrature, spectral, hiep,
+eigen, sop), after ``NumericalFailure`` and before ``__version__``.
 """
 
+from . import eigen, hiep, quadrature, sop, spectral
 from .errors import NumericalFailure
-from .quadrature import (
-    JacobiCoefficients,
-    QuadratureRule,
-    gauss_radau_right,
-    golub_welsch,
-    laguerre_jacobi,
-    legendre_jacobi,
-)
-from .spectral import (
-    JordanBlockSpec,
-    JordanOperator,
-    WeightVector,
-    build_discrete_laguerre_sobolev,
-    build_radau_endpoint,
-    build_same_measure,
-    jordan_matvec,
-    spectral_from_json,
-    spectral_to_json,
-)
-from .hiep import (
-    ArnoldiResult,
-    arnoldi,
-    hessenberg_defect,
-    solve_hessenberg,
-    update_solve,
-)
-from .eigen import hessenberg_eigenvalues, smallest_root, smallest_roots
-from .sop import (
-    LsqFit,
-    SopEvaluation,
-    evaluate,
-    hermite_least_squares,
-    pentadiagonal_recurrence,
-)
+from .quadrature import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .hiep import *  # noqa: F403
+from .eigen import *  # noqa: F403
+from .sop import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NumericalFailure",
-    "JacobiCoefficients",
-    "QuadratureRule",
-    "legendre_jacobi",
-    "laguerre_jacobi",
-    "golub_welsch",
-    "gauss_radau_right",
-    "JordanBlockSpec",
-    "JordanOperator",
-    "WeightVector",
-    "build_same_measure",
-    "build_discrete_laguerre_sobolev",
-    "build_radau_endpoint",
-    "jordan_matvec",
-    "spectral_to_json",
-    "spectral_from_json",
-    "ArnoldiResult",
-    "arnoldi",
-    "update_solve",
-    "solve_hessenberg",
-    "hessenberg_defect",
-    "hessenberg_eigenvalues",
-    "smallest_root",
-    "smallest_roots",
-    "SopEvaluation",
-    "evaluate",
-    "LsqFit",
-    "hermite_least_squares",
-    "pentadiagonal_recurrence",
+    *quadrature.__all__,
+    *spectral.__all__,
+    *hiep.__all__,
+    *eigen.__all__,
+    *sop.__all__,
     "__version__",
 ]

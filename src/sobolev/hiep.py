@@ -66,7 +66,9 @@ __all__ = [
     "hessenberg_defect",
 ]
 
-SOLVER_NAMES = ("arnoldi", "update-hh", "update-rot")
+# each solver name and the update_solve strategy it runs; arnoldi runs none
+_STRATEGIES = {"arnoldi": None, "update-hh": "householder", "update-rot": "rotations"}
+SOLVER_NAMES = tuple(_STRATEGIES)
 DEFAULT_SOLVER = "update-rot"
 
 
@@ -607,11 +609,14 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
 
     "update-hh" can return a wrong H without an error: with it,
     ``laguerre-roots --gamma 1e300`` repeats the k=2 root -0.2071 at k=3
-    and 4 and reads -3.05e132 from k=5 on (the default: -0.1312, -0.0961,
+    and 4 and reads -3.05e132 from k=5 on (update-rot: -0.1312, -0.0961,
     -0.0758), and on Laguerre n_quad=40, alpha=-1/2, gamma=1 its H moves
     with the block order by up to 0.16 relative (update-rot: 1.4e-14).
     """
-    if method == "arnoldi":
+    if method not in _STRATEGIES:
+        raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
+    strategy = _STRATEGIES[method]
+    if strategy is None:
         H = arnoldi(Z, w, k, trace=trace).H
         if H.shape[0] < k:
             raise NumericalFailure(
@@ -620,9 +625,6 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
                 k=k,
             )
         return H
-    strategy = {"update-hh": "householder", "update-rot": "rotations"}.get(method)
-    if strategy is None:
-        raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
     if not 1 <= k <= Z.m:
         raise ValueError(f"column count k={k} must lie in 1..{Z.m}")
     return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k)[0]

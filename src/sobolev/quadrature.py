@@ -178,9 +178,8 @@ def golub_welsch(jac: JacobiCoefficients) -> QuadratureRule:
         raise NumericalFailure(
             f"tridiagonal eigensolver did not converge: {exc}", n=jac.n
         ) from exc
+    # eigh returns the eigenvalues ascending, so the nodes need no sort
     weights = jac.moment0 * vectors[0, :] ** 2
-    order = np.argsort(nodes)
-    nodes, weights = nodes[order], weights[order]
     if weights.min() < 1e-12 * jac.moment0:
         weights = _recurrence_weights(jac, nodes)
     return QuadratureRule(nodes, weights)
@@ -192,8 +191,10 @@ def gauss_radau_right(n_free: int, endpoint: float = 1.0) -> QuadratureRule:
     Returns ``n_free + 1`` nodes, one of them equal to ``endpoint`` (+1 or
     -1), exact for polynomials of degree <= 2 * n_free.  The rule is built
     by the classical endpoint modification: the last diagonal entry of the
-    (n_free+1)-point Jacobi matrix is replaced so that ``endpoint`` becomes
-    an eigenvalue.
+    n-point Jacobi matrix, n = n_free + 1, is replaced so that ``endpoint``
+    becomes an eigenvalue.  For Legendre that entry is endpoint * n / (2n - 1):
+    the endpoint minus b_{n-1} p_{n-2}(endpoint) / p_{n-1}(endpoint), with
+    the orthonormal p_k(+-1) = (+-1)^k sqrt(k + 1/2).
     """
     if n_free < 0:
         raise ValueError(f"n_free must be non-negative, got {n_free}")
@@ -202,16 +203,7 @@ def gauss_radau_right(n_free: int, endpoint: float = 1.0) -> QuadratureRule:
     n = n_free + 1
     jac = legendre_jacobi(n)
     diag = jac.diag.copy()
-    if n_free == 0:
-        diag[0] = endpoint
-    else:
-        # delta solves (J_{n-1} - endpoint I) delta = b_{n-1}^2 e_{n-1};
-        # the modified last diagonal entry is endpoint + delta[-1].
-        lead = legendre_jacobi(n_free).matrix() - endpoint * np.eye(n_free)
-        rhs = np.zeros(n_free)
-        rhs[-1] = jac.offdiag[-1] ** 2
-        delta = np.linalg.solve(lead, rhs)
-        diag[-1] = endpoint + delta[-1]
+    diag[-1] = endpoint * n / (2 * n - 1)
     rule = golub_welsch(JacobiCoefficients(diag, jac.offdiag, jac.moment0))
     # snap the pinned node, which is an exact eigenvalue up to roundoff
     nodes = rule.nodes.copy()

@@ -161,7 +161,11 @@ class JordanOperator:
         return Z
 
     def frobenius_norm(self) -> float:
-        return math.hypot(_norm(self._diag), _norm(self._sup))
+        # the bands are scaled exactly, by the power of two at their largest
+        # entry, so that no square overflows while every entry is finite
+        big = max(np.abs(self._diag).max(), np.abs(self._sup).max(initial=0.0))
+        scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+        return scale * math.hypot(_norm(self._diag / scale), _norm(self._sup / scale))
 
     def shift(self, c: complex) -> "JordanOperator":
         """The operator Z - c I (same block structure, shifted eigenvalues)."""

@@ -154,6 +154,11 @@ class TestCmdAlthammerRoots:
     def test_rejects_overlong_degree(self):
         with pytest.raises(ValueError):
             cmd_althammer_roots(n=13, gamma=1.0, n_quad=6)
+        # the root checks hold only while the rule is exact for orthogonality
+        with pytest.raises(ValueError, match="n=7 exceeds n_quad=6"):
+            cmd_althammer_roots(n=7, gamma=1.0, n_quad=6)
+        report, _ = cmd_althammer_roots(n=6, gamma=1.0, n_quad=6)
+        assert len(report.rows) == 6
 
     def test_rejects_empty_degree(self):
         with pytest.raises(ValueError, match="n=0"):
@@ -384,14 +389,14 @@ class TestCmdPenta:
         assert report.diagnostics["offband_rel"] == offband / float(np.linalg.norm(B))
 
     def test_failed_cross_check_keeps_the_solve(self, capsys, monkeypatch):
-        # the Arnoldi cross-check breaks down only where the requested
-        # update-rot matrix already fails its structure bound, so the
-        # reference solve is made to fail here; at N=1e300 the requested
-        # solve itself fails, by structure or by breakdown
+        # the cross-check breaks down only where the requested matrix
+        # already fails its structure bound, so the reference solve, any
+        # solver but the default, is made to fail here; at N=1e300 the
+        # requested solve itself fails, by structure or by breakdown
         recurrence = sobolev.experiments.pentadiagonal_recurrence
 
         def failing_reference(Z, w, m, solver, trace=None):
-            if solver == "arnoldi":
+            if solver != sobolev.hiep.DEFAULT_SOLVER:
                 raise NumericalFailure("Arnoldi iteration broke down before k columns", column=2, k=m + 1)
             return recurrence(Z, w, m, solver=solver, trace=trace)
 
@@ -403,7 +408,8 @@ class TestCmdPenta:
         assert report["diagnostics"]["cross_solver_failure"] == {
             "error": "Arnoldi iteration broke down before k columns", "column": 2, "k": 6}
         monkeypatch.undo()
-        assert main(["penta", "--N", "1e300", "--format", "json"]) == EXIT_NUMERICAL_FAILURE
+        argv = ["penta", "--N", "1e300", "--solver", "update-rot", "--format", "json"]
+        assert main(argv) == EXIT_NUMERICAL_FAILURE
         captured = capsys.readouterr()
         assert captured.out == ""
         failure = json.loads(captured.err.strip().splitlines()[-1])
@@ -474,6 +480,27 @@ class TestCmdCompareSolvers:
 
 
 class TestCli:
+    def test_solver_names_come_from_hiep(self, capsys):
+        # --solver offers SOLVER_NAMES, and compare-solvers has one column and
+        # one diagnostic per name other than its Arnoldi reference, in order
+        [subparsers] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for command in ("laguerre-roots", "althammer-roots", "least-squares", "penta"):
+            [option] = [a for a in subparsers.choices[command]._actions if a.dest == "solver"]
+            assert tuple(option.choices) == sobolev.hiep.SOLVER_NAMES
+            assert option.default == sobolev.hiep.DEFAULT_SOLVER
+        columns = [
+            "rel_diff_" + name.replace("-", "_")
+            for name in sobolev.hiep.SOLVER_NAMES if name != "arnoldi"
+        ]
+        assert len(columns) == len(sobolev.hiep.SOLVER_NAMES) - 1
+        assert main(["compare-solvers", "--count", "2", "--max-m", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(["instance", "m", *columns])
+        assert main(["compare-solvers", "--count", "2", "--max-m", "6", "--format", "json"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert list(diagnostics) == [f"max_{column}" for column in columns]
+
     def test_csv_on_stdout(self, capsys):
         assert main(["laguerre-roots", "--k-max", "3"]) == 0
         out = capsys.readouterr().out
@@ -885,7 +912,7 @@ FAKE_REPORT = ExperimentReport(
 )
 
 
-def solver_option(command, name="update-rot"):
+def solver_option(command, name=sobolev.hiep.DEFAULT_SOLVER):
     """The --solver value a driver receives; compare-solvers takes none."""
     return {} if command == "compare-solvers" else {"solver": name}
 

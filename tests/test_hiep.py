@@ -481,6 +481,21 @@ class TestUpdateSolve:
                     assert residual > 1e-10 * Z.frobenius_norm()
                     assert failure.value.details == {"column": 1, "block": 2, "residual": residual}
 
+    @pytest.mark.parametrize("m", [20, 201])
+    def test_residual_check_raises_at_large_gamma(self, m, monkeypatch):
+        # the tolerance scales with ||Z||_F, whose squared entries overflow
+        # from gamma ~1e306 on; an infinite tolerance would pass any residual
+        def spoiled(V):
+            K = hiep._rotation_kernels(V)
+            K[-1] = np.eye(V.shape[1])
+            return K
+
+        monkeypatch.setitem(hiep._KERNELS, "rotations", spoiled)
+        Z, w = legendre_instance(m=m, gamma=1e307)
+        assert np.isfinite(Z.frobenius_norm())
+        with pytest.raises(NumericalFailure, match="residual"):
+            update_solve(Z, w, strategy="rotations")
+
     @pytest.mark.parametrize("strategy", ["rotations", "householder"])
     def test_envelope_products_round_as_products_over_all_rows(self, strategy, monkeypatch):
         # cutting each group's left product to its columns adds only zero

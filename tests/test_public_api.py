@@ -48,3 +48,25 @@ def test_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_package_names_are_the_layers_names():
+    # each public name is listed once, in its own layer's __all__; the
+    # package re-exports those lists in pipeline order, the same objects
+    src = str(Path(sobolev.__file__).parents[1])
+    code = """
+import sobolev
+from sobolev import eigen, errors, hiep, quadrature, sop, spectral
+layers = (quadrature, spectral, hiep, eigen, sop)
+expected = ["NumericalFailure", *(name for layer in layers for name in layer.__all__), "__version__"]
+assert sobolev.__all__ == expected, sobolev.__all__
+assert sobolev.NumericalFailure is errors.NumericalFailure
+for layer in layers:
+    for name in layer.__all__:
+        assert getattr(sobolev, name) is getattr(layer, name), name
+print("ok")
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

@@ -154,6 +154,16 @@ class TestJordanOperator:
             np.linalg.norm(Z.dense()), rel=1e-14
         )
 
+    @pytest.mark.parametrize("m", [20, 201])
+    def test_frobenius_norm_does_not_overflow(self, m):
+        # the squares of the entries overflow from gamma ~1e306 on, while
+        # every entry and the norm itself are finite
+        Z, _ = build_same_measure(golub_welsch(legendre_jacobi(m)), [1.0, 1e308])
+        entries = [abs(x) for x in (*Z._diag, *Z._sup)]
+        norm = Z.frobenius_norm()
+        assert math.isfinite(norm)
+        assert norm == pytest.approx(math.hypot(*entries), rel=1e-15)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_bands_match_dense(self, seed):
         # the bands and the helpers derived from them against the blockwise
