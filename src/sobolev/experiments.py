@@ -1,7 +1,7 @@
 """Reproducible experiment drivers behind the CLI.
 
 Each ``cmd_*`` function runs one experiment end to end and returns an
-ExperimentReport (configuration echo, result rows, diagnostics, wall
+ExperimentReport (the call's arguments, result rows, diagnostics, wall
 time) plus the spectral data it solved.  No driver writes a file: the CLI
 serializes the report, the spectral data and the least-squares figure.
 Everything is deterministic given the arguments; randomized runs take an
@@ -10,8 +10,11 @@ explicit seed.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,7 +89,7 @@ def _jsonable(value):
     number as [re, im], and any other non-JSON value as its str."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, range)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -106,6 +109,33 @@ def _jsonable(value):
 
 def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(_jsonable(asdict(report)), indent=2) + "\n"
+
+
+def _experiment(name: str):
+    """Turn a driver body that returns (rows, diagnostics, data) into the
+    ``cmd_*`` that returns (ExperimentReport, data).  The report's config
+    is the call's arguments in signature order, defaults filled in and
+    ``trace`` left out, and its wall time covers the whole call."""
+
+    def decorate(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def driver(*args, **kwargs):
+            start = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            # a one-shot iterator (say, of degrees) is read once, for body and echo
+            for key, value in bound.arguments.items():
+                if isinstance(value, Iterator):
+                    bound.arguments[key] = list(value)
+            rows, diagnostics, data = body(*bound.args, **bound.kwargs)
+            config = {key: value for key, value in bound.arguments.items() if key != "trace"}
+            return ExperimentReport(name, config, rows, diagnostics, time.perf_counter() - start), data
+
+        return driver
+
+    return decorate
 
 
 def random_spectral_data(rng, max_m: int = 40, max_block: int = 4):
@@ -136,6 +166,7 @@ def random_spectral_data(rng, max_m: int = 40, max_block: int = 4):
     return JordanOperator(tuple(blocks)), WeightVector(np.asarray(betas))
 
 
+@_experiment("laguerre-roots")
 def cmd_laguerre_roots(
     gamma: float = 1.0,
     alpha: float = -0.5,
@@ -153,7 +184,6 @@ def cmd_laguerre_roots(
         raise ValueError(f"k_max={k_max} must be at least 1")
     if n_quad < 1:
         raise ValueError(f"n_quad={n_quad} must be at least 1 (the number of Gauss-Laguerre nodes)")
-    start = time.perf_counter()
     rule = golub_welsch(laguerre_jacobi(n_quad, alpha))
     Z, w = build_same_measure(rule, [1.0, gamma])
     if k_max > Z.m:
@@ -163,22 +193,10 @@ def cmd_laguerre_roots(
         {"k": k, "smallest_root_re": root.real, "smallest_root_im": root.imag}
         for k, root in enumerate(smallest_roots(H, k_max, trace=trace), start=1)
     ]
-    report = ExperimentReport(
-        experiment="laguerre-roots",
-        config={
-            "gamma": gamma,
-            "alpha": alpha,
-            "n_quad": n_quad,
-            "k_max": k_max,
-            "solver": solver,
-        },
-        rows=rows,
-        diagnostics={"m": Z.m},
-        wall_time=time.perf_counter() - start,
-    )
-    return report, (Z, w)
+    return rows, {"m": Z.m}, (Z, w)
 
 
+@_experiment("althammer-roots")
 def cmd_althammer_roots(
     n: int = 60,
     gamma: float = 100.0,
@@ -189,7 +207,9 @@ def cmd_althammer_roots(
     """All roots of the degree-n polynomial for the Legendre-plus-derivative
     product, with qualitative checks: roots should be simple, real, inside
     [-1, 1], as they are for n <= n_quad, where the rule is exact on every
-    product that orthogonality up to degree n needs."""
+    product that orthogonality up to degree n needs.  A root off the real
+    axis or two within 1e-10 raise NumericalFailure; roots outside [-1, 1]
+    are only counted, as at large gamma conditioning alone can move them."""
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma={gamma} must be positive and finite")
     if n < 1:
@@ -198,7 +218,6 @@ def cmd_althammer_roots(
         raise ValueError(f"n_quad={n_quad} must be at least 1 (the number of Gauss-Legendre nodes)")
     if n > n_quad:
         raise ValueError(f"degree n={n} exceeds n_quad={n_quad}: the rule is not exact for its orthogonality")
-    start = time.perf_counter()
     rule = golub_welsch(legendre_jacobi(n_quad))
     Z, w = build_same_measure(rule, [1.0, gamma])
     H = solve_hessenberg(Z, w, n, method=solver, trace=trace)
@@ -220,14 +239,9 @@ def cmd_althammer_roots(
         ),
         "n_gap_violations": int(np.count_nonzero(gaps <= 1e-10)),
     }
-    report = ExperimentReport(
-        experiment="althammer-roots",
-        config={"n": n, "gamma": gamma, "n_quad": n_quad, "solver": solver},
-        rows=rows,
-        diagnostics=diagnostics,
-        wall_time=time.perf_counter() - start,
-    )
-    return report, (Z, w)
+    if diagnostics["n_imag_violations"] or diagnostics["n_gap_violations"]:
+        raise NumericalFailure("roots are not real and simple, as they are for n <= n_quad", **diagnostics)
+    return rows, diagnostics, (Z, w)
 
 
 def _gauss_bump(x):
@@ -263,10 +277,11 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None
     ]
 
 
+@_experiment("least-squares")
 def cmd_least_squares(
     gamma: float = 0.01,
     m: int = 201,
-    degrees=None,
+    degrees=tuple(range(1, 202, 10)),
     solver: str = DEFAULT_SOLVER,
     trace=None,
     grid_points: int = 2001,
@@ -282,8 +297,6 @@ def cmd_least_squares(
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")
-    if degrees is None:
-        degrees = list(range(1, 202, 10))
     degrees = [int(d) for d in degrees]
     if not degrees:
         raise ValueError("the degree list is empty: give at least one degree")
@@ -295,7 +308,6 @@ def cmd_least_squares(
         raise ValueError(f"gamma={gamma} must be positive and finite (the gamma=0 fit is always run)")
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
-    start = time.perf_counter()
     rule = golub_welsch(legendre_jacobi(m))
     top = max(degrees)
 
@@ -303,8 +315,6 @@ def cmd_least_squares(
     top0 = min(top, Z0.m - 1)
     H0 = solve_hessenberg(Z0, w0, top0 + 1, method=solver, trace=trace)
     Zg, wg = build_same_measure(rule, [1.0, gamma])
-    if top + 1 > Zg.m:
-        raise ValueError(f"degree {top} needs spectral dimension > {Zg.m}")
     Hg = solve_hessenberg(Zg, wg, top + 1, method=solver, trace=trace)
 
     # the families in turn, so that one grid basis at a time is held
@@ -315,20 +325,7 @@ def cmd_least_squares(
         {"degree": d, **e0, **eg, "effective_degree_plain": d0}
         for d, d0, e0, eg in zip(degrees, degrees0, errors0, errorsg)
     ]
-    report = ExperimentReport(
-        experiment="least-squares",
-        config={
-            "gamma": gamma,
-            "m": m,
-            "degrees": degrees,
-            "solver": solver,
-            "grid_points": grid_points,
-        },
-        rows=rows,
-        diagnostics={"m_plain": Z0.m, "m_sobolev": Zg.m},
-        wall_time=time.perf_counter() - start,
-    )
-    return report, (Zg, wg)
+    return rows, {"m_plain": Z0.m, "m_sobolev": Zg.m}, (Zg, wg)
 
 
 def least_squares_figure(report: ExperimentReport) -> str:
@@ -357,6 +354,7 @@ def least_squares_figure(report: ExperimentReport) -> str:
 PENTA_STRUCTURE_BOUND = 1e-6
 
 
+@_experiment("penta")
 def cmd_penta(
     m: int = 5,
     alpha: float = 0.0,
@@ -375,7 +373,6 @@ def cmd_penta(
     the matrix: see ``cross_solver_failure``."""
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
-    start = time.perf_counter()
     rule = golub_welsch(laguerre_jacobi(m + 1, alpha))
     Z, w = build_discrete_laguerre_sobolev(rule, c, M, N)
     Zs = Z.shift(c)
@@ -405,20 +402,10 @@ def cmd_penta(
         for i in range(m)
         for j in range(m)
     ]
-    report = ExperimentReport(
-        experiment="penta",
-        config={"m": m, "alpha": alpha, "c": c, "M": M, "N": N, "solver": solver},
-        rows=rows,
-        diagnostics={
-            **structure,
-            "cross_solver": reference,
-            **cross,
-        },
-        wall_time=time.perf_counter() - start,
-    )
-    return report, (Zs, w)
+    return rows, {**structure, "cross_solver": reference, **cross}, (Zs, w)
 
 
+@_experiment("compare-solvers")
 def cmd_compare_solvers(
     count: int = 100,
     max_m: int = 40,
@@ -436,7 +423,6 @@ def cmd_compare_solvers(
         raise ValueError("need at least one instance")
     if max_m < 2:
         raise ValueError(f"max_m={max_m} must be at least 2")
-    start = time.perf_counter()
     columns = {name: "rel_diff_" + name.replace("-", "_") for name in SOLVER_NAMES if name != "arnoldi"}
     rng = np.random.default_rng(seed)
     rows = []
@@ -449,11 +435,4 @@ def cmd_compare_solvers(
             H = solve_hessenberg(Z, w, Z.m, method=name, trace=trace)
             row[column] = float(np.linalg.norm(H - H_ref)) / scale
         rows.append(row)
-    report = ExperimentReport(
-        experiment="compare-solvers",
-        config={"count": count, "max_m": max_m, "seed": seed},
-        rows=rows,
-        diagnostics={f"max_{column}": max(row[column] for row in rows) for column in columns.values()},
-        wall_time=time.perf_counter() - start,
-    )
-    return report, None
+    return rows, {f"max_{column}": max(row[column] for row in rows) for column in columns.values()}, None

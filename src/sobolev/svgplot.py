@@ -16,8 +16,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, count: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks over lo < hi."""
     raw = (hi - lo) / count
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 from collections import Counter
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestReportSerialization:
         assert obj["rows"][0]["flag"] is True
         assert obj["diagnostics"]["z"] == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "convert, value, expected",
+        [
+            ("_cell", "update-rot", "update-rot"),
+            ("_jsonable", np.array([[1.0, np.nan], [np.inf, 2.0]]), [[1.0, None], [None, 2.0]]),
+            ("_jsonable", np.array([1 + 2j]), [[1.0, 2.0]]),
+            # a range argument, such as least-squares degrees, as its list
+            ("_jsonable", range(1, 8, 3), [1, 4, 7]),
+            # any other non-JSON value as its str
+            ("_jsonable", Path("out") / "r.csv", str(Path("out") / "r.csv")),
+            ("_jsonable", slice(2), "slice(None, 2, None)"),
+        ],
+    )
+    def test_strings_arrays_and_other_objects(self, convert, value, expected):
+        assert getattr(sobolev.experiments, convert)(value) == expected
+
 
 class TestCmdLaguerreRoots:
     def test_default_run(self):
@@ -176,6 +193,27 @@ class TestCmdAlthammerRoots:
         report, _ = cmd_althammer_roots(solver=solver)
         assert all(row["root_im"] == 0.0 for row in report.rows)
         assert report.diagnostics["max_abs_imag"] == 0
+
+    def test_roots_off_the_real_axis_are_a_numerical_failure(self, capsys):
+        # n <= n_quad: the roots are real and simple, and update-rot's
+        # columnwise error at gamma 1e16 moves many of them off the axis
+        argv = ["althammer-roots", "--n", "150", "--n-quad", "150", "--gamma", "1e16"]
+        assert main([*argv, "--solver", "update-rot", "--format", "json"]) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["error"] == "roots are not real and simple, as they are for n <= n_quad"
+        assert record["n_imag_violations"] > 0
+        assert {"n_range_violations", "n_gap_violations", "max_abs_imag", "min_pair_gap"} <= set(record)
+
+    def test_roots_outside_the_interval_are_only_counted(self, capsys):
+        # at gamma 1e300 the smallest root sits just below -1: conditioning
+        argv = ["althammer-roots", "--solver", "arnoldi", "--n", "100", "--n-quad", "100",
+                "--gamma", "1e300", "--format", "json"]
+        assert main(argv) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["n_range_violations"] >= 1
+        assert diagnostics["n_imag_violations"] == diagnostics["n_gap_violations"] == 0
 
     def test_gap_diagnostics_match_pair_loop(self):
         report, _ = cmd_althammer_roots()
@@ -270,6 +308,13 @@ class TestCmdLeastSquares:
         counted(sobolev.sop, "evaluate")
         cmd_least_squares(m=15, degrees=degrees, grid_points=101)
         assert calls == {"evaluate": 2}
+
+    def test_degrees_from_a_generator(self):
+        # the generator is read once: the rows and the echoed config share it
+        report, _ = cmd_least_squares(m=10, degrees=(d for d in (1, 5)), grid_points=11)
+        assert [row["degree"] for row in report.rows] == [1, 5]
+        assert report.config["degrees"] == [1, 5]
+        assert json.loads(report_to_json(report))["config"]["degrees"] == [1, 5]
 
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
@@ -538,6 +583,32 @@ class TestCli:
             reports[command] = json.loads(capsys.readouterr().out, parse_constant=reject)
             assert reports[command]["experiment"] == command
         assert reports["althammer-roots"]["diagnostics"]["min_pair_gap"] is None
+
+    # flags of each run and the driver arguments they set
+    CONFIG_RUNS = {
+        "laguerre-roots": (["--n-quad", "5", "--k-max", "3", "--solver", "arnoldi"],
+                           {"n_quad": 5, "k_max": 3, "solver": "arnoldi"}),
+        "althammer-roots": (["--n", "4", "--gamma", "2"], {"n": 4, "gamma": 2.0}),
+        "least-squares": (["--m", "10", "--degrees", "1:9:4"], {"m": 10, "degrees": [1, 5, 9]}),
+        "penta": (["--m", "3", "--M", "0.5"], {"m": 3, "M": 0.5}),
+        "compare-solvers": (["--count", "2", "--max-m", "6"], {"count": 2, "max_m": 6}),
+    }
+
+    def test_config_is_the_drivers_arguments(self, capsys):
+        # every parameter but trace, in signature order, as given or as its default
+        [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(self.CONFIG_RUNS) == set(subparsers.choices)
+        for command, (flags, given) in self.CONFIG_RUNS.items():
+            parameters = inspect.signature(subparsers.choices[command].get_default("run")).parameters
+            assert "trace" in parameters and set(given) <= set(parameters)
+            expected = {
+                name: given.get(name, parameter.default)
+                for name, parameter in parameters.items() if name != "trace"
+            }
+            assert main([command, *flags, "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert list(report["config"].items()) == list(expected.items())
+            assert report["wall_time"] > 0.0
 
     def test_out_file_and_byte_stability(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

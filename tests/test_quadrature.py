@@ -45,6 +45,11 @@ class TestJacobiCoefficients:
         with pytest.raises(ValueError):
             JacobiCoefficients(diag, offdiag, moment0)
 
+    @pytest.mark.parametrize("diag, offdiag", [([[0.0, 0.0]], [1.0]), ([0.0, 0.0], [[1.0]])])
+    def test_rejects_2d_coefficients(self, diag, offdiag):
+        with pytest.raises(ValueError, match="recurrence coefficients must be 1-d sequences"):
+            JacobiCoefficients(diag, offdiag, 2.0)
+
 
 class TestQuadratureRule:
     def test_integrate(self):
@@ -118,6 +123,10 @@ class TestLaguerreJacobi:
     def test_rejects_alpha_at_or_below_minus_one(self, alpha):
         with pytest.raises(ValueError):
             laguerre_jacobi(3, alpha)
+
+    def test_rejects_zero_points(self):
+        with pytest.raises(ValueError, match="need at least one point, got n=0"):
+            laguerre_jacobi(0)
 
 
 class TestGolubWelsch:

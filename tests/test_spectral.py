@@ -245,6 +245,10 @@ class TestJordanOperator:
             (lambda: build_same_measure(_RULE, [1.0, 0.0]), "positive"),
             (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, 0.0, 1.0), "positive"),
             (lambda: build_radau_endpoint(gauss_radau_right(4), -1.0), "positive"),
+            (lambda: JordanBlockSpec(0.0, [[1.0], [2.0]]), "superdiag must be a 1-d sequence"),
+            (lambda: JordanOperator([0.0]), "blocks must be JordanBlockSpec instances"),
+            (lambda: WeightVector([]), "betas must form a non-empty 1-d sequence"),
+            (lambda: WeightVector([[1.0], [2.0]]), "betas must form a non-empty 1-d sequence"),
         ],
     )
     def test_builders_reject_invalid_data(self, build, match):
