@@ -20,6 +20,7 @@ message and its diagnostic fields as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -66,6 +67,12 @@ def _parse_degrees(text: str):
         raise argparse.ArgumentTypeError(f"bad degree list {text!r}") from exc
 
 
+# the flags whose driver parameter has no annotation to type them
+_UNANNOTATED = {
+    "degrees": {"type": _parse_degrees, "help": "comma list or start:stop[:step] (default 1:201:10)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev",
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream solver, eigensolver and basis-evaluation steps as JSON lines on stderr",
     )
-    # not for compare-solvers, which runs every solver on many instances
+    # only for a driver that takes a solver
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument(
         "--solver",
@@ -101,63 +108,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the solved (Z, w) as JSON (requires --out)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, run, summary, parents=(solving, common)):
+    # each subcommand's driver and summary; its flags are the driver's parameters
+    commands = {
+        "laguerre-roots": (cmd_laguerre_roots, "smallest roots of Laguerre-type Sobolev polynomials"),
+        "althammer-roots": (cmd_althammer_roots, "all roots of a Legendre-plus-derivative polynomial"),
+        "least-squares": (cmd_least_squares, "Hermite least-squares error curves for a Gaussian bump"),
+        "penta": (cmd_penta, "pentadiagonal five-term recurrence matrix"),
+        "compare-solvers": (cmd_compare_solvers, "cross-validate the solvers on random spectral data"),
+    }
+    for name, (run, summary) in commands.items():
+        parameters = inspect.signature(run, eval_str=True).parameters
         # no flag defaults here: each default lives in the driver's signature
         p = sub.add_parser(
-            name, parents=list(parents), help=summary, argument_default=argparse.SUPPRESS
+            name,
+            parents=[solving, common] if "solver" in parameters else [common],
+            help=summary,
+            argument_default=argparse.SUPPRESS,
         )
         p.set_defaults(run=run, error=p.error)
-        return p
-
-    p = add_command(
-        "laguerre-roots",
-        cmd_laguerre_roots,
-        "smallest roots of Laguerre-type Sobolev polynomials",
-    )
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n-quad", type=int)
-    p.add_argument("--k-max", type=int)
-
-    p = add_command(
-        "althammer-roots",
-        cmd_althammer_roots,
-        "all roots of a Legendre-plus-derivative polynomial",
-    )
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--n-quad", type=int)
-
-    p = add_command(
-        "least-squares",
-        cmd_least_squares,
-        "Hermite least-squares error curves for a Gaussian bump",
-    )
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument(
-        "--degrees",
-        type=_parse_degrees,
-        help="comma list or start:stop[:step] (default 1:201:10)",
-    )
-
-    p = add_command("penta", cmd_penta, "pentadiagonal five-term recurrence matrix")
-    p.add_argument("--m", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--M", type=float)
-    p.add_argument("--N", type=float)
-
-    p = add_command(
-        "compare-solvers",
-        cmd_compare_solvers,
-        "cross-validate the solvers on random spectral data",
-        parents=[common],
-    )
-    p.add_argument("--count", type=int)
-    p.add_argument("--max-m", type=int)
-    p.add_argument("--seed", type=int)
+        # keyword-only parameters (trace, grid_points) are for Python callers only
+        for param in parameters.values():
+            if param.kind is param.POSITIONAL_OR_KEYWORD and param.name != "solver":
+                p.add_argument(
+                    "--" + param.name.replace("_", "-"),
+                    **_UNANNOTATED.get(param.name, {"type": param.annotation}),
+                )
 
     return parser
 

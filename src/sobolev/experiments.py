@@ -173,6 +173,7 @@ def cmd_laguerre_roots(
     n_quad: int = 10,
     k_max: int = 10,
     solver: str = DEFAULT_SOLVER,
+    *,
     trace=None,
 ):
     """Smallest roots of p_k, k = 1..k_max, for the product
@@ -202,6 +203,7 @@ def cmd_althammer_roots(
     gamma: float = 100.0,
     n_quad: int = 60,
     solver: str = DEFAULT_SOLVER,
+    *,
     trace=None,
 ):
     """All roots of the degree-n polynomial for the Legendre-plus-derivative
@@ -283,6 +285,7 @@ def cmd_least_squares(
     m: int = 201,
     degrees=tuple(range(1, 202, 10)),
     solver: str = DEFAULT_SOLVER,
+    *,
     trace=None,
     grid_points: int = 2001,
 ):
@@ -362,6 +365,7 @@ def cmd_penta(
     M: float = 1.0,
     N: float = 1.0,
     solver: str = DEFAULT_SOLVER,
+    *,
     trace=None,
 ):
     """Banded matrix of the five-term recurrence for the Laguerre product
@@ -410,6 +414,7 @@ def cmd_compare_solvers(
     count: int = 100,
     max_m: int = 40,
     seed: int = 20260826,
+    *,
     trace=None,
 ):
     """Cross-validate every solver of SOLVER_NAMES on random spectral data.

@@ -175,7 +175,8 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     gram = QH[:ncols] @ QT.T
     gram[np.diag_indices(ncols)] -= 1.0
     ortho = float(np.linalg.norm(gram))
-    if ortho > 1e-8:
+    # a NaN orthogonality fails too: no NaN is <= 1e-8
+    if not ortho <= 1e-8:
         raise NumericalFailure(
             "orthogonality lost beyond recovery despite reorthogonalization",
             orthogonality=ortho,
@@ -364,6 +365,9 @@ def _schedule(ends: np.ndarray, r: int, k: int):
     ]
 
 
+# an overflow (gamma near the double range) ends in the residual check, which
+# fails on NaN, so numpy's warnings would only interleave with --trace's lines
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
                  *, _leading: int | None = None):
     """Solve the inverse problem by updating with one Jordan block at a time.

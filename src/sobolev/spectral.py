@@ -268,8 +268,9 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
     """Spectral data for a product with a derivative term at one endpoint.
 
     Expects a rule that contains ``endpoint`` among its nodes (a Gauss-Radau
-    rule).  That node becomes a 2x2 block with scaling sqrt(gamma)/beta_0
-    where beta_0^2 is the endpoint weight; the remaining nodes stay 1x1.
+    rule).  That node becomes a point mass of its own weight beta_0^2 with
+    the derivative term gamma (see :func:`build_discrete_laguerre_sobolev`):
+    a 2x2 block with scaling sqrt(gamma)/beta_0; the remaining nodes stay 1x1.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -277,14 +278,8 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
     if hits.size != 1:
         raise ValueError(f"rule must contain the endpoint {endpoint} exactly once")
     idx = int(hits[0])
-    beta0 = math.sqrt(rule.weights[idx])
-    Z = JordanOperator._from_bands(
-        np.concatenate(([endpoint], np.delete(rule.nodes, idx))),
-        [math.sqrt(gamma) / beta0],
-        [2] + [1] * (rule.n - 1),
-    )
-    betas = np.concatenate(([beta0], np.sqrt(np.delete(rule.weights, idx))))
-    return Z, WeightVector(betas)
+    rest = QuadratureRule(np.delete(rule.nodes, idx), np.delete(rule.weights, idx))
+    return build_discrete_laguerre_sobolev(rest, endpoint, rule.weights[idx], gamma)
 
 
 def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:

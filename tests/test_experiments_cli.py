@@ -1,9 +1,13 @@
 """Tests for the experiment drivers and the command line interface."""
 
 import argparse
+import functools
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from xml.etree import ElementTree
@@ -709,6 +713,8 @@ class TestCli:
     def test_out_that_is_the_figure_path_fails_before_the_run(
         self, tmp_path, capsys, monkeypatch, name
     ):
+        # a stand-in carries its driver's signature, which gives the subcommand its flags
+        @functools.wraps(cmd_least_squares)
         def must_not_run(**kwargs):
             pytest.fail("cmd_least_squares ran although its figure would overwrite --out")
 
@@ -749,6 +755,7 @@ class TestCli:
         # surface after the run, with the report already written
         driver = {"least-squares": "cmd_least_squares", "penta": "cmd_penta"}[argv[0]]
 
+        @functools.wraps(getattr(sobolev.experiments, driver))
         def must_not_run(**kwargs):
             pytest.fail(f"{driver} ran although {blocked} cannot be written")
 
@@ -805,10 +812,27 @@ class TestCli:
         assert str(out.parent) in captured.err
         assert "Traceback" not in captured.err
 
+    def test_write_that_fails_after_the_check_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the path passes the check before the run, and the write still fails
+        def failing_write(path, text, encoding=None):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["penta", "--m", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sobolev penta")
+        assert f"cannot write {out}: No space left on device" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["compare-solvers", "least-squares"])
     def test_missing_out_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command):
         driver = {"compare-solvers": "cmd_compare_solvers", "least-squares": "cmd_least_squares"}[command]
 
+        @functools.wraps(getattr(sobolev.experiments, driver))
         def must_not_run(**kwargs):
             pytest.fail(f"{driver} ran although --out cannot be written")
 
@@ -898,8 +922,9 @@ class TestCli:
         # update-hh overflows at gamma=1e300: the first window whose residual
         # is NaN fails, and its record carries null, not NaN
         argv = ["althammer-roots", "--gamma", "1e300", "--solver", "update-hh", "--trace"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == EXIT_NUMERICAL_FAILURE
+        # no errstate here: update_solve keeps numpy's overflow warnings, which
+        # this suite turns into errors, to itself
+        assert main(argv) == EXIT_NUMERICAL_FAILURE
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -919,6 +944,24 @@ class TestCli:
         events = records[:-1]
         assert {e["event"] for e in events} == {"update-restore"}
         assert max(e["block"] + e["column"] - 2 for e in events) == 3
+
+    def test_overflow_prints_no_warning_between_the_trace_lines(self):
+        # in a process with numpy's warnings shown, stderr holds the trace
+        # lines, the failure message and its record, and nothing else
+        src = str(Path(sobolev.__file__).parents[1])
+        argv = ["althammer-roots", "--gamma", "1e300", "--solver", "update-hh", "--trace"]
+        out = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sobolev.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert out.returncode == EXIT_NUMERICAL_FAILURE
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert lines[-2] == (
+            "sobolev: numerical failure: Hessenberg restoration left a residual above tolerance"
+        )
+        for line in lines[:-2] + lines[-1:]:
+            assert isinstance(json.loads(line), dict), line
 
     def test_trace_events_are_strict_json(self, capsys):
         sobolev.cli._stderr_trace({"event": "x", "residual": np.float64("nan"), "z": 1j, "n": np.int64(2)})
@@ -994,6 +1037,7 @@ class TestCliDispatch:
     def _record_calls(monkeypatch, driver):
         calls = []
 
+        @functools.wraps(getattr(sobolev.experiments, driver))
         def fake(**kwargs):
             calls.append(kwargs)
             return FAKE_REPORT, None
@@ -1037,11 +1081,37 @@ class TestCliDispatch:
             if isinstance(a, argparse._SubParsersAction)
         ]
         parameters = inspect.signature(getattr(sobolev.experiments, driver)).parameters
+        actions = subparsers.choices[command]._actions
         own = [
-            a for a in subparsers.choices[command]._actions
+            a for a in actions
             if a.dest not in ("help", "solver", "out", "fmt", "dump_spectral", "trace")
         ]
         assert own
         for action in own:
             assert action.dest in parameters
             assert action.default is argparse.SUPPRESS
+        # and the converse: every parameter a caller may pass by position is
+        # a flag, and only a driver that takes a solver gets the solver flags
+        assert [(a.dest, a.option_strings) for a in own] == [
+            (name, ["--" + name.replace("_", "-")])
+            for name, p in parameters.items()
+            if p.kind is p.POSITIONAL_OR_KEYWORD and name != "solver"
+        ]
+        solving = {a.dest for a in actions} & {"solver", "dump_spectral"}
+        assert solving == ({"solver", "dump_spectral"} if "solver" in parameters else set())
+
+
+def test_a_new_driver_parameter_is_a_flag_with_no_cli_edit(monkeypatch, capsys):
+    calls = []
+
+    def fake(count: int = 100, max_m: int = 40, seed: int = 1, repeats: int = 1, *, trace=None):
+        calls.append({"count": count, "max_m": max_m, "seed": seed, "repeats": repeats})
+        return FAKE_REPORT, None
+
+    monkeypatch.setattr(sobolev.cli, "cmd_compare_solvers", fake)
+    assert main(["compare-solvers", "--repeats", "3", "--max-m", "6"]) == 0
+    assert calls == [{"count": 100, "max_m": 6, "seed": 1, "repeats": 3}]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["compare-solvers", "--help"])
+    assert "--repeats REPEATS" in capsys.readouterr().out

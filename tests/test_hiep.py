@@ -790,6 +790,20 @@ class TestSolveHessenberg:
             solve_hessenberg(Z, w, 10, method="arnoldi")
         assert exc.value.details == {"column": 3, "k": 10}
 
+    @pytest.mark.parametrize("run", [
+        lambda Z, w: arnoldi(Z, w, 10),
+        lambda Z, w: solve_hessenberg(Z, w, 10, method="arnoldi"),
+    ], ids=["arnoldi", "solve_hessenberg"])
+    def test_arnoldi_nan_raises(self, monkeypatch, run):
+        # a NaN product passes the breakdown test (NaN <= tol is false) and
+        # fills H with NaN; the orthogonality check must not let it through
+        monkeypatch.setattr(hiep, "jordan_matvec", lambda Z, x: np.full_like(x, np.nan))
+        Z, w = legendre_instance()
+        with pytest.raises(NumericalFailure, match="orthogonality lost") as exc:
+            run(Z, w)
+        assert np.isnan(exc.value.details["orthogonality"])
+        assert exc.value.details["columns"] == 10
+
 
 class TestHessenbergDefect:
     def test_counts_only_below_first_subdiagonal(self):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sobolev.quadrature
 from sobolev import (
     JacobiCoefficients,
+    NumericalFailure,
     QuadratureRule,
     gauss_radau_right,
     golub_welsch,
@@ -193,6 +195,18 @@ class TestGaussRadauRight:
             gauss_radau_right(-1)
         with pytest.raises(ValueError):
             gauss_radau_right(3, endpoint=0.5)
+
+    def test_unpinned_endpoint_raises(self, monkeypatch):
+        # a rule whose nearest node misses the endpoint by more than 1e-10
+        def shifted(jac):
+            rule = golub_welsch(jac)
+            return QuadratureRule(rule.nodes - 1e-6, rule.weights)
+
+        monkeypatch.setattr(sobolev.quadrature, "golub_welsch", shifted)
+        with pytest.raises(NumericalFailure, match="failed to pin") as exc:
+            gauss_radau_right(3)
+        assert exc.value.details["endpoint"] == 1.0
+        assert exc.value.details["nearest"] == pytest.approx(1.0 - 1e-6, abs=1e-12)
 
 
 def legendre_moment(d):
