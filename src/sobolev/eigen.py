@@ -121,12 +121,12 @@ def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
     validated once: each section still passes the checks of
     :func:`hessenberg_eigenvalues`, its own tolerance
     1e-13 * max(||H_k||_F, 1) included, and the first section that fails
-    one raises its ``ValueError`` after the sections before it ran.  The
-    sections share one copy with the entries below the subdiagonal set to
-    zero.  Sections 1 .. min(k_max, 75) before the first failing one go to
-    LAPACK as one stack, each zero-padded to the largest order, and give
-    the bits of their own calls (see the module docstring); each larger
-    section gets a call of its own.  Each LAPACK call emits one ``eigen``
+    one raises its ``ValueError`` before any LAPACK call.  The sections
+    share one copy with the entries below the subdiagonal set to zero.
+    Sections 1 .. min(k_max, 75) go to LAPACK as one stack, each
+    zero-padded to the largest order, and give the bits of their own
+    calls (see the module docstring); each larger section gets a call of
+    its own.  Each LAPACK call emits one ``eigen``
     trace event with its order ``n`` and its ``sections``.
     """
     A = _as_float_matrix(_leading(H, k_max, "k_max")[:k_max, :k_max])
@@ -134,29 +134,25 @@ def smallest_roots(H, k_max: int, trace=None) -> list[complex]:
     # largest one of rows 0 .. k-1; only a defect above 1e-13 can fail
     rows, cols = np.nonzero(~np.isfinite(A))
     first_bad = int(np.maximum(rows, cols).min(initial=k_max)) + 1
-    message = "matrix entries must be finite"
     defect = np.maximum.accumulate(np.abs(np.tril(A, -2)).max(axis=1))
     for k in np.flatnonzero(defect[:first_bad - 1] > 1e-13).tolist():
         if defect[k] > 1e-13 * max(float(np.linalg.norm(A[:k + 1, :k + 1])), 1.0):
-            first_bad, message = k + 1, "matrix is not upper Hessenberg within tolerance"
-            break
+            raise ValueError("matrix is not upper Hessenberg within tolerance")
+    if first_bad <= k_max:
+        raise ValueError("matrix entries must be finite")
     T = np.triu(A, -1)
-    s = min(first_bad - 1, _STACK_ORDER)
-    roots = []
-    if s:
-        # section k in layer k - 1; its eigenvalues come out in places
-        # 0 .. k-1 of the layer, the padding's zeros after them
-        stack = np.zeros((s, s, s), dtype=T.dtype)
-        for k in range(1, s + 1):
-            stack[k - 1, :k, :k] = T[:k, :k]
-        vals = _lapack_eigenvalues(stack, trace)
-        layer = np.arange(s)
-        padding = layer > layer[:, None]
-        # _smallest's order in each layer, the padding last
-        smallest = np.lexsort((vals.imag, np.abs(vals.imag), vals.real, padding))[:, 0]
-        roots = vals[layer, smallest].astype(complex).tolist()
+    s = min(k_max, _STACK_ORDER)
+    # section k in layer k - 1; its eigenvalues come out in places
+    # 0 .. k-1 of the layer, the padding's zeros after them
+    stack = np.zeros((s, s, s), dtype=T.dtype)
+    for k in range(1, s + 1):
+        stack[k - 1, :k, :k] = T[:k, :k]
+    vals = _lapack_eigenvalues(stack, trace)
+    layer = np.arange(s)
+    padding = layer > layer[:, None]
+    # _smallest's order in each layer, the padding last
+    smallest = np.lexsort((vals.imag, np.abs(vals.imag), vals.real, padding))[:, 0]
+    roots = vals[layer, smallest].astype(complex).tolist()
     for k in range(s + 1, k_max + 1):
-        if k == first_bad:
-            raise ValueError(message)
         roots.append(_smallest(_lapack_eigenvalues(T[None, :k, :k], trace)[0]))
     return roots

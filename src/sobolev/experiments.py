@@ -59,6 +59,7 @@ class ExperimentReport:
 
 
 def _cell(value) -> str:
+    # most cells are floats: skip the isinstance chain for them
     if type(value) is float:
         return f"{value:.16e}"
     if value is None:
@@ -145,6 +146,10 @@ def random_spectral_data(rng, max_m: int = 40, max_block: int = 4):
     in [0.5, 1.5]; near-confluent nodes make the inverse problem
     arbitrarily ill-conditioned, which is not what this sampler is for.
     """
+    if max_m < 2:
+        raise ValueError(f"max_m={max_m} must be at least 2")
+    if max_block < 1:
+        raise ValueError(f"max_block={max_block} must be at least 1")
     m_target = int(rng.integers(2, max_m + 1))
     blocks = []
     betas = []
@@ -300,6 +305,9 @@ def cmd_least_squares(
     """
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")
+    for d in degrees:
+        if not isinstance(d, (int, np.integer)):
+            raise ValueError(f"degree {d} must be an integer")
     degrees = [int(d) for d in degrees]
     if not degrees:
         raise ValueError("the degree list is empty: give at least one degree")
@@ -426,8 +434,6 @@ def cmd_compare_solvers(
     """
     if count < 1:
         raise ValueError("need at least one instance")
-    if max_m < 2:
-        raise ValueError(f"max_m={max_m} must be at least 2")
     columns = {name: "rel_diff_" + name.replace("-", "_") for name in SOLVER_NAMES if name != "arnoldi"}
     rng = np.random.default_rng(seed)
     rows = []

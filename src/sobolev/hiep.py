@@ -128,11 +128,11 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     wnorm = _norm(wd)
 
     # row j of QT is column j of Q, row j of HT column j of the (k+1) x k H;
-    # complex data keep the conjugated rows in QH, real data read QT twice
+    # complex data keep the conjugated rows in QH, real data read QT twice;
+    # each row is conjugated once, not the whole basis at every step
     QT = np.zeros((k, m), dtype=dtype)
     QH = np.zeros_like(QT) if dtype.kind == "c" else QT
     HT = np.zeros((k, k + 1), dtype=dtype)
-    work = np.empty(m, dtype=dtype)
     QT[0] = wd / wnorm
     np.conjugate(QT[0], out=QH[0])
     ncols = k
@@ -143,9 +143,9 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
         tol = 1e-13 * _norm(v)
         basis, adjoint = QT[: col + 1], QH[: col + 1]
         h = np.matmul(adjoint, v, out=HT[col, : col + 1])
-        v -= np.matmul(h, basis, out=work)
+        v -= h @ basis
         correction = adjoint @ v
-        v -= np.matmul(correction, basis, out=work)
+        v -= correction @ basis
         h += correction
         hn = _norm(v)
         if trace is not None:
@@ -188,17 +188,10 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
 
 
 @functools.cache
-def _identity(r: int) -> np.ndarray:
-    """The r x r identity, built once per r and read-only."""
-    eye = np.eye(r)
-    eye.flags.writeable = False
-    return eye
-
-
-@functools.cache
 def _strict_lower(r: int) -> np.ndarray:
     """Flat indices of the entries below the subdiagonal of an r x r matrix,
-    built once per r and read-only."""
+    built once per r and read-only, since every kernel batch of a solve
+    needs them and building them per batch slows the small solves."""
     index = np.ravel_multi_index(np.tril_indices(r, -2), (r, r))
     index.flags.writeable = False
     return index
@@ -267,8 +260,8 @@ def _reflector_kernels(V: np.ndarray) -> np.ndarray:
     y = c + alpha e_1 and alpha = e^{i arg c_1} ||c||, so that K c = -alpha e_1
     and forming y never cancels; zero padding stays zero in y and so gives
     exact identity rows and columns.  ||c|| and the sums run as the ufunc
-    reductions that np.linalg.norm and np.sum call, and I is built once
-    per r, so K is bitwise that of those wrappers at a lower cost."""
+    reductions that np.linalg.norm and np.sum call, so K is bitwise that
+    of those wrappers at a lower cost."""
     head = V[:, 0]
     size = np.abs(head)
     # ||c|| by np.linalg.norm's own formula along an axis, without its wrapper
@@ -277,7 +270,7 @@ def _reflector_kernels(V: np.ndarray) -> np.ndarray:
     y[:, 0] += np.divide(head, size, out=np.ones_like(head), where=size > 0) * norm
     scale = 2.0 / np.add.reduce(np.abs(y) ** 2, axis=1)
     K = scale[:, None, None] * y[:, :, None] * y[:, None, :].conj()
-    return np.subtract(_identity(V.shape[1]), K, out=K)
+    return np.subtract(np.eye(V.shape[1]), K, out=K)
 
 
 _KERNELS = {"rotations": _rotation_kernels, "householder": _reflector_kernels}

@@ -167,21 +167,15 @@ def _prefix_errors(coeff, rows, exact, degrees) -> list[float]:
     The sum runs degree by degree in order with one add per degree, so
     S_d has the same bits whichever degrees are asked for: a fit's error
     at its own degree equals the one read off a higher fit's prefix.
-    Each term and each misfit is formed in a buffer of its own, allocated
-    once for all degrees.
     """
     wanted = set(degrees)
     exact = np.asarray(exact)
     total = np.zeros(rows.shape[1:], dtype=np.result_type(coeff, rows))
-    term = np.empty_like(total)
-    misfit = np.empty(total.shape, dtype=np.result_type(total, exact))
-    distance = np.empty(total.shape)
     errors = {}
     for i in range(max(degrees) + 1):
-        total += np.multiply(coeff[i], rows[i], out=term)
+        total += coeff[i] * rows[i]
         if i in wanted:
-            np.subtract(total, exact, out=misfit)
-            errors[i] = float(np.max(np.abs(misfit, out=distance)))
+            errors[i] = float(np.max(np.abs(total - exact)))
     return [errors[d] for d in degrees]
 
 
@@ -265,6 +259,8 @@ def hermite_least_squares(
         nodes.shape == node_weights.shape == f_values.shape == fprime_values.shape
     ):
         raise ValueError("nodes, weights and sample arrays must share one shape")
+    if nodes.ndim != 1 or nodes.size == 0:
+        raise ValueError(f"nodes must be a non-empty 1-d array, got shape {nodes.shape}")
     for name, array in (("node_weights", node_weights), ("f_values", f_values),
                         ("fprime_values", fprime_values)):
         if not np.isfinite(array).all():

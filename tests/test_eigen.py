@@ -257,11 +257,25 @@ class TestSmallestRoots:
         seen = []
         with pytest.raises(ValueError, match=message):
             smallest_roots(H, 8, trace=seen.append)
-        # the sections before the failing one ran, as one stack
+        # smallest_root accepts every section before the failing one, while
+        # smallest_roots raises before any LAPACK call
         assert [e["n"] for e in events] == list(range(1, max(entry) + 1))
-        assert [(e["n"], e["sections"]) for e in seen] == [(max(entry), max(entry))]
+        assert seen == []
         if np.isfinite(value):
             smallest_root(H, 8)
+
+    @pytest.mark.parametrize("value, message", [(1e-9, "not upper Hessenberg"),
+                                                (np.nan, "finite")])
+    def test_rejects_above_the_stack_order_before_any_call(self, value, message):
+        H = np.triu(np.random.default_rng(12).uniform(0.1, 0.5, (80, 80)), -1)
+        H[78, 3] = value
+        smallest_root(H, 78)
+        with pytest.raises(ValueError, match=message):
+            smallest_root(H, 79)
+        seen = []
+        with pytest.raises(ValueError, match=message):
+            smallest_roots(H, 80, trace=seen.append)
+        assert seen == []
 
     def test_rejects_out_of_range(self):
         for k_max in (0, 4):

@@ -328,6 +328,14 @@ class TestCmdLeastSquares:
         with pytest.raises(ValueError):
             cmd_least_squares(m=15, degrees=[5], gamma=0.0)
 
+    def test_rejects_non_integral_degrees(self):
+        # truncation would report degrees 1 and 3 under a config of [1.5, 3.9]
+        for degrees, name in (([1.5, 3.9], "1.5"), ([2, np.float64(3.0)], "3.0")):
+            with pytest.raises(ValueError, match=f"degree {name} must be an integer"):
+                cmd_least_squares(m=15, degrees=degrees)
+        report, _ = cmd_least_squares(m=15, degrees=np.array([2, 5]))
+        assert [row["degree"] for row in report.rows] == [2, 5]
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="grid_points=0 must be at least 1"):
             cmd_least_squares(m=15, degrees=[5], grid_points=0)
@@ -512,6 +520,18 @@ class TestCmdCompareSolvers:
     def test_rejects_too_small_max_m(self):
         with pytest.raises(ValueError, match="max_m=1"):
             cmd_compare_solvers(max_m=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_m": 1}, "max_m=1 must be at least 2"),
+            ({"max_block": 0}, "max_block=0 must be at least 1"),
+            ({"max_block": -1}, "max_block=-1 must be at least 1"),
+        ],
+    )
+    def test_sampler_rejects_its_own_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            random_spectral_data(np.random.default_rng(0), **kwargs)
 
     def test_rows_equal_updating_solves_with_q(self):
         report, _ = cmd_compare_solvers(count=4, max_m=12, seed=3)
@@ -845,6 +865,26 @@ class TestCli:
         assert captured.err.startswith(f"usage: sobolev {command}")
         assert f"cannot write {out}" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, exists):
+        # os.access reports no write permission, which a superuser never sees
+        @functools.wraps(sobolev.experiments.cmd_penta)
+        def must_not_run(**kwargs):
+            pytest.fail("cmd_penta ran although --out cannot be written")
+
+        monkeypatch.setattr(sobolev.cli, "cmd_penta", must_not_run)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "x.csv"
+        if exists:
+            out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["penta", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sobolev penta")
+        assert f"cannot write {out}: permission denied" in captured.err
+        assert captured.out == ""
 
     def test_althammer_command(self, capsys):
         assert main(["althammer-roots", "--n", "6", "--n-quad", "8"]) == 0

@@ -383,6 +383,11 @@ class TestHermiteLeastSquares:
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
             self._fit(np.ones(self.rule.n), np.zeros(3), 2)
+        # equal shapes that are not one non-empty row of nodes
+        for shape in ((1, 5), (0,)):
+            with pytest.raises(ValueError, match="nodes must be a non-empty 1-d array"):
+                hermite_least_squares(self.H, self.w_norm, np.zeros(shape), np.ones(shape),
+                                      np.ones(shape), np.ones(shape), self.gamma, 2)
 
     def test_rejects_negative_gamma(self):
         # NaN would pass a plain sign test and give the gamma = 0 fit
