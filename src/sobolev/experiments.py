@@ -22,7 +22,7 @@ import numpy as np
 from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
 from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, solve_hessenberg
-from .quadrature import golub_welsch, laguerre_jacobi, legendre_jacobi
+from .quadrature import _check_count, golub_welsch, laguerre_jacobi, legendre_jacobi
 from .sop import _fit_and_grid, _prefix_errors, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
@@ -146,6 +146,8 @@ def random_spectral_data(rng, max_m: int = 40, max_block: int = 4):
     in [0.5, 1.5]; near-confluent nodes make the inverse problem
     arbitrarily ill-conditioned, which is not what this sampler is for.
     """
+    _check_count("max_m", max_m)
+    _check_count("max_block", max_block)
     if max_m < 2:
         raise ValueError(f"max_m={max_m} must be at least 2")
     if max_block < 1:
@@ -228,7 +230,7 @@ def cmd_althammer_roots(
     rule = golub_welsch(legendre_jacobi(n_quad))
     Z, w = build_same_measure(rule, [1.0, gamma])
     H = solve_hessenberg(Z, w, n, method=solver, trace=trace)
-    roots = hessenberg_eigenvalues(H[:n, :n], trace=trace)
+    roots = hessenberg_eigenvalues(H, trace=trace)
     rows = [
         {"index": i, "root_re": re, "root_im": im}
         for i, (re, im) in enumerate(zip(roots.real.tolist(), roots.imag.tolist()), start=1)

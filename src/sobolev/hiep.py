@@ -9,36 +9,13 @@ such that
 H is the recurrence matrix of the Sobolev orthonormal polynomials of the
 product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
 
-Two independent methods are implemented: :func:`arnoldi`, a Krylov
-iteration with classical Gram-Schmidt and one reorthogonalization sweep,
-and :func:`update_solve`, which lays every single-block solution out on
-the block diagonal of one workspace and merges the blocks into its
-leading section: inject the new weight with a plane rotation, then chase
-the bulge down column by column.  The merges run as a wavefront, each
-one step behind the previous, so one batched step restores a column of
-every merge in flight, and one rescaling at the end makes the
-subdiagonal real non-negative.  A step builds the elimination kernels of
-all its windows at once, in a fixed set of whole-batch array operations
-plus at most one single ufunc call per window row, so the cost of the
-build does not grow with the number of windows.  Each step applies its
-kernels to H in groups of 32 windows.  A group's left product covers only
-the columns where its rows can be nonzero, cut at multiples of 16 so that
-every BLAS call rounds as the product over all columns would; its right
-product covers all rows.  The workspace is one row-major array holding
-H^T over Q^T, so the products on columns (H[:, win] K^H, Q[:, win] K^H
-and the injection on columns) run as row products conj(K) H^T[win, :],
-H's and Q's in one product; real H and Q are bitwise those of the column
-products, complex ones differ in the last bits.  Each solve builds its
-own schedule of windows and groups and keeps none.  Both compute in the
-dtype of Z's bands and w combined, float64 for real data and complex128
-otherwise, and return H and Q in that dtype.
-:func:`solve_hessenberg` needs only the leading k x k section of H, so
-with the updating solvers it skips the accumulation of Q and stops every
-merge after column k-2, which leaves that section bitwise unchanged.  Its
-steps group only the windows they keep, so a window can share its group
-with other windows than in the full solve; its bits do not change, since
-each window's product is its own BLAS call and the rounded cuts round as
-the product over all columns.
+:func:`arnoldi` runs a Krylov iteration with classical Gram-Schmidt and
+one reorthogonalization sweep.  :func:`update_solve` merges the
+closed-form single-block solutions one Jordan block at a time, as a
+wavefront of batched steps.  :func:`solve_hessenberg` returns the leading
+k x k section of H by either method.  Both solvers compute in the dtype of
+Z's bands and w combined, float64 for real data and complex128 otherwise,
+and return H and Q in that dtype.
 
 Complex H is bitwise reproducible only under the same numpy SIMD
 dispatch: numpy's vectorized complex loops (``np.abs``, products,
@@ -128,10 +105,10 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     wnorm = _norm(wd)
 
     # row j of QT is column j of Q, row j of HT column j of the (k+1) x k H;
-    # complex data keep the conjugated rows in QH, real data read QT twice;
-    # each row is conjugated once, not the whole basis at every step
+    # QH holds the conjugated rows, each conjugated once, not the whole basis
+    # at every step; for real data QT.conj() is QT itself
     QT = np.zeros((k, m), dtype=dtype)
-    QH = np.zeros_like(QT) if dtype.kind == "c" else QT
+    QH = QT.conj()
     HT = np.zeros((k, k + 1), dtype=dtype)
     QT[0] = wd / wnorm
     np.conjugate(QT[0], out=QH[0])
@@ -160,13 +137,11 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
         if hn <= tol:
             ncols = col + 1
             h_next = hn
-            q_next = None
             break
         HT[col, col + 1] = hn
         if col + 1 < k:
             np.divide(v, hn, out=QT[col + 1])
-            if QH is not QT:
-                np.conjugate(QT[col + 1], out=QH[col + 1])
+            np.conjugate(QT[col + 1], out=QH[col + 1])
         else:
             h_next = hn
             q_next = v / hn
@@ -287,9 +262,9 @@ def _schedule(ends: np.ndarray, r: int, k: int):
     indices with the scratch index m, and per step (start, stop, dmax,
     inject, groups): its windows start .. stop-1, the dimension d_j of its
     newest merge, the rows (0, d_{j-1}) of the merge j injected at that
-    step, as an index array and as the slice 0:d_{j-1}+1:d_{j-1}, or None,
-    and its groups (lo, hi, cols), each its windows start+lo .. start+hi-1
-    with the columns of its left product (see update_solve).
+    step as one index array, or None, and its groups (lo, hi, cols), each
+    its windows start+lo .. start+hi-1 with the columns of its left
+    product (see update_solve).
 
     Merge j restores column c at step t = j - 1 + c, for c = 0 ..
     min(d_j - 3, k - 2), so step t holds the merges j <= t + 1 with
@@ -297,8 +272,7 @@ def _schedule(ends: np.ndarray, r: int, k: int):
     order with no sort.  The steps run to the last restore, and at least to
     the last merge's injection at step len(ends) - 2.  A step's groups are
     cut every _GROUP windows from its first window, so a leading solve
-    groups only the windows it keeps: no window's bits depend on which
-    windows share its group (see update_solve).
+    groups only the windows it keeps.
     """
     m, last = int(ends[-1]), len(ends) - 1
     # the last merge makes the last restore; step t holds merges kept ..
@@ -351,8 +325,7 @@ def _schedule(ends: np.ndarray, r: int, k: int):
     pairs[:, 1] = ends[:-1]
     dims, bounds, cuts = ends.tolist(), bounds.tolist(), cuts.tolist()
     return wins, [
-        (bounds[i], bounds[i + 1], dims[min(i + 1, last)],
-         (pairs[i], slice(0, dims[i] + 1, dims[i])) if i < last else None,
+        (bounds[i], bounds[i + 1], dims[min(i + 1, last)], pairs[i] if i < last else None,
          groups[cuts[i]:cuts[i + 1]])
         for i in range(steps)
     ]
@@ -380,7 +353,8 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     start and applies them with batched products.  The rotation kernels
     come from the tail norms of each window, one hypot accumulation over
     the batch, and their rows from one product per window row; everything
-    else is a fixed set of whole-batch operations (see
+    else is a fixed set of whole-batch operations, so the cost of the build
+    does not grow with the number of windows (see
     :func:`_rotation_kernels`).  Both builders are bitwise the loop over
     the pairs of a window that they replace.  Windows are padded
     with a scratch index m, whose row and column stay zero.  After the
@@ -399,18 +373,18 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     multiple of 16 counted from c_new, which adds only zero entries and
     keeps every column at its position modulo 16 within the BLAS call, by
     which the complex OpenBLAS kernels round: unrounded cuts changed the
-    last bits of H on most random complex instances.  So H and Q are bitwise those
-    of the products over all of H.
+    last bits of H on most random complex instances.  So H and Q are
+    bitwise those of the products over all of H.
 
     The workspace is one row-major array S with H^T in rows 0 .. m and,
     when Q is accumulated, Q^T in rows m+1 .. 2m+1; H is the transposed
     view of its first m+1 rows.  Every product on columns is then a product
-    on rows of S: the right product as conj(K) @ S[win, :dmax] in H^T and
-    Q^T at once, and the injection as R @ S[(0, d_{j-1}), :dmax], through
-    a strided slice.  Each group gathers the window rows of H^T and Q^T
-    as one index, multiplies them in one call with its kernels broadcast
-    over both, and scatters them back in one; each window's product is
-    still its own BLAS call on the same operands.  A batched product
+    on rows of S: the right product as conj(K) @ S[win, :dmax] and the
+    injection as R @ S[(0, d_{j-1}), :dmax], in H^T and Q^T at once.  Each
+    group, and each injection, gathers its rows of H^T and Q^T as one
+    index, multiplies them in one call with its kernels broadcast over
+    both, and scatters them back in one; each window's product is still
+    its own BLAS call on the same operands.  A batched product
     streams the long rows of its operand instead of multiplying a tall,
     skinny matrix from the right and transposing the result.  Each entry
     is the same sum of the same products, so real H and Q are bitwise
@@ -421,16 +395,14 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     on the other half).  The products on rows (the left products and the
     injection on rows) gather their rows of H through the transposed
     view; the gather is a contiguous copy, so the BLAS operands are those
-    of a row-major H.  The injection on rows stays a gather: numpy would
-    multiply a strided slice of H's rows, whose entries are not adjacent,
-    in its own loop, which rounds differently.
+    of a row-major H.
 
-    Each call builds its own schedule, and keeps none: the windows, the
-    injection rows and the groups, and from the windows the flat indices
-    in H^T of the gathered entries V = H[win, col], which the elimination
-    then zeroes.  The residual check reads what the left products leave
-    below each window's head row, the entries the elimination discards,
-    without a product of its own.
+    :func:`_schedule` gives the windows, the injection rows and the groups,
+    and from the windows come the flat indices in H^T of the gathered
+    entries V = H[win, col], which the elimination then zeroes.  The
+    residual check reads what the left products leave below each window's
+    head row, the entries the elimination discards, without a product of
+    its own.
 
     A caller that keeps only the leading k x k section needs only columns
     0 .. k-2 restored, so every merge stops there.  The skipped restores
@@ -525,16 +497,14 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     # each entry H[i, c] of a window of column c at its flat index c (m+1) + i in H^T
     cells = (wins[:, :1] - 1) * (m + 1) + wins
     cells_of_S = S.reshape(-1)
-    # S as a stack of its H^T and Q^T planes, and the row offset of each
-    stack = S.reshape(planes, m + 1, m + 1)
+    # the row offset in S of the H^T and Q^T planes
     offsets = np.arange(0, S.shape[0], m + 1)[:, None, None]
-    conj = dtype.kind == "c"
     for t, (start, stop, dmax, inject, groups) in enumerate(steps):
         if inject is not None:
             R = rotations[t]
-            pair, rows = inject
-            H[pair, :dmax] = R @ H[pair, :dmax]
-            stack[:, rows, :dmax] = R @ stack[:, rows, :dmax]
+            H[inject, :dmax] = R @ H[inject, :dmax]
+            rows = inject + offsets[:, 0]
+            S[rows, :dmax] = R @ S[rows, :dmax]
         if start == stop:
             continue
         win, cell = wins[start:stop], cells[start:stop]
@@ -559,8 +529,9 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
             )
         cells_of_S[below] = 0.0
         # the right products H[:, win] K^H and Q[:, win] K^H run as row
-        # products conj(K) @ S[win, :dmax], both planes in one product
-        Kc = K.conj() if conj else K
+        # products conj(K) @ S[win, :dmax], both planes in one product;
+        # for real data K.conj() is K itself
+        Kc = K.conj()
         for lo, hi, _ in groups:
             part = win[lo:hi] + offsets
             S[part, :dmax] = Kc[lo:hi] @ S[part, :dmax]
@@ -600,7 +571,8 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
     reflectors) or "update-rot" (updating with plane rotations).  The
     updating solvers merge every block but restore only the columns
     0 .. k-2 that fix the section, without accumulating Q; the section is
-    bitwise the leading k x k part of the full :func:`update_solve`.
+    bitwise the leading k x k part of the full :func:`update_solve`, whose
+    docstring says why.
     The result is exactly k x k: an Arnoldi breakdown before column k
     raises NumericalFailure with the breakdown ``column`` and ``k``.
 

@@ -239,12 +239,13 @@ def hermite_least_squares(
         c_j = sum_m weight_m (f_m conj(p_j(x_m)) + gamma f'_m conj(p_j'(x_m))).
 
     H must therefore be the recurrence matrix generated from the same
-    nodes, weights and gamma.  Each c_j sums its own row, so a lower-degree
-    fit is bitwise a prefix.  Each of ``f_exact`` and ``fprime_exact``
-    that is given (a callable) has its error measured in the max norm on
-    a uniform grid of ``grid_points`` >= 1 points over [-1, 1], by the
-    running sum over degrees that :func:`_prefix_errors` shares with the
-    experiment drivers.  The basis is evaluated once, on the nodes and
+    nodes, weights and gamma, and the weights must be positive, or the
+    product is not positive definite.  Each c_j sums its own row, so a
+    lower-degree fit is bitwise a prefix.  Each of ``f_exact`` and
+    ``fprime_exact`` that is given (a callable) has its error measured in
+    the max norm on a uniform grid of ``grid_points`` >= 1 points over
+    [-1, 1], by the running sum over degrees that :func:`_prefix_errors`
+    shares with the experiment drivers.  The basis is evaluated once, on the nodes and
     that grid together, and the coefficients are bitwise the same whether
     or not errors are asked for.  ``trace`` goes to :func:`evaluate`.
     """
@@ -265,6 +266,8 @@ def hermite_least_squares(
                         ("fprime_values", fprime_values)):
         if not np.isfinite(array).all():
             raise ValueError(f"{name} must be finite")
+    if not (node_weights > 0).all():
+        raise ValueError("node_weights must be positive")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
     if grid_points < 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,9 +293,21 @@ def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
     return y
 
 
+# what spectral_from_json takes for a JSON array
+_ARRAY = (list, tuple)
+
+
 def _c2pair(value) -> list:
     value = complex(value)
     return [value.real, value.imag]
+
+
+def _pair2c(pair) -> complex:
+    """The complex number of one [re, im] pair of real numbers."""
+    if not (isinstance(pair, _ARRAY) and len(pair) == 2
+            and all(isinstance(x, numbers.Real) for x in pair)):
+        raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
+    return complex(*pair)
 
 
 def spectral_to_json(Z: JordanOperator, w: WeightVector) -> dict:
@@ -309,12 +322,23 @@ def spectral_to_json(Z: JordanOperator, w: WeightVector) -> dict:
 
 
 def spectral_from_json(obj: dict):
-    """Inverse of spectral_to_json."""
-    entries = obj["blocks"]
+    """Inverse of spectral_to_json.  A missing key, blocks, betas or
+    alphas that are not lists, a number that is not an [re, im] pair, or
+    a weight count other than the block count raises ValueError."""
+    if not (isinstance(obj, dict) and {"blocks", "betas"} <= obj.keys()):
+        raise ValueError('spectral data need the keys "blocks" and "betas"')
+    entries, betas = obj["blocks"], obj["betas"]
+    if not (isinstance(entries, _ARRAY) and isinstance(betas, _ARRAY)):
+        raise ValueError('"blocks" and "betas" must be lists')
+    for entry in entries:
+        if not (isinstance(entry, dict) and {"z", "alphas"} <= entry.keys()
+                and isinstance(entry["alphas"], _ARRAY)):
+            raise ValueError(f'a block needs the keys "z" and "alphas", a list; got {entry!r}')
+    if len(betas) != len(entries):
+        raise ValueError(f"weight count {len(betas)} does not match block count {len(entries)}")
     Z = JordanOperator._from_bands(
-        [complex(*entry["z"]) for entry in entries],
-        [complex(*a) for entry in entries for a in reversed(entry["alphas"])],
+        [_pair2c(entry["z"]) for entry in entries],
+        [_pair2c(a) for entry in entries for a in reversed(entry["alphas"])],
         [len(entry["alphas"]) + 1 for entry in entries],
     )
-    betas = np.asarray([complex(*b) for b in obj["betas"]])
-    return Z, WeightVector(betas)
+    return Z, WeightVector(np.asarray([_pair2c(b) for b in betas]))

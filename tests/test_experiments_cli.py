@@ -527,11 +527,31 @@ class TestCmdCompareSolvers:
             ({"max_m": 1}, "max_m=1 must be at least 2"),
             ({"max_block": 0}, "max_block=0 must be at least 1"),
             ({"max_block": -1}, "max_block=-1 must be at least 1"),
+            ({"max_m": 10.5}, "max_m=10.5 must be an integer"),
+            ({"max_m": 10.0}, "max_m=10.0 must be an integer"),
+            ({"max_block": 2.5}, "max_block=2.5 must be an integer"),
         ],
     )
     def test_sampler_rejects_its_own_arguments(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             random_spectral_data(np.random.default_rng(0), **kwargs)
+
+    def test_sampler_takes_numpy_integers(self):
+        Z, w = random_spectral_data(np.random.default_rng(0), max_m=np.int64(6), max_block=np.int32(2))
+        assert 2 <= Z.m <= 6 and max(b.size for b in Z.blocks) <= 2
+
+    @pytest.mark.parametrize(
+        "driver, kwargs, message",
+        [
+            (cmd_compare_solvers, {"max_m": 10.5}, "max_m=10.5 must be an integer"),
+            # n_quad=10.5 used to run, echo 10.5 and print the n_quad=11 table
+            (cmd_laguerre_roots, {"n_quad": 10.5}, "n=10.5 must be an integer"),
+            (cmd_althammer_roots, {"n": 5, "n_quad": 10.5}, "n=10.5 must be an integer"),
+        ],
+    )
+    def test_drivers_reject_non_integral_point_counts(self, driver, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            driver(**kwargs)
 
     def test_rows_equal_updating_solves_with_q(self):
         report, _ = cmd_compare_solvers(count=4, max_m=12, seed=3)

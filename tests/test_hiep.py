@@ -330,8 +330,7 @@ def schedule_reference(ends, r, k):
     per_step = tg.searchsorted(np.arange(steps + 1)).tolist()
     dims, bounds = ends.tolist(), bounds.tolist()
     return wins, [
-        (bounds[i], bounds[i + 1], dims[min(i + 1, last)],
-         ([0, dims[i]], slice(0, dims[i] + 1, dims[i])) if i < last else None,
+        (bounds[i], bounds[i + 1], dims[min(i + 1, last)], [0, dims[i]] if i < last else None,
          groups[per_step[i]:per_step[i + 1]])
         for i in range(steps)
     ]
@@ -368,7 +367,7 @@ class TestWavefrontAgainstReference:
             assert wins.dtype == ref_wins.dtype
             assert np.array_equal(wins, ref_wins)
             assert [
-                (start, stop, dmax, inject and (inject[0].tolist(), inject[1]), groups)
+                (start, stop, dmax, inject if inject is None else inject.tolist(), groups)
                 for start, stop, dmax, inject, groups in steps
             ] == ref_steps
 

@@ -1,6 +1,7 @@
 """Tests for Gauss-type quadrature rule generation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ class TestJacobiCoefficients:
             ([0.0, 0.0], [np.inf], 2.0),   # infinite coupling
             ([0.0], [], np.inf),           # infinite mass
             ([0.0], [], np.nan),           # NaN mass
+            ([], [], 1.0),                 # no coefficients
         ],
     )
     def test_invalid_inputs(self, diag, offdiag, moment0):
@@ -101,6 +103,14 @@ class TestLegendreJacobi:
         with pytest.raises(ValueError):
             legendre_jacobi(0)
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, np.float64(3.0), "3", None], ids=repr)
+    def test_rejects_non_integral_points(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} must be an integer")):
+            legendre_jacobi(n)
+
+    def test_numpy_integer_points(self):
+        assert legendre_jacobi(np.int64(3)).n == 3
+
 
 class TestLaguerreJacobi:
     def test_n1_alpha0(self):
@@ -129,6 +139,12 @@ class TestLaguerreJacobi:
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError, match="need at least one point, got n=0"):
             laguerre_jacobi(0)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10.0)], ids=repr)
+    def test_rejects_non_integral_points(self, n):
+        # np.arange(10.5) has 11 entries: 10.5 used to give an 11-point rule
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} must be an integer")):
+            laguerre_jacobi(n)
 
 
 class TestGolubWelsch:
@@ -195,6 +211,11 @@ class TestGaussRadauRight:
             gauss_radau_right(-1)
         with pytest.raises(ValueError):
             gauss_radau_right(3, endpoint=0.5)
+
+    @pytest.mark.parametrize("n_free", [3.5, 3.0], ids=repr)
+    def test_rejects_non_integral_points(self, n_free):
+        with pytest.raises(ValueError, match=re.escape(f"n_free={n_free!r} must be an integer")):
+            gauss_radau_right(n_free)
 
     def test_unpinned_endpoint_raises(self, monkeypatch):
         # a rule whose nearest node misses the endpoint by more than 1e-10

@@ -389,6 +389,17 @@ class TestHermiteLeastSquares:
                 hermite_least_squares(self.H, self.w_norm, np.zeros(shape), np.ones(shape),
                                       np.ones(shape), np.ones(shape), self.gamma, 2)
 
+    def test_rejects_non_positive_node_weights(self):
+        # negated weights used to give a fit of a product that is not
+        # positive definite
+        one_zero = self.rule.weights.copy()
+        one_zero[3] = 0.0
+        ones = np.ones(self.rule.n)
+        for node_weights in (-self.rule.weights, one_zero):
+            with pytest.raises(ValueError, match="node_weights must be positive"):
+                hermite_least_squares(self.H, self.w_norm, self.rule.nodes, node_weights,
+                                      ones, ones, self.gamma, 2)
+
     def test_rejects_negative_gamma(self):
         # NaN would pass a plain sign test and give the gamma = 0 fit
         ones = np.ones(self.rule.n)

@@ -542,6 +542,32 @@ class TestJsonRoundTrip:
                 assert len(a) == 2
         assert len(obj["betas"]) == len(Z.blocks)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # one beta too many used to pass until the solve
+            (lambda obj: obj["betas"].append([1.0, 0.0]), "weight count 5 does not match block count 4"),
+            (lambda obj: obj["betas"].pop(), "weight count 3 does not match block count 4"),
+            (lambda obj: obj.pop("betas"), 'keys "blocks" and "betas"'),
+            (lambda obj: obj["blocks"][1].pop("alphas"), 'keys "z" and "alphas"'),
+            (lambda obj: obj["blocks"][1].update(alphas=5), 'keys "z" and "alphas", a list'),
+            (lambda obj: obj.update(blocks=5), '"blocks" and "betas" must be lists'),
+            (lambda obj: obj.update(betas={"0": [1.0, 0.0]}), '"blocks" and "betas" must be lists'),
+            (lambda obj: obj["blocks"][0].update(z=[1.0, 2.0, 3.0]), r"\[re, im\] pair"),
+            (lambda obj: obj["blocks"][2]["alphas"].append(["1", "0"]), r"\[re, im\] pair"),
+            (lambda obj: obj["betas"].__setitem__(0, 1.0), r"\[re, im\] pair"),
+        ],
+        ids=["extra-beta", "missing-beta", "no-betas", "no-alphas", "scalar-alphas", "scalar-blocks",
+             "dict-betas", "z-triple", "string-alpha", "scalar-beta"],
+    )
+    def test_rejects_malformed_data(self, edit, match):
+        blocks = (JordanBlockSpec(0.0, [1.0]), JordanBlockSpec(1.0, []),
+                  JordanBlockSpec(2.0, [0.5, 0.5]), JordanBlockSpec(3.0j, []))
+        obj = json.loads(json.dumps(spectral_to_json(JordanOperator(blocks), WeightVector(np.ones(4)))))
+        edit(obj)
+        with pytest.raises(ValueError, match=match):
+            spectral_from_json(obj)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_round_trip(self, seed):
         Z, w = random_jordan(np.random.default_rng(seed))
