@@ -14,7 +14,8 @@ code 2).  Every output path is checked before the run: a missing
 directory, a directory or an unwritable file in the way, and an --out
 that the figure would overwrite, fail at once, not after the run.  A
 solver that fails its numerical contract ends in exit code 3, with its
-message and its diagnostic fields as one JSON object on stderr.
+message and its diagnostic fields as one JSON object on stderr.  A
+stdout closed by its reader ends in exit code 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=SOLVER_NAMES,
         default=DEFAULT_SOLVER,
-        help=f"inverse-problem solver (default: {DEFAULT_SOLVER}); update-hh can print wrong "
-        "results with exit 0, e.g. laguerre-roots --gamma 1e300 (see README)",
+        help=f"inverse-problem solver (default: {DEFAULT_SOLVER}); an Arnoldi breakdown before the "
+        "needed column ends in exit code 3; update-hh can print wrong results with exit 0, "
+        "e.g. laguerre-roots --gamma 1e300 (see README)",
     )
     solving.add_argument(
         "--dump-spectral",
@@ -203,14 +205,20 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_FAILURE
 
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    if out is None:
-        sys.stdout.write(text)
-        return 0
-    _write(out, text, error)
-    if figure is not None:
-        _write(figure, least_squares_figure(report), error)
-    if spectral is not None:
-        _write(spectral, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            _write(out, text, error)
+            if figure is not None:
+                _write(figure, least_squares_figure(report), error)
+            if spectral is not None:
+                _write(spectral, json.dumps(spectral_to_json(*data), indent=2) + "\n", error)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is left in the buffer goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

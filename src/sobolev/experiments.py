@@ -23,7 +23,7 @@ from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
 from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, solve_hessenberg
 from .quadrature import _check_count, golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import _fit_and_grid, _prefix_errors, pentadiagonal_recurrence
+from .sop import _fit, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
@@ -146,8 +146,7 @@ def random_spectral_data(rng, max_m: int = 40, max_block: int = 4):
     in [0.5, 1.5]; near-confluent nodes make the inverse problem
     arbitrarily ill-conditioned, which is not what this sampler is for.
     """
-    _check_count("max_m", max_m)
-    _check_count("max_block", max_block)
+    _check_count(max_m=max_m, max_block=max_block)
     if max_m < 2:
         raise ValueError(f"max_m={max_m} must be at least 2")
     if max_block < 1:
@@ -186,6 +185,7 @@ def cmd_laguerre_roots(
     """Smallest roots of p_k, k = 1..k_max, for the product
     integral (p conj(q) + gamma p' conj(q')) x^alpha e^{-x} dx discretized
     by an n_quad-point Gauss-Laguerre rule."""
+    _check_count(n_quad=n_quad, k_max=k_max)
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma={gamma} must be positive and finite")
     if k_max < 1:
@@ -219,6 +219,7 @@ def cmd_althammer_roots(
     product that orthogonality up to degree n needs.  A root off the real
     axis or two within 1e-10 raise NumericalFailure; roots outside [-1, 1]
     are only counted, as at large gamma conditioning alone can move them."""
+    _check_count(n=n, n_quad=n_quad)
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma={gamma} must be positive and finite")
     if n < 1:
@@ -263,24 +264,13 @@ def _gauss_bump_prime(x):
 
 def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
     """Max-norm value and derivative errors of the bump fits of the given
-    degrees on a uniform grid over [-1, 1], one dict per degree with keys
-    suffixed by ``family``.
-
-    The coefficients do not depend on the fit degree, so the degree-d fit
-    is a prefix of the top-degree fit, and one basis evaluation on the
-    nodes and the grid together serves every degree.  The fit and the
-    running sums over the degrees are those of :func:`hermite_least_squares`
-    (:func:`sop._fit_and_grid`, :func:`sop._prefix_errors`), read off at
-    each requested degree, so every row has the bits of a separate fit of
-    its degree.
-    """
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    coeff, values, derivs = _fit_and_grid(
-        H, w_norm, rule.nodes, rule.weights, _gauss_bump(rule.nodes),
-        _gauss_bump_prime(rule.nodes), gamma, max(degrees), grid, trace,
+    degrees, one dict per degree with keys suffixed by ``family``, each
+    bitwise that of a separate fit of its degree (see :func:`sop._fit`)."""
+    nodes = rule.nodes
+    _, value, deriv = _fit(
+        H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma,
+        degrees, _gauss_bump, _gauss_bump_prime, grid_points, trace,
     )
-    value = _prefix_errors(coeff, values, _gauss_bump(grid), degrees)
-    deriv = _prefix_errors(coeff, derivs, _gauss_bump_prime(grid), degrees)
     return [
         {f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)
     ]
@@ -305,6 +295,7 @@ def cmd_least_squares(
     clamp recorded per row.  ``trace`` goes to both solves and to the
     two basis evaluations, one per family.
     """
+    _check_count(m=m, grid_points=grid_points)
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")
     for d in degrees:
@@ -385,6 +376,7 @@ def cmd_penta(
     than PENTA_STRUCTURE_BOUND relative to its norm raises
     NumericalFailure with both deviations.  A failed cross-check keeps
     the matrix: see ``cross_solver_failure``."""
+    _check_count(m=m)
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
     rule = golub_welsch(laguerre_jacobi(m + 1, alpha))
@@ -434,6 +426,7 @@ def cmd_compare_solvers(
     as ``rel_diff_<name>``.  The spectral data returned are None: each row
     has its own.
     """
+    _check_count(count=count, max_m=max_m, seed=seed)
     if count < 1:
         raise ValueError("need at least one instance")
     columns = {name: "rel_diff_" + name.replace("-", "_") for name in SOLVER_NAMES if name != "arnoldi"}

@@ -46,7 +46,7 @@ __all__ = [
 # each solver name and the update_solve strategy it runs; arnoldi runs none
 _STRATEGIES = {"arnoldi": None, "update-hh": "householder", "update-rot": "rotations"}
 SOLVER_NAMES = tuple(_STRATEGIES)
-DEFAULT_SOLVER = "update-rot"
+DEFAULT_SOLVER = "arnoldi"
 
 
 def hessenberg_defect(H) -> float:

@@ -99,11 +99,12 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _check_count(name: str, value):
-    """Reject a count that is not a Python or numpy integer, which numpy
-    would round up (np.arange(10.5) has 11 entries) or fail on later."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}={value!r} must be an integer")
+def _check_count(**counts):
+    """Reject, by name, a count that is not a Python or numpy integer, which
+    numpy would round up (np.arange(10.5) has 11 entries) or fail on later."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}={value!r} must be an integer")
 
 
 def legendre_jacobi(n: int) -> JacobiCoefficients:
@@ -112,7 +113,7 @@ def legendre_jacobi(n: int) -> JacobiCoefficients:
     The orthonormal recurrence has zero diagonal and couplings
     b_k = k / sqrt(4 k^2 - 1).
     """
-    _check_count("n", n)
+    _check_count(n=n)
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     k = np.arange(1.0, n)
@@ -126,7 +127,7 @@ def laguerre_jacobi(n: int, alpha: float = 0.0) -> JacobiCoefficients:
     mass is Gamma(alpha + 1), so alpha must be finite and small enough
     (about 170.6 at most) for that mass to fit the double range.
     """
-    _check_count("n", n)
+    _check_count(n=n)
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     if not (alpha > -1.0 and math.isfinite(alpha)):
@@ -207,7 +208,7 @@ def gauss_radau_right(n_free: int, endpoint: float = 1.0) -> QuadratureRule:
     the endpoint minus b_{n-1} p_{n-2}(endpoint) / p_{n-1}(endpoint), with
     the orthonormal p_k(+-1) = (+-1)^k sqrt(k + 1/2).
     """
-    _check_count("n_free", n_free)
+    _check_count(n_free=n_free)
     if n_free < 0:
         raise ValueError(f"n_free must be non-negative, got {n_free}")
     if endpoint not in (-1.0, 1.0):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hiep import DEFAULT_SOLVER, solve_hessenberg
+from .quadrature import _check_count
 from .spectral import JordanOperator, WeightVector
 
 __all__ = [
@@ -160,43 +161,46 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
-def _prefix_errors(coeff, rows, exact, degrees) -> list[float]:
-    """Max-norm distances from ``exact`` of the partial sums
-    S_d = sum_{i<=d} coeff[i] rows[i], one per degree d in ``degrees``.
+def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
+         f_exact, fprime_exact, grid_points, trace):
+    """The coefficients c_0..c_n, n = max(degrees), of the fit that
+    :func:`hermite_least_squares` describes, then for ``f_exact`` and
+    ``fprime_exact`` in turn the max-norm errors of the fits of the given
+    degrees on a uniform grid of ``grid_points`` over [-1, 1], or None
+    for one that is not given.
 
-    The sum runs degree by degree in order with one add per degree, so
-    S_d has the same bits whichever degrees are asked for: a fit's error
-    at its own degree equals the one read off a higher fit's prefix.
+    One :func:`evaluate` call takes the nodes and then the grid (empty
+    when no error is asked for).  No point's basis depends on the other
+    points of the call, so the coefficients are bitwise those of the
+    nodes alone.  Each c_j sums its own row, and each error is that of
+    the running sum S_d = sum_{i<=d} c_i p_i (or p_i'), one add per degree
+    in order, so the fit and the errors of degree d are bitwise those of
+    a separate fit of degree d.
     """
-    wanted = set(degrees)
-    exact = np.asarray(exact)
-    total = np.zeros(rows.shape[1:], dtype=np.result_type(coeff, rows))
-    errors = {}
-    for i in range(max(degrees) + 1):
-        total += coeff[i] * rows[i]
-        if i in wanted:
-            errors[i] = float(np.max(np.abs(total - exact)))
-    return [errors[d] for d in degrees]
-
-
-def _fit_and_grid(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, n, grid,
-                  trace=None):
-    """The coefficients c_0..c_n of the Hermite least-squares fit, and the
-    values and derivatives of p_0..p_n on ``grid``, from one
-    :func:`evaluate` call on the nodes followed by the grid points.
-
-    Since no point's basis depends on the other points of the call, the
-    coefficients are bitwise those from the nodes alone, whatever the grid
-    (which may be empty).  Each c_j sums its own row, so a lower-degree
-    fit is bitwise a prefix.
-    """
+    n = max(degrees)
+    no_grid = f_exact is None and fprime_exact is None
+    grid = np.empty(0) if no_grid else np.linspace(-1.0, 1.0, grid_points)
     size = nodes.size
     basis = evaluate(H, w_norm, np.concatenate((nodes, grid)), n, trace=trace)
     values, derivs = basis.values[:, :size], basis.derivs[:, :size]
     coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
     if gamma > 0:
         coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
-    return coeff, basis.values[:, size:], basis.derivs[:, size:]
+    wanted = set(degrees)
+    errors = []
+    for exact, rows in ((f_exact, basis.values), (fprime_exact, basis.derivs)):
+        if exact is None:
+            errors.append(None)
+            continue
+        exact = np.asarray(exact(grid))
+        total = np.zeros(grid.shape, dtype=np.result_type(coeff, rows))
+        at = {}
+        for i in range(n + 1):
+            total += coeff[i] * rows[i, size:]
+            if i in wanted:
+                at[i] = float(np.max(np.abs(total - exact)))
+        errors.append([at[d] for d in degrees])
+    return coeff, *errors
 
 
 @dataclass(frozen=True)
@@ -244,10 +248,10 @@ def hermite_least_squares(
     lower-degree fit is bitwise a prefix.  Each of ``f_exact`` and
     ``fprime_exact`` that is given (a callable) has its error measured in
     the max norm on a uniform grid of ``grid_points`` >= 1 points over
-    [-1, 1], by the running sum over degrees that :func:`_prefix_errors`
-    shares with the experiment drivers.  The basis is evaluated once, on the nodes and
-    that grid together, and the coefficients are bitwise the same whether
-    or not errors are asked for.  ``trace`` goes to :func:`evaluate`.
+    [-1, 1].  The fit and its errors are those of :func:`_fit`, which the
+    experiment drivers share: one basis evaluation, and coefficients
+    bitwise the same whether or not errors are asked for.  ``trace``
+    goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -270,21 +274,13 @@ def hermite_least_squares(
         raise ValueError("node_weights must be positive")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
+    _check_count(grid_points=grid_points)
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
 
-    if f_exact is None and fprime_exact is None:
-        grid = np.empty(0)
-    else:
-        grid = np.linspace(-1.0, 1.0, grid_points)
-    coeff, values, derivs = _fit_and_grid(
-        H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, n, grid, trace
-    )
-    value_error = deriv_error = None
-    if f_exact is not None:
-        (value_error,) = _prefix_errors(coeff, values, f_exact(grid), [n])
-    if fprime_exact is not None:
-        (deriv_error,) = _prefix_errors(coeff, derivs, fprime_exact(grid), [n])
+    coeff, *errors = _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, [n],
+                          f_exact, fprime_exact, grid_points, trace)
+    value_error, deriv_error = (None if e is None else e[0] for e in errors)
     return LsqFit(
         coefficients=coeff, degree=n, value_error=value_error, deriv_error=deriv_error
     )

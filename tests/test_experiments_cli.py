@@ -545,8 +545,16 @@ class TestCmdCompareSolvers:
         [
             (cmd_compare_solvers, {"max_m": 10.5}, "max_m=10.5 must be an integer"),
             # n_quad=10.5 used to run, echo 10.5 and print the n_quad=11 table
-            (cmd_laguerre_roots, {"n_quad": 10.5}, "n=10.5 must be an integer"),
-            (cmd_althammer_roots, {"n": 5, "n_quad": 10.5}, "n=10.5 must be an integer"),
+            (cmd_laguerre_roots, {"n_quad": 10.5}, "n_quad=10.5 must be an integer"),
+            (cmd_althammer_roots, {"n": 5, "n_quad": 10.5}, "n_quad=10.5 must be an integer"),
+            # each count is named as the driver names it, before any numpy call
+            (cmd_laguerre_roots, {"k_max": 2.5}, "^k_max=2.5 must be an integer"),
+            (cmd_althammer_roots, {"n": 2.5}, "^n=2.5 must be an integer"),
+            (cmd_compare_solvers, {"count": 2.5}, "^count=2.5 must be an integer"),
+            (cmd_compare_solvers, {"seed": 1.5}, "^seed=1.5 must be an integer"),
+            (cmd_least_squares, {"m": 10.5}, "^m=10.5 must be an integer"),
+            (cmd_least_squares, {"grid_points": 10.5}, "^grid_points=10.5 must be an integer"),
+            (cmd_penta, {"m": 2.5}, "^m=2.5 must be an integer"),
         ],
     )
     def test_drivers_reject_non_integral_point_counts(self, driver, kwargs, message):
@@ -1023,6 +1031,23 @@ class TestCli:
         for line in lines[:-2] + lines[-1:]:
             assert isinstance(json.loads(line), dict), line
 
+    def test_closed_stdout_ends_without_a_traceback(self):
+        # the read end is closed before the child starts, so its write fails
+        # whatever the timing
+        src = str(Path(sobolev.__file__).parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "sobolev.cli", "laguerre-roots"],
+                env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == 1
+        assert out.stderr == ""
+
     def test_trace_events_are_strict_json(self, capsys):
         sobolev.cli._stderr_trace({"event": "x", "residual": np.float64("nan"), "z": 1j, "n": np.int64(2)})
         line = capsys.readouterr().err
@@ -1065,6 +1090,70 @@ class TestCli:
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert record["column"] == 3
         assert record["k"] == 10
+
+
+# laguerre-roots --gamma 1e300 --n-quad 10 --k-max 20 --solver update-rot,
+# smallest root of p_1..p_20 (all real)
+UPDATE_ROT_ROOTS_PAST_BREAKDOWN = [
+    4.9999999999999972e-01, -2.0710678118654782e-01, -1.3122329229207250e-01,
+    -9.6099789269519717e-02, -7.5823207703981127e-02, -6.2617041927072042e-02,
+    -5.3330648458693279e-02, -4.6443830021738665e-02, -4.1132699269736797e-02,
+    -3.6911886010914087e-02, -3.3476852839583390e-02, -3.3642047900483925e-02,
+    -3.3949073690891368e-02, -3.4437278561522393e-02, -3.5169338236264329e-02,
+    -3.6251794226844443e-02, -3.7883930196567238e-02, -4.0497735960973329e-02,
+    -4.5301206276256056e-02, 6.0192025173081511e-02,
+]
+
+
+class TestDefaultSolverEdges:
+    """Default flags where the solvers part ways: Arnoldi is accurate up to
+    its breakdown, and a breakdown before the needed column exits 3."""
+
+    @staticmethod
+    def _failure(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return json.loads(captured.err.strip().splitlines()[-1])
+
+    def test_least_squares_at_gamma_1e30_is_accurate(self, capsys):
+        # update-rot reads 1.09e38 here, with exit 0
+        assert main(["least-squares", "--gamma", "1e30", "--degrees", "101,201"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        assert row["degree"] == "201"
+        assert float(row["value_error_sobolev"]) <= 1.1e-14
+
+    def test_least_squares_past_the_breakdown_exits_3(self, capsys):
+        argv = ["least-squares", "--gamma", "1e30", "--degrees", "101,201,301"]
+        assert main(argv) == EXIT_NUMERICAL_FAILURE
+        failure = self._failure(capsys)
+        assert (failure["column"], failure["k"]) == (202, 302)
+
+    LAGUERRE_PAST_BREAKDOWN = ["laguerre-roots", "--gamma", "1e300", "--n-quad", "10", "--k-max", "20"]
+
+    def test_laguerre_roots_past_the_breakdown_exits_3(self, capsys):
+        assert main(self.LAGUERRE_PAST_BREAKDOWN) == EXIT_NUMERICAL_FAILURE
+        failure = self._failure(capsys)
+        assert (failure["column"], failure["k"]) == (11, 20)
+
+    def test_update_rot_returns_every_column_past_the_breakdown(self, capsys):
+        assert main([*self.LAGUERRE_PAST_BREAKDOWN, "--solver", "update-rot"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert_allclose(table[:, 0], np.arange(1, 21))
+        assert_allclose(table[:, 1], UPDATE_ROT_ROOTS_PAST_BREAKDOWN, rtol=1e-9, atol=0.0)
+        assert (table[:, 2] == 0.0).all()
+
+    def test_althammer_roots_at_gamma_1e16_are_real_and_simple(self, capsys):
+        # update-rot puts 138 of these roots off the real axis (exit 3)
+        argv = ["althammer-roots", "--n", "150", "--n-quad", "150", "--gamma", "1e16",
+                "--format", "json"]
+        assert main(argv) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["n_imag_violations"] == 0
+        assert diagnostics["n_gap_violations"] == 0
+        assert diagnostics["n_range_violations"] == 0
 
 
 DISPATCH = [

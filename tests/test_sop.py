@@ -360,6 +360,12 @@ class TestHermiteLeastSquares:
         with pytest.raises(ValueError, match=f"grid_points={grid_points} must be at least 1"):
             self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=grid_points)
 
+    @pytest.mark.parametrize("grid_points", [10.5, 11.0])
+    def test_rejects_non_integral_grid(self, grid_points):
+        ones = np.ones(self.rule.n)
+        with pytest.raises(ValueError, match=f"^grid_points={grid_points} must be an integer"):
+            self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=grid_points)
+
     @pytest.mark.parametrize("argument, bad", [
         ("node_weights", np.nan), ("node_weights", np.inf), ("f_values", np.nan),
         ("f_values", -np.inf), ("f_values", complex(1.0, np.nan)), ("fprime_values", np.nan),
