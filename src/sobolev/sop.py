@@ -48,8 +48,9 @@ class SopEvaluation:
 
 
 # degrees per block of the basis recurrence in :func:`evaluate`, the rows
-# of a block's coupling product padded to a multiple of _ROWS, and the
-# point count padded to a multiple of _POINTS
+# of a block's coupling product (and of each product of :func:`_fit`)
+# padded to a multiple of _ROWS, and the point count padded to a multiple
+# of _POINTS
 _BLOCK = 32
 _ROWS = 8
 _POINTS = 16
@@ -125,6 +126,7 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
         and the wall time ``seconds``.
     """
     start = time.perf_counter()
+    _check_count(k=k)
     H = _section(H, w_norm, k)
     x = np.asarray(x)
     if not np.isfinite(x).all():
@@ -161,6 +163,32 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
+def _chebyshev_interpolation(size: int, grid: np.ndarray):
+    """The ``size`` Chebyshev points x_j of the first kind, ascending, the
+    (size, grid.size) matrix C of w_j / (x - x_j) at the grid points x,
+    and its column sums.  For values v at the points, (v @ C) / sums is on
+    ``grid`` the polynomial of degree below ``size`` that takes them.
+
+    That is the second (true) barycentric formula, with the point weights
+    w_j = (-1)^j sin((2j+1) pi / (2 size)) (Berrut & Trefethen 2004), and
+    it is forward stable for these points (Higham 2004).  The points are
+    taken as sines, so they are symmetric and 0 is one of them for odd
+    ``size``.  A grid point equal to x_j gets the unit column e_j and the
+    sum 1, so it takes that point's value, with no division by zero.
+    """
+    angle = np.pi * (2 * np.arange(size) + 1 - size) / (2 * size)
+    points = np.sin(angle)
+    weights = np.cos(angle)
+    weights[1::2] *= -1.0
+    diff = grid - points[:, None]
+    on = np.minimum(np.searchsorted(points, grid), size - 1)
+    hits = np.flatnonzero(points[on] == grid)
+    diff[:, hits] = np.inf
+    diff[on[hits], hits] = weights[on[hits]]
+    C = np.divide(weights[:, None], diff, out=diff)
+    return points, C, C.sum(axis=0)
+
+
 def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
          f_exact, fprime_exact, grid_points, trace):
     """The coefficients c_0..c_n, n = max(degrees), of the fit that
@@ -169,38 +197,67 @@ def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees
     degrees on a uniform grid of ``grid_points`` over [-1, 1], or None
     for one that is not given.
 
-    One :func:`evaluate` call takes the nodes and then the grid (empty
-    when no error is asked for).  No point's basis depends on the other
-    points of the call, so the coefficients are bitwise those of the
-    nodes alone.  Each c_j sums its own row, and each error is that of
-    the running sum S_d = sum_{i<=d} c_i p_i (or p_i'), one add per degree
-    in order, so the fit and the errors of degree d are bitwise those of
-    a separate fit of degree d.
+    One :func:`evaluate` call takes the nodes and then, when an error is
+    asked for, the K = dim(H) Chebyshev points of the first kind.  No
+    point's basis depends on the other points of the call, so the
+    coefficients are bitwise those of the nodes alone.  Each c_j sums its
+    own row.  At the K points the running sums S_d = sum_{i<=d} c_i p_i
+    (and p_i') take one add per degree in order.  Every such S_d has
+    degree below dim(H), so its K values fix it, and the barycentric
+    formula of :func:`_chebyshev_interpolation` carries the requested
+    degrees to the grid in one matrix product, O(grid_points * K) per
+    degree.  The rows of that product are zero-padded to a multiple of 8
+    and go as a stack of 8-row products, one BLAS call of one shape each:
+    OpenBLAS (0.3.31, on an AVX-512 Xeon) rounds a row differently in
+    products of different row counts (8 and 16 rows differ at K = 202 and
+    2001 grid points), and in 16-row products by where the row sits, but
+    not in 8-row products, so
+    no row's rounding depends on how many degrees were asked for.  K does
+    not depend on n either, so the fit and the errors of degree d are
+    bitwise those of a separate fit of degree d with the same H.
     """
     n = max(degrees)
-    no_grid = f_exact is None and fprime_exact is None
-    grid = np.empty(0) if no_grid else np.linspace(-1.0, 1.0, grid_points)
     size = nodes.size
-    basis = evaluate(H, w_norm, np.concatenate((nodes, grid)), n, trace=trace)
+    grid = np.linspace(-1.0, 1.0, grid_points)
+    exacts = {name: _on_grid(name, exact, grid) for name, exact in
+              (("f_exact", f_exact), ("fprime_exact", fprime_exact)) if exact is not None}
+    if exacts:
+        _section(H, w_norm, n)  # so that H is square before its dimension is read
+        points, C, sums = _chebyshev_interpolation(len(H), grid)
+        nodes = np.concatenate((nodes, points))
+    basis = evaluate(H, w_norm, nodes, n, trace=trace)
     values, derivs = basis.values[:, :size], basis.derivs[:, :size]
     coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
     if gamma > 0:
         coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
-    wanted = set(degrees)
-    errors = []
-    for exact, rows in ((f_exact, basis.values), (fprime_exact, basis.derivs)):
-        if exact is None:
-            errors.append(None)
-            continue
-        exact = np.asarray(exact(grid))
-        total = np.zeros(grid.shape, dtype=np.result_type(coeff, rows))
-        at = {}
-        for i in range(n + 1):
-            total += coeff[i] * rows[i, size:]
-            if i in wanted:
-                at[i] = float(np.max(np.abs(total - exact)))
-        errors.append([at[d] for d in degrees])
-    return coeff, *errors
+    if not exacts:
+        return coeff, None, None
+    bases = {"f_exact": basis.values, "fprime_exact": basis.derivs}
+    running = np.concatenate([np.cumsum(coeff[:, None] * bases[name][:, size:], axis=0)[degrees]
+                              for name in exacts])
+    padded = np.zeros((_round_up(len(running), _ROWS), points.size), dtype=running.dtype)
+    padded[: len(running)] = running
+    fits = (padded.reshape(-1, _ROWS, points.size) @ C).reshape(-1, grid.size)
+    fits = (fits[: len(running)] / sums).reshape(len(exacts), len(degrees), grid.size)
+    errors = {name: np.max(np.abs(fit - exacts[name]), axis=1).tolist()
+              for name, fit in zip(exacts, fits)}
+    return coeff, errors.get("f_exact"), errors.get("fprime_exact")
+
+
+def _on_grid(name: str, exact, grid: np.ndarray) -> np.ndarray:
+    """What the exact function ``exact`` returns on ``grid``, after checking
+    that it broadcasts to the grid (a scalar does) and is finite."""
+    values = np.asarray(exact(grid))
+    try:
+        np.broadcast_to(values, grid.shape)
+    except ValueError:
+        raise ValueError(
+            f"{name} returned shape {values.shape}, which does not broadcast "
+            f"to the {grid.size} grid points"
+        ) from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite on the grid")
+    return values
 
 
 @dataclass(frozen=True)
@@ -246,12 +303,15 @@ def hermite_least_squares(
     nodes, weights and gamma, and the weights must be positive, or the
     product is not positive definite.  Each c_j sums its own row, so a
     lower-degree fit is bitwise a prefix.  Each of ``f_exact`` and
-    ``fprime_exact`` that is given (a callable) has its error measured in
-    the max norm on a uniform grid of ``grid_points`` >= 1 points over
-    [-1, 1].  The fit and its errors are those of :func:`_fit`, which the
-    experiment drivers share: one basis evaluation, and coefficients
-    bitwise the same whether or not errors are asked for.  ``trace``
-    goes to :func:`evaluate`.
+    ``fprime_exact`` that is given (a callable returning finite values
+    that broadcast to its argument, a scalar included) has its error
+    measured in the max norm on a uniform grid of ``grid_points`` >= 1
+    points over [-1, 1].  The fit and its errors are those of
+    :func:`_fit`, which the experiment drivers share: one basis
+    evaluation, on the nodes and dim(H) Chebyshev points from which the
+    fit is interpolated to the grid, and coefficients bitwise the same
+    whether or not errors are asked for.  ``trace`` goes to
+    :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -274,7 +334,7 @@ def hermite_least_squares(
         raise ValueError("node_weights must be positive")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and non-negative")
-    _check_count(grid_points=grid_points)
+    _check_count(n=n, grid_points=grid_points)
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
 
@@ -297,6 +357,7 @@ def pentadiagonal_recurrence(
     m x m section of H_{m+1}^2, Hermitian and pentadiagonal up to the
     solver's accuracy.  ``trace`` is passed on to the solver.
     """
+    _check_count(m=m)
     if m < 1:
         raise ValueError("recurrence dimension m must be at least 1")
     if Z.m < m + 1:

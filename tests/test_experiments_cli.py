@@ -294,6 +294,24 @@ class TestCmdLeastSquares:
         assert report.rows == expected
         assert [list(row) for row in report.rows] == [list(row) for row in expected]
 
+    def test_rows_of_many_degrees_equal_per_degree_fits(self):
+        # 79 degrees put 158 rows into the interpolation product, where one
+        # fit puts 2; with K = 80 interpolation points and 2001 grid points
+        # a product of all rows at once rounds rows differently
+        m, gamma = 40, 0.01
+        degrees = list(range(1, 2 * m))
+        report, _ = cmd_least_squares(gamma=gamma, m=m, degrees=degrees, solver="arnoldi")
+        rule = golub_welsch(legendre_jacobi(m))
+        bump, bump_prime = sobolev.experiments._gauss_bump, sobolev.experiments._gauss_bump_prime
+        fv, fpv = bump(rule.nodes), bump_prime(rule.nodes)
+        Zg, wg = build_same_measure(rule, [1.0, gamma])
+        Hg = solve_hessenberg(Zg, wg, 2 * m, method="arnoldi")
+        for d, row in zip(degrees, report.rows):
+            fit = hermite_least_squares(Hg, wg.norm(), rule.nodes, rule.weights, fv, fpv,
+                                        gamma, d, bump, bump_prime)
+            assert (row["value_error_sobolev"], row["deriv_error_sobolev"]) == (
+                fit.value_error, fit.deriv_error)
+
     @pytest.mark.parametrize("degrees", [[1], [14], [20, 3, 9], list(range(1, 30, 2))])
     def test_one_fit_and_one_grid_evaluation_per_family(self, monkeypatch, degrees):
         calls = Counter()
@@ -308,7 +326,7 @@ class TestCmdLeastSquares:
             monkeypatch.setattr(module, name, wrapper)
 
         # each family fits and measures on one basis, evaluated through sop
-        # on the nodes and the grid together
+        # on the nodes and the interpolation points together
         counted(sobolev.sop, "evaluate")
         cmd_least_squares(m=15, degrees=degrees, grid_points=101)
         assert calls == {"evaluate": 2}
@@ -722,14 +740,15 @@ class TestCli:
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
-        # per family one basis on the 15 nodes and the 2001-point grid together;
-        # the Arnoldi H of real spectral data is float64, so every one is real
+        # per family one basis on the 15 nodes and the dim(H) = 14 interpolation
+        # points together; the Arnoldi H of real spectral data is float64, so
+        # every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
-        assert evaluations == [(13, 15 + 2001, True)] * 2
+        assert evaluations == [(13, 15 + 14, True)] * 2
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

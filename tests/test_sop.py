@@ -59,6 +59,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(H, 1.0, 0.0, -1)
 
+    @pytest.mark.parametrize("k", [2.5, 1.0, "1"])
+    def test_rejects_non_integral_degree(self, k):
+        # a float degree used to fail inside the recurrence with a TypeError
+        H = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^k={k!r} must be an integer"):
+            evaluate(H, 1.0, 0.3, k)
+
     def test_rejects_terminated_sequence(self):
         # zero subdiagonal means there is no degree-1 polynomial
         H = np.zeros((2, 2))
@@ -333,8 +340,9 @@ class TestHermiteLeastSquares:
         events = []
         ones = np.ones(self.rule.n)
         self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=11, trace=events.append)
+        # the nodes and the dim(H) = 9 interpolation points, whatever the grid
         assert [(e["event"], e["k"], e["points"], e["real"]) for e in events] == [
-            ("evaluate", 3, self.rule.n + 11, True),
+            ("evaluate", 3, self.rule.n + 9, True),
         ]
 
     def test_each_given_exact_function_is_measured(self):
@@ -365,6 +373,54 @@ class TestHermiteLeastSquares:
         ones = np.ones(self.rule.n)
         with pytest.raises(ValueError, match=f"^grid_points={grid_points} must be an integer"):
             self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=grid_points)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_rejects_non_integral_degree(self, n):
+        ones = np.ones(self.rule.n)
+        with pytest.raises(ValueError, match=f"^n={n} must be an integer"):
+            self._fit(ones, 0 * ones, n)
+
+    @pytest.mark.parametrize("argument, bad", [
+        ("f_exact", np.nan), ("fprime_exact", np.inf), ("f_exact", complex(0.0, np.nan)),
+    ])
+    def test_rejects_non_finite_exact_values(self, argument, bad):
+        # these used to be reported as an error of nan or inf
+        ones = np.ones(self.rule.n)
+        with pytest.raises(ValueError, match=f"^{argument} must be finite on the grid"):
+            self._fit(ones, 0 * ones, 3, **{argument: lambda x: np.where(x > 0.5, bad, 0.0)})
+
+    @pytest.mark.parametrize("argument", ["f_exact", "fprime_exact"])
+    @pytest.mark.parametrize("exact", [lambda x: x[:-1], lambda x: np.ones((2, x.size)),
+                                       lambda x: np.ones(3)], ids=["short", "2-d", "other"])
+    def test_rejects_exact_values_off_the_grid_shape(self, argument, exact):
+        ones = np.ones(self.rule.n)
+        with pytest.raises(ValueError, match=f"^{argument} returned shape .* the 11 grid points"):
+            self._fit(ones, 0 * ones, 3, grid_points=11, **{argument: exact})
+
+    def test_scalar_exact_value_is_a_constant_function(self):
+        f = np.exp(-(self.rule.nodes - 0.2) ** 2)
+        scalar = self._fit(f, 0 * f, 6, f_exact=lambda x: 1.0, fprime_exact=lambda x: 0.0)
+        array = self._fit(f, 0 * f, 6, f_exact=np.ones_like, fprime_exact=np.zeros_like)
+        assert (scalar.value_error, scalar.deriv_error) == (array.value_error, array.deriv_error)
+
+    def test_grid_point_on_an_interpolation_point_takes_its_value(self):
+        # dim(H) = 9 is odd, so 0 is one of the 9 interpolation points, and
+        # it is the middle of the grid [-1, 0, 1]; the fit of this even bump
+        # is largest there, so its value error against 0 is |S_6(0)|, with
+        # S_6(0) summed degree by degree as the fit sums it
+        f = np.exp(-10.0 * self.rule.nodes ** 2)
+        fp = -20.0 * self.rule.nodes * f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = self._fit(f, fp, 6, f_exact=np.zeros_like, fprime_exact=np.zeros_like,
+                            grid_points=3)
+        at_zero = 0.0
+        for c, p in zip(fit.coefficients, evaluate(self.H, self.w_norm, [0.0], 6).values[:, 0]):
+            at_zero += c * p
+        assert fit.value_error == abs(at_zero)
+        grid = np.array([-1.0, 0.0, 1.0])
+        derivs = evaluate(self.H, self.w_norm, grid, 6).derivs
+        assert fit.deriv_error == pytest.approx(np.max(np.abs(fit.coefficients @ derivs)), rel=1e-13)
 
     @pytest.mark.parametrize("argument, bad", [
         ("node_weights", np.nan), ("node_weights", np.inf), ("f_values", np.nan),
@@ -455,51 +511,94 @@ class TestHermiteLeastSquares:
         assert energy == pytest.approx(direct, rel=1e-9)
 
 
+@pytest.fixture(scope="module")
+def sobolev_legendre_40():
+    """Legendre m=40, gamma=0.01: the rule, gamma, H[:70, :70] by Arnoldi and ||w||."""
+    rule = golub_welsch(legendre_jacobi(40))
+    Z, w = build_same_measure(rule, [1.0, 0.01])
+    return rule, 0.01, solve_hessenberg(Z, w, 70, method="arnoldi"), w.norm()
+
+
+def least_squares_case(kind, H):
+    """H and the exact function and derivative of one kind of fit: a real
+    bump, a complex one, or a complex one with H turned by e^{0.02i} as in
+    :class:`TestEvaluateAgainstReference`, where the basis is complex on
+    the real grid."""
+    part = np.real if kind == "real" else np.asarray
+
+    def f(x):
+        return part(np.exp(3j * x - 10.0 * (x - 0.2) ** 2))
+
+    def fprime(x):
+        return part((3j - 20.0 * (x - 0.2)) * np.exp(3j * x - 10.0 * (x - 0.2) ** 2))
+
+    if kind == "complex section":
+        t = np.exp(0.02j)
+        D = t ** np.arange(H.shape[0])
+        H = t * D.conj()[:, None] * H * D
+    return H, f, fprime
+
+
+def assert_reported_errors(fit, values, derivs, f, fprime, grid):
+    """The fit's reported errors are those of its coefficients on the given
+    basis, within 1e-13 of the largest sum sum_i |c_i p_i(x)| on the grid."""
+    c = fit.coefficients
+    for reported, rows, exact in (
+        (fit.value_error, values, f(grid)),
+        (fit.deriv_error, derivs, fprime(grid)),
+    ):
+        scale = np.max(np.abs(c[:, None] * rows).sum(axis=0))
+        expected = np.max(np.abs(c @ rows - exact))
+        assert abs(reported - expected) <= 1e-13 * scale
+
+
 class TestLeastSquaresErrorsAgainstReference:
     """The errors :func:`hermite_least_squares` reports, against max-norm
     errors of its own coefficients built on :func:`evaluate_reference`
     with a matrix-vector product over the degrees.  The Sobolev-Legendre
     product on 40 nodes (dimension 80) puts degrees on both sides of the
     block edges at 32 and 64.  The complex cases fit a complex function,
-    on the real section and on that section turned by e^{0.02i} as in
-    :class:`TestEvaluateAgainstReference`, where the basis is complex on
-    the real grid.  Relative to the largest sum sum_i |c_i p_i(x)| on the
-    grid, the worst measured differences are 1.9e-15 in values and
-    3.4e-15 in derivatives; the bound leaves a factor of about thirty."""
+    on the real section and on that section turned by e^{0.02i}.
+    Relative to the largest sum sum_i |c_i p_i(x)| on the grid, the worst
+    measured differences are 1.9e-15 in values and 3.4e-15 in
+    derivatives; the bound leaves a factor of about thirty.
 
-    @pytest.mark.parametrize("kind", ["real", "complex samples", "complex section"])
-    def test_reported_errors_match_reference(self, kind):
-        rule = golub_welsch(legendre_jacobi(40))
-        gamma = 0.01
-        Z, w = build_same_measure(rule, [1.0, gamma])
-        H = solve_hessenberg(Z, w, 70, method="arnoldi")
-        part = np.real if kind == "real" else np.asarray
+    The fit reaches the grid by barycentric interpolation from dim(H)
+    Chebyshev points, so the property test takes sections of 1..70 rows
+    (odd and even point counts), degrees below dim(H) - 1 and grids of
+    1..70 points, below, near and above dim(H), against :func:`evaluate`
+    on the grid.  Over 1,500 random cases its worst difference was 7.5e-15
+    of the scale."""
 
-        def f(x):
-            return part(np.exp(3j * x - 10.0 * (x - 0.2) ** 2))
+    KINDS = ["real", "complex samples", "complex section"]
 
-        def fprime(x):
-            return part((3j - 20.0 * (x - 0.2)) * np.exp(3j * x - 10.0 * (x - 0.2) ** 2))
-
-        if kind == "complex section":
-            t = np.exp(0.02j)
-            D = t ** np.arange(H.shape[0])
-            H = t * D.conj()[:, None] * H * D
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reported_errors_match_reference(self, sobolev_legendre_40, kind):
+        rule, gamma, H, w_norm = sobolev_legendre_40
+        H, f, fprime = least_squares_case(kind, H)
         grid = np.linspace(-1.0, 1.0, 301)
         for n in (1, 31, 32, 33, 64, 69):
             fit = hermite_least_squares(
-                H, w.norm(), rule.nodes, rule.weights, f(rule.nodes), fprime(rule.nodes),
+                H, w_norm, rule.nodes, rule.weights, f(rule.nodes), fprime(rule.nodes),
                 gamma, n, f, fprime, grid.size,
             )
-            values, derivs = evaluate_reference(H, w.norm(), grid, n)
-            c = fit.coefficients
-            for reported, rows, exact in (
-                (fit.value_error, values, f(grid)),
-                (fit.deriv_error, derivs, fprime(grid)),
-            ):
-                scale = np.max(np.abs(c[:, None] * rows).sum(axis=0))
-                expected = np.max(np.abs(c @ rows - exact))
-                assert abs(reported - expected) <= 1e-13 * scale
+            assert_reported_errors(fit, *evaluate_reference(H, w_norm, grid, n), f, fprime, grid)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(KINDS),
+           dim_n=st.integers(1, 70).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+           grid_points=st.integers(1, 70))
+    def test_errors_match_direct_evaluation(self, sobolev_legendre_40, kind, dim_n, grid_points):
+        rule, gamma, H, w_norm = sobolev_legendre_40
+        dim, n = dim_n
+        H, f, fprime = least_squares_case(kind, H[:dim, :dim])
+        fit = hermite_least_squares(
+            H, w_norm, rule.nodes, rule.weights, f(rule.nodes), fprime(rule.nodes),
+            gamma, n, f, fprime, grid_points,
+        )
+        grid = np.linspace(-1.0, 1.0, grid_points)
+        basis = evaluate(H, w_norm, grid, n)
+        assert_reported_errors(fit, basis.values, basis.derivs, f, fprime, grid)
 
 
 class TestDegreePrefixes:
@@ -568,6 +667,10 @@ class TestPentadiagonalRecurrence:
     def test_single_entry(self):
         B = pentadiagonal_recurrence(self.Zs, self.w, 1)
         assert B.shape == (1, 1)
+
+    def test_rejects_non_integral_dimension(self):
+        with pytest.raises(ValueError, match="^m=2.5 must be an integer"):
+            pentadiagonal_recurrence(self.Zs, self.w, 2.5)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
