@@ -266,7 +266,7 @@ def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None
     """Max-norm value and derivative errors of the bump fits of the given
     degrees, one dict per degree with keys suffixed by ``family``, each
     bitwise that of a separate fit of its degree.  The fits reach the
-    grid by interpolation from dim(H) Chebyshev points (see
+    grid by interpolation from span(d) + 1 Chebyshev points (see
     :func:`sop._fit`)."""
     nodes = rule.nodes
     _, value, deriv = _fit(
@@ -323,7 +323,7 @@ def cmd_least_squares(
     Zg, wg = build_same_measure(rule, [1.0, gamma])
     Hg = solve_hessenberg(Zg, wg, top + 1, method=solver, trace=trace)
 
-    # the families in turn, each on one basis at the nodes and dim(H)
+    # the families in turn, each on one basis at the nodes and the
     # interpolation points, from which its fits reach the grid
     degrees0 = [min(d, top0) for d in degrees]
     errors0 = _fit_errors(H0, w0.norm(), rule, 0.0, degrees0, grid_points, "plain", trace)

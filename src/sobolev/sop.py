@@ -48,12 +48,13 @@ class SopEvaluation:
 
 
 # degrees per block of the basis recurrence in :func:`evaluate`, the rows
-# of a block's coupling product (and of each product of :func:`_fit`)
-# padded to a multiple of _ROWS, and the point count padded to a multiple
-# of _POINTS
+# of a block's coupling product padded to a multiple of _ROWS, the point
+# count padded to a multiple of _POINTS, and the grid points per chunk of
+# the interpolation in :func:`_fit`
 _BLOCK = 32
 _ROWS = 8
 _POINTS = 16
+_CHUNK = 512
 
 
 def _round_up(n: int, step: int) -> int:
@@ -163,30 +164,27 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
-def _chebyshev_interpolation(size: int, grid: np.ndarray):
-    """The ``size`` Chebyshev points x_j of the first kind, ascending, the
-    (size, grid.size) matrix C of w_j / (x - x_j) at the grid points x,
-    and its column sums.  For values v at the points, (v @ C) / sums is on
-    ``grid`` the polynomial of degree below ``size`` that takes them.
+def _span(d: int) -> int:
+    """The least power of two >= max(d, 1): the fit of degree d is
+    interpolated from the first span + 1 points of :func:`_lobatto`."""
+    return 1 << max(d - 1, 0).bit_length()
 
-    That is the second (true) barycentric formula, with the point weights
-    w_j = (-1)^j sin((2j+1) pi / (2 size)) (Berrut & Trefethen 2004), and
-    it is forward stable for these points (Higham 2004).  The points are
-    taken as sines, so they are symmetric and 0 is one of them for odd
-    ``size``.  A grid point equal to x_j gets the unit column e_j and the
-    sum 1, so it takes that point's value, with no division by zero.
-    """
-    angle = np.pi * (2 * np.arange(size) + 1 - size) / (2 * size)
-    points = np.sin(angle)
-    weights = np.cos(angle)
-    weights[1::2] *= -1.0
-    diff = grid - points[:, None]
-    on = np.minimum(np.searchsorted(points, grid), size - 1)
-    hits = np.flatnonzero(points[on] == grid)
-    diff[:, hits] = np.inf
-    diff[on[hits], hits] = weights[on[hits]]
-    C = np.divide(weights[:, None], diff, out=diff)
-    return points, C, C.sum(axis=0)
+
+def _lobatto(span: int) -> np.ndarray:
+    """The span + 1 Chebyshev points of the second kind, x_i = sin(pi (2i -
+    span) / (2 span)), i = 0..span, in nested order: the two ends, then 0,
+    then each new point of span 4, 8, ... in ascending order.  So for
+    every power of two s <= span the first s + 1 are those of span s.
+
+    Each is ``math.sin`` of its angle, and halving the span halves the
+    angle's numerator and denominator exactly, so those first s + 1 are
+    bitwise the points of ``_lobatto(s)``."""
+    order = [0, span]
+    step = span
+    while step > 1:
+        order += range(step // 2, span, step)
+        step //= 2
+    return np.array([math.sin(math.pi * (2 * i - span) / (2 * span)) for i in order])
 
 
 def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
@@ -198,49 +196,80 @@ def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees
     for one that is not given.
 
     One :func:`evaluate` call takes the nodes and then, when an error is
-    asked for, the K = dim(H) Chebyshev points of the first kind.  No
-    point's basis depends on the other points of the call, so the
-    coefficients are bitwise those of the nodes alone.  Each c_j sums its
-    own row.  At the K points the running sums S_d = sum_{i<=d} c_i p_i
-    (and p_i') take one add per degree in order.  Every such S_d has
-    degree below dim(H), so its K values fix it, and the barycentric
-    formula of :func:`_chebyshev_interpolation` carries the requested
-    degrees to the grid in one matrix product, O(grid_points * K) per
-    degree.  The rows of that product are zero-padded to a multiple of 8
-    and go as a stack of 8-row products, one BLAS call of one shape each:
-    OpenBLAS (0.3.31, on an AVX-512 Xeon) rounds a row differently in
-    products of different row counts (8 and 16 rows differ at K = 202 and
-    2001 grid points), and in 16-row products by where the row sits, but
-    not in 8-row products, so
-    no row's rounding depends on how many degrees were asked for.  K does
-    not depend on n either, so the fit and the errors of degree d are
-    bitwise those of a separate fit of degree d with the same H.
+    asked for, the span(n) + 1 <= 2n + 1 points of :func:`_lobatto`,
+    whatever dim(H).  No point's basis depends on the other points of the
+    call, so the coefficients are bitwise those of the nodes alone.  Each
+    c_j sums its own row.  At the points the running sums S_d =
+    sum_{i<=d} c_i p_i (and p_i') take one add per degree in order.
+
+    S_d has degree d, so its values at the first K = span(d) + 1 points
+    fix it, and the second (true) barycentric formula carries them to the
+    grid: S_d(x) = sum_i w_i S_d(x_i) R_i(x) / sum_i w_i R_i(x), with
+    R_i(x) = 1/(x - x_i) and w_i = (-1)^i halved at the two ends, i the
+    point's ascending index among the K (Berrut & Trefethen 2004).  It is
+    forward stable at these points (Higham 2004).  A grid point equal to
+    x_i takes S_d(x_i).  Per chunk of 512 grid points, the numerator of
+    degree d is one BLAS product of its 2 x K rows (w_i S_d(x_i),
+    w_i S_d'(x_i)) with the first K rows of R, so each requested degree
+    costs O(grid_points * d).  The points, R's first K rows and the
+    product depend on d alone: the errors of degree d come from the same
+    calls on the same data as those of a separate fit of degree d,
+    whatever the other degrees.
     """
     n = max(degrees)
     size = nodes.size
     grid = np.linspace(-1.0, 1.0, grid_points)
     exacts = {name: _on_grid(name, exact, grid) for name, exact in
               (("f_exact", f_exact), ("fprime_exact", fprime_exact)) if exact is not None}
-    if exacts:
-        _section(H, w_norm, n)  # so that H is square before its dimension is read
-        points, C, sums = _chebyshev_interpolation(len(H), grid)
-        nodes = np.concatenate((nodes, points))
-    basis = evaluate(H, w_norm, nodes, n, trace=trace)
+    points = _lobatto(_span(n)) if exacts else np.empty(0)
+    basis = evaluate(H, w_norm, np.concatenate((nodes, points)), n, trace=trace)
     values, derivs = basis.values[:, :size], basis.derivs[:, :size]
     coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
     if gamma > 0:
         coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
     if not exacts:
         return coeff, None, None
-    bases = {"f_exact": basis.values, "fprime_exact": basis.derivs}
-    running = np.concatenate([np.cumsum(coeff[:, None] * bases[name][:, size:], axis=0)[degrees]
-                              for name in exacts])
-    padded = np.zeros((_round_up(len(running), _ROWS), points.size), dtype=running.dtype)
-    padded[: len(running)] = running
-    fits = (padded.reshape(-1, _ROWS, points.size) @ C).reshape(-1, grid.size)
-    fits = (fits[: len(running)] / sums).reshape(len(exacts), len(degrees), grid.size)
-    errors = {name: np.max(np.abs(fit - exacts[name]), axis=1).tolist()
-              for name, fit in zip(exacts, fits)}
+
+    # the running sums (S_d, S_d') at the points, d = 0..n
+    running = np.empty((n + 1, 2, points.size), dtype=coeff.dtype)
+    np.multiply(coeff[:, None], basis.values[:, size:], out=running[:, 0])
+    np.multiply(coeff[:, None], basis.derivs[:, size:], out=running[:, 1])
+    np.cumsum(running, axis=0, out=running)
+    # grid[g] equals points[on], for each such grid point; R[i, j] is
+    # 1 / (grid[j] - points[i]), but 0 there
+    order = np.argsort(points)
+    nearest = order[np.minimum(np.searchsorted(points[order], grid), points.size - 1)]
+    g = np.flatnonzero(points[nearest] == grid)
+    on = nearest[g]
+    R = grid - points[:, None]
+    R[on, g] = np.inf
+    np.divide(1.0, R, out=R)
+    # by K: the weights w_i of the first K points, and sum_i w_i R_i on the
+    # grid, 1 at a grid point that is one of them
+    spans = [_span(d) + 1 for d in degrees]
+    weights, sums = {}, {}
+    for K in set(spans):
+        rank = np.argsort(np.argsort(points[:K]))
+        weights[K] = np.where(rank % 2, -1.0, 1.0) * np.where(rank % (K - 1), 1.0, 0.5)
+        sums[K] = weights[K] @ R[:K]
+        sums[K][g[on < K]] = 1.0
+    R = R.astype(running.dtype, copy=False)
+    # the numerators on the grid, a chunk at a time for every degree, so
+    # that the chunk of R is read from cache
+    at = [running[d, :, :K] * weights[K] for d, K in zip(degrees, spans)]
+    fits = np.empty((len(degrees), 2, grid.size), dtype=running.dtype)
+    for c in range(0, grid.size, _CHUNK):
+        cols = slice(c, c + _CHUNK)
+        for fit, a, K in zip(fits, at, spans):
+            fit[:, cols] = a @ R[:K, cols]
+    errors = {name: [] for name in exacts}
+    for fit, d, K in zip(fits, degrees, spans):
+        fit /= sums[K]
+        inside = on < K
+        fit[:, g[inside]] = running[d][:, on[inside]]
+        for row, name in zip(fit, ("f_exact", "fprime_exact")):
+            if name in exacts:
+                errors[name].append(float(np.max(np.abs(row - exacts[name]))))
     return coeff, errors.get("f_exact"), errors.get("fprime_exact")
 
 
@@ -308,8 +337,10 @@ def hermite_least_squares(
     measured in the max norm on a uniform grid of ``grid_points`` >= 1
     points over [-1, 1].  The fit and its errors are those of
     :func:`_fit`, which the experiment drivers share: one basis
-    evaluation, on the nodes and dim(H) Chebyshev points from which the
-    fit is interpolated to the grid, and coefficients bitwise the same
+    evaluation, on the nodes and the span(n) + 1 <= 2n + 1 Chebyshev
+    points (span(n) the least power of two >= n) from which the fit is
+    interpolated to the grid, so the cost follows n, not dim(H), and
+    coefficients bitwise the same
     whether or not errors are asked for.  ``trace`` goes to
     :func:`evaluate`.
     """

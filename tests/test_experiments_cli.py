@@ -295,9 +295,9 @@ class TestCmdLeastSquares:
         assert [list(row) for row in report.rows] == [list(row) for row in expected]
 
     def test_rows_of_many_degrees_equal_per_degree_fits(self):
-        # 79 degrees put 158 rows into the interpolation product, where one
-        # fit puts 2; with K = 80 interpolation points and 2001 grid points
-        # a product of all rows at once rounds rows differently
+        # 79 degrees in one call: degree d takes the first span(d) + 1 of
+        # the 129 interpolation points, which are bitwise the points of a
+        # separate fit of degree d, and its own BLAS product per chunk
         m, gamma = 40, 0.01
         degrees = list(range(1, 2 * m))
         report, _ = cmd_least_squares(gamma=gamma, m=m, degrees=degrees, solver="arnoldi")
@@ -740,15 +740,15 @@ class TestCli:
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
-        # per family one basis on the 15 nodes and the dim(H) = 14 interpolation
-        # points together; the Arnoldi H of real spectral data is float64, so
-        # every one is real
+        # per family one basis on the 15 nodes and the 17 interpolation points
+        # of degree 13 (16 is the least power of two >= 13) together; the
+        # Arnoldi H of real spectral data is float64, so every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
-        assert evaluations == [(13, 15 + 14, True)] * 2
+        assert evaluations == [(13, 15 + 17, True)] * 2
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
