@@ -264,10 +264,9 @@ def _gauss_bump_prime(x):
 
 def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
     """Max-norm value and derivative errors of the bump fits of the given
-    degrees, one dict per degree with keys suffixed by ``family``, each
-    bitwise that of a separate fit of its degree.  The fits reach the
-    grid by interpolation from span(d) + 1 Chebyshev points (see
-    :func:`sop._fit`)."""
+    degrees, one dict per degree with keys suffixed by ``family``.  The
+    fits reach the grid by interpolation from max(n, 1) + 1 Chebyshev
+    points, n the highest degree (see :func:`sop._fit`)."""
     nodes = rule.nodes
     _, value, deriv = _fit(
         H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma,
@@ -377,8 +376,8 @@ def cmd_penta(
 
     A matrix that deviates from Hermitian or from pentadiagonal by more
     than PENTA_STRUCTURE_BOUND relative to its norm raises
-    NumericalFailure with both deviations.  A failed cross-check keeps
-    the matrix: see ``cross_solver_failure``."""
+    NumericalFailure with both deviations, and so does a failed solve of
+    the cross-check solver."""
     _check_count(m=m)
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of rows of the recurrence matrix)")
@@ -401,17 +400,15 @@ def cmd_penta(
             **structure,
         )
     reference = "arnoldi" if solver != "arnoldi" else "update-rot"
-    try:
-        B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
-        cross = {"cross_solver_rel": relative(np.linalg.norm(B - B_ref))}
-    except NumericalFailure as exc:
-        cross = {"cross_solver_failure": {"error": str(exc), **exc.details}}
+    B_ref = pentadiagonal_recurrence(Zs, w, m, solver=reference, trace=trace)
     rows = [
         {"i": i + 1, "j": j + 1, "re": B[i, j].real, "im": B[i, j].imag}
         for i in range(m)
         for j in range(m)
     ]
-    return rows, {**structure, "cross_solver": reference, **cross}, (Zs, w)
+    diagnostics = {**structure, "cross_solver": reference,
+                   "cross_solver_rel": relative(np.linalg.norm(B - B_ref))}
+    return rows, diagnostics, (Zs, w)
 
 
 @_experiment("compare-solvers")

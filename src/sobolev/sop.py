@@ -48,13 +48,11 @@ class SopEvaluation:
 
 
 # degrees per block of the basis recurrence in :func:`evaluate`, the rows
-# of a block's coupling product padded to a multiple of _ROWS, the point
-# count padded to a multiple of _POINTS, and the grid points per chunk of
-# the interpolation in :func:`_fit`
+# of a block's coupling product padded to a multiple of _ROWS, and the
+# point count padded to a multiple of _POINTS
 _BLOCK = 32
 _ROWS = 8
 _POINTS = 16
-_CHUNK = 512
 
 
 def _round_up(n: int, step: int) -> int:
@@ -164,29 +162,6 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
-def _span(d: int) -> int:
-    """The least power of two >= max(d, 1): the fit of degree d is
-    interpolated from the first span + 1 points of :func:`_lobatto`."""
-    return 1 << max(d - 1, 0).bit_length()
-
-
-def _lobatto(span: int) -> np.ndarray:
-    """The span + 1 Chebyshev points of the second kind, x_i = sin(pi (2i -
-    span) / (2 span)), i = 0..span, in nested order: the two ends, then 0,
-    then each new point of span 4, 8, ... in ascending order.  So for
-    every power of two s <= span the first s + 1 are those of span s.
-
-    Each is ``math.sin`` of its angle, and halving the span halves the
-    angle's numerator and denominator exactly, so those first s + 1 are
-    bitwise the points of ``_lobatto(s)``."""
-    order = [0, span]
-    step = span
-    while step > 1:
-        order += range(step // 2, span, step)
-        step //= 2
-    return np.array([math.sin(math.pi * (2 * i - span) / (2 * span)) for i in order])
-
-
 def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
          f_exact, fprime_exact, grid_points, trace):
     """The coefficients c_0..c_n, n = max(degrees), of the fit that
@@ -196,32 +171,31 @@ def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees
     for one that is not given.
 
     One :func:`evaluate` call takes the nodes and then, when an error is
-    asked for, the span(n) + 1 <= 2n + 1 points of :func:`_lobatto`,
-    whatever dim(H).  No point's basis depends on the other points of the
-    call, so the coefficients are bitwise those of the nodes alone.  Each
-    c_j sums its own row.  At the points the running sums S_d =
-    sum_{i<=d} c_i p_i (and p_i') take one add per degree in order.
+    asked for, the s + 1 Chebyshev points of the second kind x_i =
+    sin(pi (2i - s) / (2s)), i = 0..s, s = max(n, 1), whatever dim(H).
+    No point's basis depends on the other points of the call, so the
+    coefficients are bitwise those of the nodes alone.  Each c_j sums its
+    own row.  At the points the running sums S_d = sum_{i<=d} c_i p_i
+    (and p_i') take one add per degree in order.
 
-    S_d has degree d, so its values at the first K = span(d) + 1 points
-    fix it, and the second (true) barycentric formula carries them to the
-    grid: S_d(x) = sum_i w_i S_d(x_i) R_i(x) / sum_i w_i R_i(x), with
-    R_i(x) = 1/(x - x_i) and w_i = (-1)^i halved at the two ends, i the
-    point's ascending index among the K (Berrut & Trefethen 2004).  It is
-    forward stable at these points (Higham 2004).  A grid point equal to
-    x_i takes S_d(x_i).  Per chunk of 512 grid points, the numerator of
-    degree d is one BLAS product of its 2 x K rows (w_i S_d(x_i),
-    w_i S_d'(x_i)) with the first K rows of R, so each requested degree
-    costs O(grid_points * d).  The points, R's first K rows and the
-    product depend on d alone: the errors of degree d come from the same
-    calls on the same data as those of a separate fit of degree d,
-    whatever the other degrees.
+    Every S_d with d <= n has degree at most s, so its values at the
+    points fix it, and the second (true) barycentric formula carries them
+    to the grid: S_d(x) = sum_i w_i S_d(x_i) R_i(x) / sum_i w_i R_i(x),
+    with R_i(x) = 1/(x - x_i) and w_i = (-1)^i halved at both ends
+    (Berrut & Trefethen 2004).  It is forward stable at these points
+    (Higham 2004).  A grid point equal to x_i takes S_d(x_i).  The
+    numerators of every requested degree are one BLAS product of their
+    rows (S_d, S_d') with the s + 1 by grid matrix of w_i R_i, divided by
+    one denominator row.  Each degree's errors are thus those of its own
+    coefficients, within rounding, not bitwise those of a separate fit.
     """
     n = max(degrees)
     size = nodes.size
     grid = np.linspace(-1.0, 1.0, grid_points)
     exacts = {name: _on_grid(name, exact, grid) for name, exact in
               (("f_exact", f_exact), ("fprime_exact", fprime_exact)) if exact is not None}
-    points = _lobatto(_span(n)) if exacts else np.empty(0)
+    s = max(n, 1)
+    points = np.sin(np.pi * np.arange(-s, s + 1, 2) / (2 * s)) if exacts else np.empty(0)
     basis = evaluate(H, w_norm, np.concatenate((nodes, points)), n, trace=trace)
     values, derivs = basis.values[:, :size], basis.derivs[:, :size]
     coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
@@ -235,41 +209,21 @@ def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees
     np.multiply(coeff[:, None], basis.values[:, size:], out=running[:, 0])
     np.multiply(coeff[:, None], basis.derivs[:, size:], out=running[:, 1])
     np.cumsum(running, axis=0, out=running)
-    # grid[g] equals points[on], for each such grid point; R[i, j] is
-    # 1 / (grid[j] - points[i]), but 0 there
-    order = np.argsort(points)
-    nearest = order[np.minimum(np.searchsorted(points[order], grid), points.size - 1)]
-    g = np.flatnonzero(points[nearest] == grid)
-    on = nearest[g]
+    # R[i, j] = w_i / (grid[j] - points[i]), but 0 where grid[j] is points[i]
+    weights = np.where(np.arange(s + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
     R = grid - points[:, None]
+    on, g = np.divmod(np.flatnonzero(R == 0), grid.size)
     R[on, g] = np.inf
-    np.divide(1.0, R, out=R)
-    # by K: the weights w_i of the first K points, and sum_i w_i R_i on the
-    # grid, 1 at a grid point that is one of them
-    spans = [_span(d) + 1 for d in degrees]
-    weights, sums = {}, {}
-    for K in set(spans):
-        rank = np.argsort(np.argsort(points[:K]))
-        weights[K] = np.where(rank % 2, -1.0, 1.0) * np.where(rank % (K - 1), 1.0, 0.5)
-        sums[K] = weights[K] @ R[:K]
-        sums[K][g[on < K]] = 1.0
-    R = R.astype(running.dtype, copy=False)
-    # the numerators on the grid, a chunk at a time for every degree, so
-    # that the chunk of R is read from cache
-    at = [running[d, :, :K] * weights[K] for d, K in zip(degrees, spans)]
-    fits = np.empty((len(degrees), 2, grid.size), dtype=running.dtype)
-    for c in range(0, grid.size, _CHUNK):
-        cols = slice(c, c + _CHUNK)
-        for fit, a, K in zip(fits, at, spans):
-            fit[:, cols] = a @ R[:K, cols]
-    errors = {name: [] for name in exacts}
-    for fit, d, K in zip(fits, degrees, spans):
-        fit /= sums[K]
-        inside = on < K
-        fit[:, g[inside]] = running[d][:, on[inside]]
-        for row, name in zip(fit, ("f_exact", "fprime_exact")):
-            if name in exacts:
-                errors[name].append(float(np.max(np.abs(row - exacts[name]))))
+    np.divide(weights[:, None], R, out=R)
+    denominator = R.sum(axis=0)
+    denominator[g] = 1.0
+    at = running[degrees]
+    fits = (at.reshape(-1, s + 1) @ R.astype(at.dtype, copy=False)).reshape(len(degrees), 2, -1)
+    fits /= denominator
+    fits[:, :, g] = at[:, :, on]
+    errors = {name: np.max(np.abs(fits[:, k] - exacts[name]), axis=1).tolist()
+              for k, name in enumerate(("f_exact", "fprime_exact")) if name in exacts}
     return coeff, errors.get("f_exact"), errors.get("fprime_exact")
 
 
@@ -337,12 +291,10 @@ def hermite_least_squares(
     measured in the max norm on a uniform grid of ``grid_points`` >= 1
     points over [-1, 1].  The fit and its errors are those of
     :func:`_fit`, which the experiment drivers share: one basis
-    evaluation, on the nodes and the span(n) + 1 <= 2n + 1 Chebyshev
-    points (span(n) the least power of two >= n) from which the fit is
-    interpolated to the grid, so the cost follows n, not dim(H), and
-    coefficients bitwise the same
-    whether or not errors are asked for.  ``trace`` goes to
-    :func:`evaluate`.
+    evaluation, on the nodes and the max(n, 1) + 1 Chebyshev points from
+    which the fit is interpolated to the grid, so the cost follows n, not
+    dim(H), and coefficients bitwise the same whether or not errors are
+    asked for.  ``trace`` goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)

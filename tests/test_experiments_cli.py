@@ -1,6 +1,7 @@
 """Tests for the experiment drivers and the command line interface."""
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
@@ -14,6 +15,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from conftest import assert_reported_errors
 from numpy.testing import assert_allclose
 
 import sobolev.cli
@@ -24,6 +26,7 @@ from sobolev import (
     NumericalFailure,
     arnoldi,
     build_same_measure,
+    evaluate,
     golub_welsch,
     hermite_least_squares,
     legendre_jacobi,
@@ -250,67 +253,40 @@ class TestCmdLeastSquares:
         Zg, _ = data
         assert Zg.m == 30
 
-    @pytest.mark.parametrize("solver", ["arnoldi", "update-rot"])
-    def test_rows_equal_per_degree_fits(self, solver):
-        # reference: one hermite_least_squares fit per degree and family,
-        # each measuring its own errors on the grid
-        def bump(x):
-            return np.exp(-100.0 * (x - 0.2) ** 2)
-
-        def bump_prime(x):
-            return -200.0 * (x - 0.2) * bump(x)
-
-        m, gamma, degrees, grid = 15, 0.01, [1, 7, 14, 20], 401
-        report, _ = cmd_least_squares(
-            gamma=gamma, m=m, degrees=degrees, solver=solver, grid_points=grid
-        )
-        rule = golub_welsch(legendre_jacobi(m))
-        fv, fpv = bump(rule.nodes), bump_prime(rule.nodes)
-        Z0, w0 = build_same_measure(rule, [1.0])
-        Zg, wg = build_same_measure(rule, [1.0, gamma])
-        H0 = solve_hessenberg(Z0, w0, m, method=solver)
-        Hg = solve_hessenberg(Zg, wg, max(degrees) + 1, method=solver)
-        expected = []
-        for d in degrees:
-            d0 = min(d, m - 1)
-            fit0 = hermite_least_squares(
-                H0, w0.norm(), rule.nodes, rule.weights, fv, fpv,
-                0.0, d0, bump, bump_prime, grid,
-            )
-            fitg = hermite_least_squares(
-                Hg, wg.norm(), rule.nodes, rule.weights, fv, fpv,
-                gamma, d, bump, bump_prime, grid,
-            )
-            expected.append(
-                {
-                    "degree": d,
-                    "value_error_plain": fit0.value_error,
-                    "deriv_error_plain": fit0.deriv_error,
-                    "value_error_sobolev": fitg.value_error,
-                    "deriv_error_sobolev": fitg.deriv_error,
-                    "effective_degree_plain": d0,
-                }
-            )
-        assert report.rows == expected
-        assert [list(row) for row in report.rows] == [list(row) for row in expected]
-
-    def test_rows_of_many_degrees_equal_per_degree_fits(self):
-        # 79 degrees in one call: degree d takes the first span(d) + 1 of
-        # the 129 interpolation points, which are bitwise the points of a
-        # separate fit of degree d, and its own BLAS product per chunk
-        m, gamma = 40, 0.01
-        degrees = list(range(1, 2 * m))
-        report, _ = cmd_least_squares(gamma=gamma, m=m, degrees=degrees, solver="arnoldi")
-        rule = golub_welsch(legendre_jacobi(m))
+    @pytest.mark.parametrize("m, degrees, solver", [
+        (15, [1, 7, 14, 20], "arnoldi"),
+        (15, [1, 7, 14, 20], "update-rot"),
+        (40, list(range(1, 80)), "arnoldi"),
+    ], ids=["sparse-arnoldi", "sparse-update-rot", "dense"])
+    def test_rows_are_the_errors_of_their_own_coefficients(self, m, degrees, solver):
+        # every row's four errors against a direct evaluation on the grid of
+        # the coefficients of its degree and family, within the bound
+        # assert_reported_errors sets
         bump, bump_prime = sobolev.experiments._gauss_bump, sobolev.experiments._gauss_bump_prime
+        gamma = 0.01
+        report, _ = cmd_least_squares(gamma=gamma, m=m, degrees=degrees, solver=solver)
+        assert [row["degree"] for row in report.rows] == degrees
+        assert [list(row) for row in report.rows] == [[
+            "degree", "value_error_plain", "deriv_error_plain",
+            "value_error_sobolev", "deriv_error_sobolev", "effective_degree_plain",
+        ]] * len(degrees)
+        assert [row["effective_degree_plain"] for row in report.rows] == [
+            min(d, m - 1) for d in degrees]
+        rule = golub_welsch(legendre_jacobi(m))
         fv, fpv = bump(rule.nodes), bump_prime(rule.nodes)
-        Zg, wg = build_same_measure(rule, [1.0, gamma])
-        Hg = solve_hessenberg(Zg, wg, 2 * m, method="arnoldi")
-        for d, row in zip(degrees, report.rows):
-            fit = hermite_least_squares(Hg, wg.norm(), rule.nodes, rule.weights, fv, fpv,
-                                        gamma, d, bump, bump_prime)
-            assert (row["value_error_sobolev"], row["deriv_error_sobolev"]) == (
-                fit.value_error, fit.deriv_error)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        for family, product, g in (("plain", [1.0], 0.0), ("sobolev", [1.0, gamma], gamma)):
+            Z, w = build_same_measure(rule, product)
+            H = solve_hessenberg(Z, w, min(max(degrees), Z.m - 1) + 1, method=solver)
+            basis = evaluate(H, w.norm(), grid, H.shape[0] - 1)
+            for row in report.rows:
+                d = row["effective_degree_plain"] if family == "plain" else row["degree"]
+                fit = hermite_least_squares(H, w.norm(), rule.nodes, rule.weights, fv, fpv, g, d)
+                reported = dataclasses.replace(
+                    fit, value_error=row[f"value_error_{family}"],
+                    deriv_error=row[f"deriv_error_{family}"])
+                assert_reported_errors(reported, basis.values[: d + 1], basis.derivs[: d + 1],
+                                       bump, bump_prime, grid)
 
     @pytest.mark.parametrize("degrees", [[1], [14], [20, 3, 9], list(range(1, 30, 2))])
     def test_one_fit_and_one_grid_evaluation_per_family(self, monkeypatch, degrees):
@@ -463,7 +439,7 @@ class TestCmdPenta:
         assert offband > 0.0  # rounding leaves the off-band entries nonzero
         assert report.diagnostics["offband_rel"] == offband / float(np.linalg.norm(B))
 
-    def test_failed_cross_check_keeps_the_solve(self, capsys, monkeypatch):
+    def test_failed_cross_check_fails_the_run(self, capsys, monkeypatch):
         # the cross-check breaks down only where the requested matrix
         # already fails its structure bound, so the reference solve, any
         # solver but the default, is made to fail here; at N=1e300 the
@@ -476,11 +452,10 @@ class TestCmdPenta:
             return recurrence(Z, w, m, solver=solver, trace=trace)
 
         monkeypatch.setattr(sobolev.experiments, "pentadiagonal_recurrence", failing_reference)
-        assert main(["penta", "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["rows"]) == 25
-        assert "cross_solver_rel" not in report["diagnostics"]
-        assert report["diagnostics"]["cross_solver_failure"] == {
+        assert main(["penta", "--format", "json"]) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
             "error": "Arnoldi iteration broke down before k columns", "column": 2, "k": 6}
         monkeypatch.undo()
         argv = ["penta", "--N", "1e300", "--solver", "update-rot", "--format", "json"]
@@ -740,15 +715,15 @@ class TestCli:
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
-        # per family one basis on the 15 nodes and the 17 interpolation points
-        # of degree 13 (16 is the least power of two >= 13) together; the
-        # Arnoldi H of real spectral data is float64, so every one is real
+        # per family one basis on the 15 nodes and the 14 interpolation
+        # points of degree 13 together; the Arnoldi H of real spectral data
+        # is float64, so every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
-        assert evaluations == [(13, 15 + 17, True)] * 2
+        assert evaluations == [(13, 15 + 14, True)] * 2
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

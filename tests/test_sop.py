@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import gentle_jordan
+from conftest import assert_reported_errors, gentle_jordan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
@@ -26,7 +26,6 @@ from sobolev import (
     solve_hessenberg,
     update_solve,
 )
-from sobolev.sop import _lobatto
 
 
 class TestEvaluate:
@@ -341,10 +340,10 @@ class TestHermiteLeastSquares:
         events = []
         ones = np.ones(self.rule.n)
         self._fit(ones, 0 * ones, 3, f_exact=np.ones_like, grid_points=11, trace=events.append)
-        # the nodes and the 5 interpolation points of degree 3 (4 is the
-        # least power of two >= 3), whatever the grid and dim(H) = 9
+        # the nodes and the 4 interpolation points of degree 3, whatever
+        # the grid and dim(H) = 9
         assert [(e["event"], e["k"], e["points"], e["real"]) for e in events] == [
-            ("evaluate", 3, self.rule.n + 5, True),
+            ("evaluate", 3, self.rule.n + 4, True),
         ]
 
     def test_each_given_exact_function_is_measured(self):
@@ -406,9 +405,9 @@ class TestHermiteLeastSquares:
         assert (scalar.value_error, scalar.deriv_error) == (array.value_error, array.deriv_error)
 
     def test_grid_point_on_an_interpolation_point_takes_its_value(self):
-        # degree 6 takes the 9 interpolation points of span 8, 0 among them,
-        # and 0 is the middle of the grid [-1, 0, 1]; the fit of this even bump
-        # is largest there, so its value error against 0 is |S_6(0)|, with
+        # degree 6 takes the 7 interpolation points, 0 among them, and 0 is
+        # the middle of the grid [-1, 0, 1]; the fit of this even bump is
+        # largest there, so its value error against 0 is |S_6(0)|, with
         # S_6(0) summed degree by degree as the fit sums it
         f = np.exp(-10.0 * self.rule.nodes ** 2)
         fp = -20.0 * self.rule.nodes * f
@@ -541,19 +540,6 @@ def least_squares_case(kind, H):
     return H, f, fprime
 
 
-def assert_reported_errors(fit, values, derivs, f, fprime, grid):
-    """The fit's reported errors are those of its coefficients on the given
-    basis, within 1e-13 of the largest sum sum_i |c_i p_i(x)| on the grid."""
-    c = fit.coefficients
-    for reported, rows, exact in (
-        (fit.value_error, values, f(grid)),
-        (fit.deriv_error, derivs, fprime(grid)),
-    ):
-        scale = np.max(np.abs(c[:, None] * rows).sum(axis=0))
-        expected = np.max(np.abs(c @ rows - exact))
-        assert abs(reported - expected) <= 1e-13 * scale
-
-
 class TestLeastSquaresErrorsAgainstReference:
     """The errors :func:`hermite_least_squares` reports, against max-norm
     errors of its own coefficients built on :func:`evaluate_reference`
@@ -566,12 +552,10 @@ class TestLeastSquaresErrorsAgainstReference:
     derivatives; the bound leaves a factor of about thirty.
 
     The fit of degree n reaches the grid by barycentric interpolation from
-    span(n) + 1 Chebyshev points, span(n) the least power of two >= n, so
-    the property test takes sections of 1..70 rows, degrees 0..69 below
-    each (2 to 129 points) and grids of 1..70 points, below, near and
-    above the point count, against :func:`evaluate` on the grid.  Over
-    1,600 random cases, half with grids of up to 2001 points, its worst
-    difference was 5.4e-15 of the scale."""
+    max(n, 1) + 1 Chebyshev points, so the property test takes sections
+    of 1..70 rows, degrees 0..69 below each (2 to 70 points) and grids of
+    1..70 points, below, near and above the point count, against
+    :func:`evaluate` on the grid."""
 
     KINDS = ["real", "complex samples", "complex section"]
 
@@ -602,17 +586,6 @@ class TestLeastSquaresErrorsAgainstReference:
         grid = np.linspace(-1.0, 1.0, grid_points)
         basis = evaluate(H, w_norm, grid, n)
         assert_reported_errors(fit, basis.values, basis.derivs, f, fprime, grid)
-
-
-def test_interpolation_points_nest():
-    """For every power of two s, the first s + 1 of the 513 points of span
-    512 are bitwise the points of span s, and those are the s + 1
-    Chebyshev points of the second kind."""
-    top = _lobatto(512)
-    for s in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
-        points = _lobatto(s)
-        assert np.array_equal(top[: s + 1], points)
-        assert_allclose(np.sort(points), -np.cos(np.pi * np.arange(s + 1) / s), rtol=0, atol=1e-15)
 
 
 class TestDegreePrefixes:
