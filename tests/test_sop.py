@@ -13,6 +13,7 @@ from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 from oracles import coefficients, inner_product_direct, spec_of
 
+import sobolev.sop
 from sobolev import (
     build_discrete_laguerre_sobolev,
     build_same_measure,
@@ -403,6 +404,28 @@ class TestHermiteLeastSquares:
         scalar = self._fit(f, 0 * f, 6, f_exact=lambda x: 1.0, fprime_exact=lambda x: 0.0)
         array = self._fit(f, 0 * f, 6, f_exact=np.ones_like, fprime_exact=np.zeros_like)
         assert (scalar.value_error, scalar.deriv_error) == (array.value_error, array.deriv_error)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_interpolation_points_are_chebyshev_points_of_the_second_kind(self, monkeypatch, n):
+        # after the nodes, the one basis evaluation takes the s + 1 points
+        # -cos(pi i / s), i = 0..s, s = max(n, 1), in ascending order, so
+        # degree 0 still interpolates from the two ends
+        calls = []
+
+        def recording_evaluate(H, w_norm, x, k, trace=None):
+            calls.append(np.array(x))
+            return evaluate(H, w_norm, x, k, trace=trace)
+
+        monkeypatch.setattr(sobolev.sop, "evaluate", recording_evaluate)
+        ones = np.ones(self.rule.n)
+        self._fit(ones, 0 * ones, n, f_exact=np.ones_like, grid_points=5)
+        (x,) = calls
+        s = max(n, 1)
+        points = x[self.rule.n:]
+        assert np.array_equal(x[: self.rule.n], self.rule.nodes)
+        assert (points[0], points[-1]) == (-1.0, 1.0)
+        assert np.all(np.diff(points) > 0)
+        assert_allclose(points, -np.cos(np.pi * np.arange(s + 1) / s), rtol=0, atol=1e-15)
 
     def test_grid_point_on_an_interpolation_point_takes_its_value(self):
         # degree 6 takes the 7 interpolation points, 0 among them, and 0 is
