@@ -21,13 +21,14 @@ import numpy as np
 
 from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
-from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, solve_hessenberg
+from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, _solve, solve_hessenberg
 from .quadrature import _check_count, golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import _fit, pentadiagonal_recurrence
+from .sop import _fit, _interpolation, _node_fit, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
     WeightVector,
+    _function_times_weight,
     build_discrete_laguerre_sobolev,
     build_same_measure,
 )
@@ -262,19 +263,23 @@ def _gauss_bump_prime(x):
     return -200.0 * (x - 0.2) * _gauss_bump(x)
 
 
+def _rows(family, value, deriv):
+    """One dict per degree of a family's errors, keys suffixed by ``family``."""
+    return [{f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)]
+
+
 def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
     """Max-norm value and derivative errors of the bump fits of the given
-    degrees, one dict per degree with keys suffixed by ``family``.  The
-    fits reach the grid by interpolation from max(n, 1) + 1 Chebyshev
-    points, n the highest degree (see :func:`sop._fit`)."""
+    degrees, one dict per degree with keys suffixed by ``family``, with
+    the coefficients formed at the rule's nodes from H alone (see
+    :func:`sop._node_fit`), as for an H, such as a reference one, that
+    comes without a Krylov basis."""
     nodes = rule.nodes
-    _, value, deriv = _fit(
+    _, value, deriv = _node_fit(
         H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma,
         degrees, _gauss_bump, _gauss_bump_prime, grid_points, trace,
     )
-    return [
-        {f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)
-    ]
+    return _rows(family, value, deriv)
 
 
 @_experiment("least-squares")
@@ -293,8 +298,13 @@ def cmd_least_squares(
     derivative misfit by ``gamma``, over the requested degrees.  The
     value-only basis ends at degree m-1 (the m-point discrete product
     cannot separate higher degrees), so such degrees are clamped and the
-    clamp recorded per row.  ``trace`` goes to both solves and to the
-    two basis evaluations, one per family.
+    clamp recorded per row.  Each family's coefficients come from its
+    solve's Krylov basis, c = Q^H f(Z) w (column j+1 of Q is p_j(Z) w),
+    not from the nodes; its basis is then evaluated only at the
+    max(top, 1) + 1 Chebyshev points, which both families share with one
+    barycentric interpolation to one grid (see :func:`sop._fit`).  Under
+    an updating solver the solve accumulates the full Q.  ``trace`` goes
+    to both solves and to the two basis evaluations, one per family.
     """
     _check_count(m=m, grid_points=grid_points)
     if m < 1:
@@ -315,23 +325,24 @@ def cmd_least_squares(
         raise ValueError(f"grid_points={grid_points} must be at least 1")
     rule = golub_welsch(legendre_jacobi(m))
     top = max(degrees)
-
-    Z0, w0 = build_same_measure(rule, [1.0])
-    top0 = min(top, Z0.m - 1)
-    H0 = solve_hessenberg(Z0, w0, top0 + 1, method=solver, trace=trace)
-    Zg, wg = build_same_measure(rule, [1.0, gamma])
-    Hg = solve_hessenberg(Zg, wg, top + 1, method=solver, trace=trace)
-
-    # the families in turn, each on one basis at the nodes and the
-    # interpolation points, from which its fits reach the grid
-    degrees0 = [min(d, top0) for d in degrees]
-    errors0 = _fit_errors(H0, w0.norm(), rule, 0.0, degrees0, grid_points, "plain", trace)
-    errorsg = _fit_errors(Hg, wg.norm(), rule, gamma, degrees, grid_points, "sobolev", trace)
+    degrees0 = [min(d, m - 1) for d in degrees]
+    # one interpolation from max(top, 1) + 1 Chebyshev points serves both
+    # families: the plain one's degrees are at most top too
+    interpolation = _interpolation(max(top, 1), grid_points, _gauss_bump, _gauss_bump_prime)
+    families = {}
+    for family, product, family_degrees in (("plain", [1.0], degrees0),
+                                            ("sobolev", [1.0, gamma], degrees)):
+        Z, w = build_same_measure(rule, product)
+        H, Q = _solve(Z, w, max(family_degrees) + 1, solver, trace)
+        # column j+1 of Q is p_j(Z) w, so c_j = q_{j+1}^H f(Z) w
+        coeff = Q.conj().T @ _function_times_weight(Z, w, _gauss_bump, _gauss_bump_prime)
+        families[family] = _rows(family, *_fit(H, w.norm(), coeff, family_degrees,
+                                               interpolation, trace))
     rows = [
         {"degree": d, **e0, **eg, "effective_degree_plain": d0}
-        for d, d0, e0, eg in zip(degrees, degrees0, errors0, errorsg)
+        for d, d0, e0, eg in zip(degrees, degrees0, families["plain"], families["sobolev"])
     ]
-    return rows, {"m_plain": Z0.m, "m_sobolev": Zg.m}, (Zg, wg)
+    return rows, {"m_plain": m, "m_sobolev": Z.m}, (Z, w)
 
 
 def least_squares_figure(report: ExperimentReport) -> str:

@@ -7,7 +7,8 @@ such that
     Q^H Z Q = H   and   Q e_1 = w / ||w||_2.
 
 H is the recurrence matrix of the Sobolev orthonormal polynomials of the
-product encoded by (Z, w), and column j+1 of Q is p_j(Z) w / ||w||_2.
+product encoded by (Z, w), and column j+1 of Q is p_j(Z) w: p_0 is
+1/||w||_2, so column 1 is w / ||w||_2.
 
 :func:`arnoldi` runs a Krylov iteration with classical Gram-Schmidt and
 one reorthogonalization sweep.  :func:`update_solve` merges the
@@ -582,18 +583,33 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
     -0.0758), and on Laguerre n_quad=40, alpha=-1/2, gamma=1 its H moves
     with the block order by up to 0.16 relative (update-rot: 1.4e-14).
     """
+    return _solve(Z, w, k, method, trace, basis=False)[0]
+
+
+def _solve(Z: JordanOperator, w: WeightVector, k: int, method: str, trace, basis: bool = True):
+    """(H, Q) of the named solver: H as :func:`solve_hessenberg` returns
+    it, and Q the first k columns of the basis, column j+1 being p_j(Z) w.
+    Arnoldi's Q is the one it builds.  The updating solvers run the full
+    :func:`update_solve` with Q accumulated and cut H and Q to k columns,
+    so H is bitwise the section of the leading solve, at the cost of the
+    restores past it.  With ``basis=False`` they run the leading solve
+    only and Q is None.
+    """
     if method not in _STRATEGIES:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
     strategy = _STRATEGIES[method]
     if strategy is None:
-        H = arnoldi(Z, w, k, trace=trace).H
-        if H.shape[0] < k:
+        result = arnoldi(Z, w, k, trace=trace)
+        if result.H.shape[0] < k:
             raise NumericalFailure(
                 "Arnoldi iteration broke down before k columns",
-                column=H.shape[0],
+                column=result.H.shape[0],
                 k=k,
             )
-        return H
+        return result.H, result.Q
     if not 1 <= k <= Z.m:
         raise ValueError(f"column count k={k} must lie in 1..{Z.m}")
-    return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k)[0]
+    if not basis:
+        return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k)
+    H, Q = update_solve(Z, w, strategy=strategy, trace=trace)
+    return H[:k, :k], Q[:, :k]

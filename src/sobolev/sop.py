@@ -162,53 +162,40 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
-def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
-         f_exact, fprime_exact, grid_points, trace):
-    """The coefficients c_0..c_n, n = max(degrees), of the fit that
-    :func:`hermite_least_squares` describes, then for ``f_exact`` and
-    ``fprime_exact`` in turn the max-norm errors of the fits of the given
-    degrees on a uniform grid of ``grid_points`` over [-1, 1], or None
-    for one that is not given.
+@dataclass(frozen=True)
+class _Interpolation:
+    """What carries polynomials of degree at most s from the s + 1
+    Chebyshev points of the second kind to a uniform grid, with the exact
+    functions' values there (see :func:`_interpolation`)."""
 
-    One :func:`evaluate` call takes the nodes and then, when an error is
-    asked for, the s + 1 Chebyshev points of the second kind x_i =
-    sin(pi (2i - s) / (2s)), i = 0..s, s = max(n, 1), whatever dim(H).
-    No point's basis depends on the other points of the call, so the
-    coefficients are bitwise those of the nodes alone.  Each c_j sums its
-    own row.  At the points the running sums S_d = sum_{i<=d} c_i p_i
-    (and p_i') take one add per degree in order.
+    points: np.ndarray
+    R: np.ndarray
+    denominator: np.ndarray
+    on: np.ndarray
+    g: np.ndarray
+    exacts: dict
 
-    Every S_d with d <= n has degree at most s, so its values at the
-    points fix it, and the second (true) barycentric formula carries them
-    to the grid: S_d(x) = sum_i w_i S_d(x_i) R_i(x) / sum_i w_i R_i(x),
-    with R_i(x) = 1/(x - x_i) and w_i = (-1)^i halved at both ends
-    (Berrut & Trefethen 2004).  It is forward stable at these points
-    (Higham 2004).  A grid point equal to x_i takes S_d(x_i).  The
-    numerators of every requested degree are one BLAS product of their
-    rows (S_d, S_d') with the s + 1 by grid matrix of w_i R_i, divided by
-    one denominator row.  Each degree's errors are thus those of its own
-    coefficients, within rounding, not bitwise those of a separate fit.
+
+def _interpolation(s: int, grid_points: int, f_exact, fprime_exact) -> _Interpolation | None:
+    """The interpolation from the s + 1 Chebyshev points of the second kind
+    x_i = sin(pi (2i - s) / (2s)), i = 0..s, to a uniform grid of
+    ``grid_points`` over [-1, 1], and the values there of each of
+    ``f_exact`` and ``fprime_exact`` that is given; None when neither is.
+
+    A polynomial S of degree at most s is fixed by its values at the
+    points, and the second (true) barycentric formula carries them to the
+    grid: S(x) = sum_i w_i S(x_i) R_i(x) / sum_i w_i R_i(x), with R_i(x) =
+    1/(x - x_i) and w_i = (-1)^i halved at both ends (Berrut & Trefethen
+    2004).  It is forward stable at these points (Higham 2004).  ``R``
+    holds w_i R_i on the grid, ``denominator`` its column sums, and a grid
+    point g equal to x_on, where R is 0, takes S(x_on) instead.
     """
-    n = max(degrees)
-    size = nodes.size
     grid = np.linspace(-1.0, 1.0, grid_points)
     exacts = {name: _on_grid(name, exact, grid) for name, exact in
               (("f_exact", f_exact), ("fprime_exact", fprime_exact)) if exact is not None}
-    s = max(n, 1)
-    points = np.sin(np.pi * np.arange(-s, s + 1, 2) / (2 * s)) if exacts else np.empty(0)
-    basis = evaluate(H, w_norm, np.concatenate((nodes, points)), n, trace=trace)
-    values, derivs = basis.values[:, :size], basis.derivs[:, :size]
-    coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
-    if gamma > 0:
-        coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
     if not exacts:
-        return coeff, None, None
-
-    # the running sums (S_d, S_d') at the points, d = 0..n
-    running = np.empty((n + 1, 2, points.size), dtype=coeff.dtype)
-    np.multiply(coeff[:, None], basis.values[:, size:], out=running[:, 0])
-    np.multiply(coeff[:, None], basis.derivs[:, size:], out=running[:, 1])
-    np.cumsum(running, axis=0, out=running)
+        return None
+    points = np.sin(np.pi * np.arange(-s, s + 1, 2) / (2 * s))
     # R[i, j] = w_i / (grid[j] - points[i]), but 0 where grid[j] is points[i]
     weights = np.where(np.arange(s + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
@@ -218,13 +205,80 @@ def _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees
     np.divide(weights[:, None], R, out=R)
     denominator = R.sum(axis=0)
     denominator[g] = 1.0
+    return _Interpolation(points, R, denominator, on, g, exacts)
+
+
+def _errors(coeff, values, derivs, degrees, interpolation: _Interpolation):
+    """The max-norm errors on the grid of the fits of the given degrees,
+    from the coefficients c_0..c_n and the basis (p_i, p_i') at the
+    interpolation points, n + 1 rows each; for ``f_exact`` and
+    ``fprime_exact`` in turn, or None for one that is not given.
+
+    The running sums S_d = sum_{i<=d} c_i p_i (and p_i') take one add per
+    degree in order.  Every S_d with d <= n <= s is fixed by its values
+    at the points, and the numerators of every requested degree are one
+    BLAS product of their rows (S_d, S_d') with ``R``, divided by one
+    denominator row.  Each degree's errors are thus those of its own
+    coefficients, within rounding, not bitwise those of a separate fit.
+    """
+    on, g, s = interpolation.on, interpolation.g, interpolation.points.size - 1
+    # the running sums (S_d, S_d') at the points, d = 0..n
+    running = np.empty((coeff.size, 2, s + 1), dtype=coeff.dtype)
+    np.multiply(coeff[:, None], values, out=running[:, 0])
+    np.multiply(coeff[:, None], derivs, out=running[:, 1])
+    np.cumsum(running, axis=0, out=running)
     at = running[degrees]
-    fits = (at.reshape(-1, s + 1) @ R.astype(at.dtype, copy=False)).reshape(len(degrees), 2, -1)
-    fits /= denominator
+    R = interpolation.R.astype(at.dtype, copy=False)
+    fits = (at.reshape(-1, s + 1) @ R).reshape(len(degrees), 2, -1)
+    fits /= interpolation.denominator
     fits[:, :, g] = at[:, :, on]
+    exacts = interpolation.exacts
     errors = {name: np.max(np.abs(fits[:, k] - exacts[name]), axis=1).tolist()
               for k, name in enumerate(("f_exact", "fprime_exact")) if name in exacts}
-    return coeff, errors.get("f_exact"), errors.get("fprime_exact")
+    return errors.get("f_exact"), errors.get("fprime_exact")
+
+
+def _fit(H, w_norm, coeff, degrees, interpolation: _Interpolation, trace):
+    """The errors that :func:`_errors` gives for the coefficients
+    ``coeff`` of the fit of the highest degree n, on one :func:`evaluate`
+    of p_0..p_n at the interpolation points and no other point.
+
+    The caller forms the coefficients; ``cmd_least_squares`` takes them
+    from the solver's Krylov basis, Q^H f(Z) w, since column j+1 of Q is
+    p_j(Z) w.  An interpolation of s >= n serves every family fitted to
+    degree at most s, so several share one set of points, one ``R`` and
+    one grid.
+    """
+    basis = evaluate(H, w_norm, interpolation.points, max(degrees), trace=trace)
+    return _errors(coeff, basis.values, basis.derivs, degrees, interpolation)
+
+
+def _node_fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
+              f_exact, fprime_exact, grid_points, trace):
+    """The coefficients c_0..c_n, n = max(degrees), of the fit that
+    :func:`hermite_least_squares` describes, formed at the nodes, then the
+    errors of :func:`_errors`, or None for each, on the interpolation with
+    s = max(n, 1).
+
+    One :func:`evaluate` call takes the nodes and then, when an error is
+    asked for, the interpolation points, whatever dim(H).  No point's
+    basis depends on the other points of the call, so the coefficients
+    are bitwise those of the nodes alone.  Each c_j sums its own row.
+    This is the path of an H without its spectral data, hence without Q.
+    """
+    n = max(degrees)
+    size = nodes.size
+    interpolation = _interpolation(max(n, 1), grid_points, f_exact, fprime_exact)
+    points = np.empty(0) if interpolation is None else interpolation.points
+    basis = evaluate(H, w_norm, np.concatenate((nodes, points)), n, trace=trace)
+    values, derivs = basis.values[:, :size], basis.derivs[:, :size]
+    coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
+    if gamma > 0:
+        coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
+    if interpolation is None:
+        return coeff, None, None
+    return coeff, *_errors(coeff, basis.values[:, size:], basis.derivs[:, size:], degrees,
+                           interpolation)
 
 
 def _on_grid(name: str, exact, grid: np.ndarray) -> np.ndarray:
@@ -289,12 +343,13 @@ def hermite_least_squares(
     ``fprime_exact`` that is given (a callable returning finite values
     that broadcast to its argument, a scalar included) has its error
     measured in the max norm on a uniform grid of ``grid_points`` >= 1
-    points over [-1, 1].  The fit and its errors are those of
-    :func:`_fit`, which the experiment drivers share: one basis
-    evaluation, on the nodes and the max(n, 1) + 1 Chebyshev points from
-    which the fit is interpolated to the grid, so the cost follows n, not
-    dim(H), and coefficients bitwise the same whether or not errors are
-    asked for.  ``trace`` goes to :func:`evaluate`.
+    points over [-1, 1].  With no spectral data there is no Krylov basis
+    to take the coefficients from, so they are formed at the nodes
+    (:func:`_node_fit`): one basis evaluation, on the nodes and the
+    max(n, 1) + 1 Chebyshev points from which the fit is interpolated to
+    the grid, so the cost follows n, not dim(H), and coefficients bitwise
+    the same whether or not errors are asked for.  ``trace`` goes to
+    :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -321,8 +376,8 @@ def hermite_least_squares(
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
 
-    coeff, *errors = _fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, [n],
-                          f_exact, fprime_exact, grid_points, trace)
+    coeff, *errors = _node_fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma,
+                               [n], f_exact, fprime_exact, grid_points, trace)
     value_error, deriv_error = (None if e is None else e[0] for e in errors)
     return LsqFit(
         coefficients=coeff, degree=n, value_error=value_error, deriv_error=deriv_error

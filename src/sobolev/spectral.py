@@ -283,6 +283,30 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
     return build_discrete_laguerre_sobolev(rest, endpoint, rule.weights[idx], gamma)
 
 
+def _function_times_weight(Z: JordanOperator, w: WeightVector, f, fprime) -> np.ndarray:
+    """f(Z) w, from the bands of an operator whose blocks have size 1 or 2.
+
+    On a block x I + alpha N of size 2, f(Z) is f(x) I + alpha f'(x) N, so
+    the block's part of f(Z) w is (alpha beta f'(x), beta f(x)); a block of
+    size 1 keeps beta f(x) only.  ``f`` is called once on the block
+    eigenvalues and ``fprime`` once on those of the blocks of size 2.
+    """
+    ends = Z._ends
+    sizes = np.diff(ends, prepend=0)
+    if sizes.max() > 2:
+        raise ValueError("f(Z) w is built for Jordan blocks of size 1 and 2 only")
+    last = ends - 1
+    x = Z._diag[last]
+    values = w.betas * f(x)
+    fw = np.zeros(Z.m, dtype=np.result_type(values, Z._sup))
+    fw[last] = values
+    pairs = sizes == 2
+    if pairs.any():
+        above = last[pairs] - 1
+        fw[above] = Z._sup[above] * w.betas[pairs] * fprime(x[pairs])
+    return fw
+
+
 def jordan_matvec(Z: JordanOperator, x) -> np.ndarray:
     """Apply Z to a vector in O(m) from its diagonal and superdiagonal bands."""
     x = np.asarray(x)

@@ -133,12 +133,14 @@ def legendre_references():
 
 def assert_reported_errors(fit, values, derivs, f, fprime, grid):
     """The fit's reported errors are those of its coefficients on the given
-    basis, within 1e-13 of the largest sum sum_i |c_i p_i(x)| on the grid."""
+    basis, within 1e-13 of the size at which |fit - exact| is rounded: the
+    larger of the largest sum sum_i |c_i p_i(x)| and the largest |exact|
+    on the grid."""
     c = fit.coefficients
     for reported, rows, exact in (
         (fit.value_error, values, f(grid)),
         (fit.deriv_error, derivs, fprime(grid)),
     ):
-        scale = np.max(np.abs(c[:, None] * rows).sum(axis=0))
+        scale = max(np.max(np.abs(c[:, None] * rows).sum(axis=0)), np.max(np.abs(exact)))
         expected = np.max(np.abs(c @ rows - exact))
         assert abs(reported - expected) <= 1e-13 * scale

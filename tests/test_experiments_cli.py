@@ -301,11 +301,52 @@ class TestCmdLeastSquares:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        # each family fits and measures on one basis, evaluated through sop
-        # on the nodes and the interpolation points together
+        # each family takes its coefficients from its solve's Krylov basis
+        # and measures its errors on one basis, evaluated through sop on
+        # the interpolation points alone, which both families share
         counted(sobolev.sop, "evaluate")
         cmd_least_squares(m=15, degrees=degrees, grid_points=101)
         assert calls == {"evaluate": 2}
+
+    def test_both_families_share_one_interpolation(self, monkeypatch):
+        built, points = [], []
+        interpolation, evaluate_ = sobolev.experiments._interpolation, sobolev.sop.evaluate
+
+        def recording_interpolation(*args):
+            built.append(interpolation(*args))
+            return built[-1]
+
+        def recording_evaluate(H, w_norm, x, k, trace=None):
+            points.append(x)
+            return evaluate_(H, w_norm, x, k, trace=trace)
+
+        monkeypatch.setattr(sobolev.experiments, "_interpolation", recording_interpolation)
+        monkeypatch.setattr(sobolev.sop, "evaluate", recording_evaluate)
+        cmd_least_squares(m=15, degrees=[3, 20], grid_points=101)
+        # degree 20 sets s = 20 for the plain family too, clamped at 14
+        assert len(built) == 1 and built[0].points.size == 21
+        assert len(points) == 2 and all(x is built[0].points for x in points)
+
+    @pytest.mark.parametrize("m", [15, 40, 201])
+    @pytest.mark.parametrize("gamma", [0.01, 1e4, 1e16])
+    def test_krylov_coefficients_equal_the_node_ones(self, monkeypatch, m, gamma):
+        # c = Q^H f(Z) w against the coefficients hermite_least_squares forms
+        # at the nodes on the same H, both families up to degree m
+        fits, fit = [], sobolev.experiments._fit
+
+        def recording_fit(H, w_norm, coeff, degrees, interpolation, trace):
+            fits.append((H, w_norm, coeff))
+            return fit(H, w_norm, coeff, degrees, interpolation, trace)
+
+        monkeypatch.setattr(sobolev.experiments, "_fit", recording_fit)
+        cmd_least_squares(gamma=gamma, m=m, degrees=[1, m], solver="arnoldi")
+        rule = golub_welsch(legendre_jacobi(m))
+        bump, bump_prime = sobolev.experiments._gauss_bump, sobolev.experiments._gauss_bump_prime
+        assert [c.size for _, _, c in fits] == [m, m + 1]
+        for (H, w_norm, coeff), g in zip(fits, (0.0, gamma)):
+            node = hermite_least_squares(H, w_norm, rule.nodes, rule.weights, bump(rule.nodes),
+                                         bump_prime(rule.nodes), g, coeff.size - 1).coefficients
+            assert np.max(np.abs(coeff - node)) <= 1e-14 * np.max(np.abs(coeff))
 
     def test_degrees_from_a_generator(self):
         # the generator is read once: the rows and the echoed config share it
@@ -715,15 +756,15 @@ class TestCli:
         assert {e["event"] for e in events} == {"update-restore", "arnoldi-step"}
 
     def test_least_squares_trace_covers_every_evaluation(self, capsys):
-        # per family one basis on the 15 nodes and the 14 interpolation
-        # points of degree 13 together; the Arnoldi H of real spectral data
-        # is float64, so every one is real
+        # per family one basis on the 14 interpolation points of degree 13
+        # and no node, the coefficients coming from the Krylov basis; the
+        # Arnoldi H of real spectral data is float64, so every one is real
         args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", "arnoldi", "--trace"]
         assert main(args) == 0
         events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
-        assert evaluations == [(13, 15 + 14, True)] * 2
+        assert evaluations == [(13, 14, True)] * 2
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1111,7 +1152,7 @@ class TestDefaultSolverEdges:
         return json.loads(captured.err.strip().splitlines()[-1])
 
     def test_least_squares_at_gamma_1e30_is_accurate(self, capsys):
-        # update-rot reads 1.09e38 here, with exit 0
+        # update-rot reads 3.2e3 here, with exit 0
         assert main(["least-squares", "--gamma", "1e30", "--degrees", "101,201"]) == 0
         lines = capsys.readouterr().out.splitlines()
         row = dict(zip(lines[0].split(","), lines[-1].split(",")))

@@ -15,6 +15,7 @@ from sobolev import (
     WeightVector,
     arnoldi,
     build_same_measure,
+    evaluate,
     golub_welsch,
     hessenberg_defect,
     laguerre_jacobi,
@@ -802,6 +803,52 @@ class TestSolveHessenberg:
             run(Z, w)
         assert np.isnan(exc.value.details["orthogonality"])
         assert exc.value.details["columns"] == 10
+
+
+class TestSolveWithBasis:
+    @pytest.mark.parametrize("gamma", [0.01, 1e4])
+    def test_arnoldi_columns_are_the_polynomials_times_w(self, gamma):
+        # column j+1 of Q is p_j(Z) w, with no 1/||w||: on a block x I +
+        # alpha N of the same-measure data that is (alpha beta p_j'(x),
+        # beta p_j(x)); checked over degrees 0..m, the least-squares range
+        m = 40
+        rule = golub_welsch(legendre_jacobi(m))
+        Z, w = build_same_measure(rule, [1.0, gamma])
+        res = arnoldi(Z, w, m + 1)
+        basis = evaluate(res.H, w.norm(), rule.nodes, m)
+        expected = np.empty((Z.m, m + 1))
+        expected[0::2] = (np.sqrt(gamma) * w.betas)[:, None] * basis.derivs.T
+        expected[1::2] = w.betas[:, None] * basis.values.T
+        assert np.max(np.abs(res.Q - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("method", hiep.SOLVER_NAMES)
+    def test_h_is_the_section_and_q_its_basis(self, method):
+        # H bitwise that of solve_hessenberg, Q the first k columns of a
+        # basis that satisfies the contract
+        for Z, w in (legendre_instance(), random_spectral_data(np.random.default_rng(0), max_m=20)):
+            for k in (1, Z.m // 2, Z.m):
+                H, Q = hiep._solve(Z, w, k, method, None)
+                assert np.array_equal(H, solve_hessenberg(Z, w, k, method=method))
+                assert Q.shape == (Z.m, k)
+                assert np.linalg.norm(Q.conj().T @ Q - np.eye(k)) <= 1e-12 * k
+                assert np.linalg.norm(Q.conj().T @ Z.dense() @ Q - H) <= 1e-11 * Z.frobenius_norm()
+                assert np.linalg.norm(Q[:, 0] - w.dense(Z) / w.norm()) <= 1e-13
+
+    def test_updating_q_is_the_full_solve_cut_to_k(self):
+        Z, w = legendre_instance()
+        H, Q = update_solve(Z, w, strategy="rotations")
+        Hk, Qk = hiep._solve(Z, w, 7, "update-rot", None)
+        assert np.array_equal(Hk, H[:7, :7]) and np.array_equal(Qk, Q[:, :7])
+
+    def test_keeps_the_arnoldi_breakdown_failure(self):
+        # as with solve_hessenberg (see test_arnoldi_breakdown_before_k_raises);
+        # this input stops at column 11 of its 20
+        Z, w = build_same_measure(golub_welsch(laguerre_jacobi(10, -0.5)), [1.0, 1e300])
+        with pytest.raises(NumericalFailure, match="broke down") as exc:
+            hiep._solve(Z, w, 20, "arnoldi", None)
+        assert exc.value.details == {"column": 11, "k": 20}
+        with pytest.raises(ValueError, match="unknown solver"):
+            hiep._solve(Z, w, 5, "lanczos", None)
 
 
 class TestHessenbergDefect:

@@ -1,6 +1,7 @@
 """Tests for polynomial evaluation, least squares, and the five-term
 recurrence built from the recurrence Hessenberg matrix."""
 
+import dataclasses
 import math
 import warnings
 
@@ -572,7 +573,8 @@ class TestLeastSquaresErrorsAgainstReference:
     on the real section and on that section turned by e^{0.02i}.
     Relative to the largest sum sum_i |c_i p_i(x)| on the grid, the worst
     measured differences are 1.9e-15 in values and 3.4e-15 in
-    derivatives; the bound leaves a factor of about thirty.
+    derivatives; the bound, relative to the larger of that sum and the
+    largest |exact|, leaves a factor of about thirty.
 
     The fit of degree n reaches the grid by barycentric interpolation from
     max(n, 1) + 1 Chebyshev points, so the property test takes sections
@@ -593,6 +595,21 @@ class TestLeastSquaresErrorsAgainstReference:
                 gamma, n, f, fprime, grid.size,
             )
             assert_reported_errors(fit, *evaluate_reference(H, w_norm, grid, n), f, fprime, grid)
+
+    def test_an_error_off_by_1e_10_fails(self, sobolev_legendre_40):
+        # the bound scales with the fit and the exact function (|f'| up to
+        # 3.3 here), not with the error, so a wrong digit at 1e-10 shows
+        rule, gamma, H, w_norm = sobolev_legendre_40
+        H, f, fprime = least_squares_case("real", H)
+        grid = np.linspace(-1.0, 1.0, 301)
+        fit = hermite_least_squares(H, w_norm, rule.nodes, rule.weights, f(rule.nodes),
+                                    fprime(rule.nodes), gamma, 33, f, fprime, grid.size)
+        basis = evaluate_reference(H, w_norm, grid, 33)
+        assert_reported_errors(fit, *basis, f, fprime, grid)
+        for field in ("value_error", "deriv_error"):
+            off = dataclasses.replace(fit, **{field: getattr(fit, field) + 1e-10})
+            with pytest.raises(AssertionError):
+                assert_reported_errors(off, *basis, f, fprime, grid)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(KINDS),

@@ -33,6 +33,7 @@ from sobolev import (
     spectral_to_json,
 )
 from sobolev.experiments import random_spectral_data
+from sobolev.spectral import _function_times_weight
 
 
 def random_jordan(rng, max_m=12, max_block=4):
@@ -479,6 +480,29 @@ class TestJordanMatvec:
         for length in (Z.m - 1, Z.m + 1):
             with pytest.raises(ValueError):
                 jordan_matvec(Z, np.ones(length))
+
+
+class TestFunctionTimesWeight:
+    @pytest.mark.parametrize("case", ["same-measure", "plain", "laguerre-sobolev", "complex"])
+    def test_matches_the_polynomial_of_the_dense_matrix(self, case):
+        # for a polynomial f, f(Z) w is Horner's scheme on the dense Z
+        rule = golub_welsch(legendre_jacobi(6))
+        Z, w = {
+            "same-measure": lambda: build_same_measure(rule, [1.0, 0.3]),
+            "plain": lambda: build_same_measure(rule, [2.0]),
+            "laguerre-sobolev": lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, 2.0, 3.0),
+            "complex": lambda: random_jordan(np.random.default_rng(3), max_m=10, max_block=2),
+        }[case]()
+        f = Polynomial([0.5, -1.0, 0.25j if case == "complex" else 0.25, 2.0])
+        expected = horner(Z.dense(), f, w.dense(Z).astype(complex))
+        got = _function_times_weight(Z, w, f, f.deriv())
+        assert got.dtype == (complex if case == "complex" else float)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_rejects_blocks_above_size_two(self):
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(3)), [1.0, 0.5, 0.1])
+        with pytest.raises(ValueError, match="size 1 and 2"):
+            _function_times_weight(Z, w, np.exp, np.exp)
 
 
 class TestJordanPolyColumn:
