@@ -23,7 +23,7 @@ from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
 from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, _solve, solve_hessenberg
 from .quadrature import _check_count, golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import _fit, _interpolation, _node_fit, pentadiagonal_recurrence
+from .sop import _fit, _interpolation, hermite_least_squares, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
@@ -271,15 +271,16 @@ def _rows(family, value, deriv):
 def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
     """Max-norm value and derivative errors of the bump fits of the given
     degrees, one dict per degree with keys suffixed by ``family``, with
-    the coefficients formed at the rule's nodes from H alone (see
-    :func:`sop._node_fit`), as for an H, such as a reference one, that
-    comes without a Krylov basis."""
-    nodes = rule.nodes
-    _, value, deriv = _node_fit(
-        H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma,
-        degrees, _gauss_bump, _gauss_bump_prime, grid_points, trace,
-    )
-    return _rows(family, value, deriv)
+    the coefficients of the top degree formed at the rule's nodes from H
+    alone (see :func:`sop.hermite_least_squares`), as for an H, such as a
+    reference one, that comes without a Krylov basis."""
+    nodes, top = rule.nodes, max(degrees)
+    coeff = hermite_least_squares(
+        H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma, top,
+        trace=trace,
+    ).coefficients
+    interpolation = _interpolation(max(top, 1), grid_points, _gauss_bump, _gauss_bump_prime)
+    return _rows(family, *_fit(H, w_norm, coeff, degrees, interpolation, trace))
 
 
 @_experiment("least-squares")
@@ -310,7 +311,7 @@ def cmd_least_squares(
     if m < 1:
         raise ValueError(f"m={m} must be at least 1 (the number of Gauss-Legendre nodes)")
     for d in degrees:
-        if not isinstance(d, (int, np.integer)):
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
             raise ValueError(f"degree {d} must be an integer")
     degrees = [int(d) for d in degrees]
     if not degrees:

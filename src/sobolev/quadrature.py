@@ -101,9 +101,10 @@ class QuadratureRule:
 
 def _check_count(**counts):
     """Reject, by name, a count that is not a Python or numpy integer, which
-    numpy would round up (np.arange(10.5) has 11 entries) or fail on later."""
+    numpy would round up (np.arange(10.5) has 11 entries) or fail on later,
+    or that is a bool, which Python counts as an int."""
     for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name}={value!r} must be an integer")
 
 

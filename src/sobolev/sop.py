@@ -47,12 +47,10 @@ class SopEvaluation:
     derivs: np.ndarray
 
 
-# degrees per block of the basis recurrence in :func:`evaluate`, the rows
-# of a block's coupling product padded to a multiple of _ROWS, and the
-# point count padded to a multiple of _POINTS
+# degrees per block of the basis recurrence in :func:`evaluate`, and the
+# rows of a block's coupling product padded to a multiple of _ROWS
 _BLOCK = 32
 _ROWS = 8
-_POINTS = 16
 
 
 def _round_up(n: int, step: int) -> int:
@@ -104,14 +102,10 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     coefficients.  Degrees go in blocks of 32: one matrix product per
     block adds the terms of every lower degree, and only the terms within
     the block are added degree by degree.  Zero rows pad each block's
-    product to a multiple of 8 rows, and zero points pad the points to a
-    multiple of 16, so that every BLAS call runs on whole kernel tiles.
-    That makes two invariants hold bitwise: no degree's rounding depends
-    on k, so a lower degree is a prefix of a higher one, and no point's
-    (p_j, p_j') depends on the other points in the call, so one call on
-    several point sets equals one call per set.  A real H with real
-    points runs in float64.  ``values`` and ``derivs`` of the result are
-    views of that one array.
+    product to a multiple of 8 rows, so that no degree's rounding depends
+    on k: a lower degree is bitwise a prefix of a higher one.  A real H
+    with real points runs in float64.  ``values`` and ``derivs`` of the
+    result are views of that one array.
 
     Parameters
     ----------
@@ -133,9 +127,7 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
     dtype = np.result_type(H, x, float)
     H = H.astype(dtype, copy=False)
     sub = _subdiagonal(H)
-    size = x.size
-    points = np.zeros(_round_up(size, _POINTS), dtype=dtype)
-    points[:size] = x.reshape(-1)
+    points = x.reshape(-1).astype(dtype, copy=False)
 
     # basis[j] = (p_j, p_j'); flat[j] is the same row as one vector
     basis = np.empty((k + 1, 2, points.size), dtype=dtype)
@@ -156,9 +148,9 @@ def evaluate(H, w_norm: float, x, k: int, trace=None) -> SopEvaluation:
             cur -= proj[j - j0].reshape(2, -1)
             cur /= sub[j - 1]
     if trace is not None:
-        trace({"event": "evaluate", "k": k, "points": size, "real": dtype == float,
+        trace({"event": "evaluate", "k": k, "points": x.size, "real": dtype == float,
                "seconds": time.perf_counter() - start})
-    basis = basis[:, :, :size].reshape((k + 1, 2) + x.shape)
+    basis = basis.reshape((k + 1, 2) + x.shape)
     return SopEvaluation(values=basis[:, 0], derivs=basis[:, 1])
 
 
@@ -208,24 +200,31 @@ def _interpolation(s: int, grid_points: int, f_exact, fprime_exact) -> _Interpol
     return _Interpolation(points, R, denominator, on, g, exacts)
 
 
-def _errors(coeff, values, derivs, degrees, interpolation: _Interpolation):
+def _fit(H, w_norm, coeff, degrees, interpolation: _Interpolation, trace):
     """The max-norm errors on the grid of the fits of the given degrees,
-    from the coefficients c_0..c_n and the basis (p_i, p_i') at the
-    interpolation points, n + 1 rows each; for ``f_exact`` and
-    ``fprime_exact`` in turn, or None for one that is not given.
+    from the coefficients c_0..c_n of the fit of the highest degree n, for
+    ``f_exact`` and ``fprime_exact`` in turn, or None for one that is not
+    given.
 
-    The running sums S_d = sum_{i<=d} c_i p_i (and p_i') take one add per
-    degree in order.  Every S_d with d <= n <= s is fixed by its values
-    at the points, and the numerators of every requested degree are one
-    BLAS product of their rows (S_d, S_d') with ``R``, divided by one
-    denominator row.  Each degree's errors are thus those of its own
-    coefficients, within rounding, not bitwise those of a separate fit.
+    One :func:`evaluate` of p_0..p_n at the interpolation points, and at no
+    other point, gives the running sums S_d = sum_{i<=d} c_i p_i (and
+    p_i'), one add per degree in order.  Every S_d with d <= n <= s is
+    fixed by its values at the points, and the numerators of every
+    requested degree are one BLAS product of their rows (S_d, S_d') with
+    ``R``, divided by one denominator row.  Each degree's errors are thus
+    those of its own coefficients, within rounding, not bitwise those of
+    a separate fit.  An interpolation of s >= n serves every family fitted
+    to degree at most s, so several share one set of points, one ``R``
+    and one grid.  The caller forms the coefficients: ``cmd_least_squares``
+    from the solver's Krylov basis, Q^H f(Z) w, :func:`hermite_least_squares`
+    at the nodes.
     """
     on, g, s = interpolation.on, interpolation.g, interpolation.points.size - 1
+    basis = evaluate(H, w_norm, interpolation.points, max(degrees), trace=trace)
     # the running sums (S_d, S_d') at the points, d = 0..n
     running = np.empty((coeff.size, 2, s + 1), dtype=coeff.dtype)
-    np.multiply(coeff[:, None], values, out=running[:, 0])
-    np.multiply(coeff[:, None], derivs, out=running[:, 1])
+    np.multiply(coeff[:, None], basis.values, out=running[:, 0])
+    np.multiply(coeff[:, None], basis.derivs, out=running[:, 1])
     np.cumsum(running, axis=0, out=running)
     at = running[degrees]
     R = interpolation.R.astype(at.dtype, copy=False)
@@ -236,49 +235,6 @@ def _errors(coeff, values, derivs, degrees, interpolation: _Interpolation):
     errors = {name: np.max(np.abs(fits[:, k] - exacts[name]), axis=1).tolist()
               for k, name in enumerate(("f_exact", "fprime_exact")) if name in exacts}
     return errors.get("f_exact"), errors.get("fprime_exact")
-
-
-def _fit(H, w_norm, coeff, degrees, interpolation: _Interpolation, trace):
-    """The errors that :func:`_errors` gives for the coefficients
-    ``coeff`` of the fit of the highest degree n, on one :func:`evaluate`
-    of p_0..p_n at the interpolation points and no other point.
-
-    The caller forms the coefficients; ``cmd_least_squares`` takes them
-    from the solver's Krylov basis, Q^H f(Z) w, since column j+1 of Q is
-    p_j(Z) w.  An interpolation of s >= n serves every family fitted to
-    degree at most s, so several share one set of points, one ``R`` and
-    one grid.
-    """
-    basis = evaluate(H, w_norm, interpolation.points, max(degrees), trace=trace)
-    return _errors(coeff, basis.values, basis.derivs, degrees, interpolation)
-
-
-def _node_fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma, degrees,
-              f_exact, fprime_exact, grid_points, trace):
-    """The coefficients c_0..c_n, n = max(degrees), of the fit that
-    :func:`hermite_least_squares` describes, formed at the nodes, then the
-    errors of :func:`_errors`, or None for each, on the interpolation with
-    s = max(n, 1).
-
-    One :func:`evaluate` call takes the nodes and then, when an error is
-    asked for, the interpolation points, whatever dim(H).  No point's
-    basis depends on the other points of the call, so the coefficients
-    are bitwise those of the nodes alone.  Each c_j sums its own row.
-    This is the path of an H without its spectral data, hence without Q.
-    """
-    n = max(degrees)
-    size = nodes.size
-    interpolation = _interpolation(max(n, 1), grid_points, f_exact, fprime_exact)
-    points = np.empty(0) if interpolation is None else interpolation.points
-    basis = evaluate(H, w_norm, np.concatenate((nodes, points)), n, trace=trace)
-    values, derivs = basis.values[:, :size], basis.derivs[:, :size]
-    coeff = (values.conj() * (node_weights * f_values)).sum(axis=1)
-    if gamma > 0:
-        coeff += gamma * (derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
-    if interpolation is None:
-        return coeff, None, None
-    return coeff, *_errors(coeff, basis.values[:, size:], basis.derivs[:, size:], degrees,
-                           interpolation)
 
 
 def _on_grid(name: str, exact, grid: np.ndarray) -> np.ndarray:
@@ -343,13 +299,15 @@ def hermite_least_squares(
     ``fprime_exact`` that is given (a callable returning finite values
     that broadcast to its argument, a scalar included) has its error
     measured in the max norm on a uniform grid of ``grid_points`` >= 1
-    points over [-1, 1].  With no spectral data there is no Krylov basis
-    to take the coefficients from, so they are formed at the nodes
-    (:func:`_node_fit`): one basis evaluation, on the nodes and the
-    max(n, 1) + 1 Chebyshev points from which the fit is interpolated to
-    the grid, so the cost follows n, not dim(H), and coefficients bitwise
-    the same whether or not errors are asked for.  ``trace`` goes to
-    :func:`evaluate`.
+    points over [-1, 1], by :func:`_fit` from the max(n, 1) + 1 Chebyshev
+    points, so the cost follows n, not dim(H).  With no spectral data
+    there is no Krylov basis to take the coefficients from, so they are
+    formed from one basis evaluation at the nodes alone, bitwise the same
+    whether or not errors are asked for.  That limits them past degree m,
+    the number of nodes: at m = 201, gamma = 1e4, degree 281's derivative
+    error reads 6.1e-5 here and 3.6e-12 from the Krylov coefficients
+    Q^H f(Z) w of ``cmd_least_squares``, the accurate path for a caller
+    that has the spectral data (Z, w).  ``trace`` goes to :func:`evaluate`.
     """
     nodes = np.asarray(nodes, dtype=float)
     node_weights = np.asarray(node_weights, dtype=float)
@@ -376,9 +334,15 @@ def hermite_least_squares(
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
 
-    coeff, *errors = _node_fit(H, w_norm, nodes, node_weights, f_values, fprime_values, gamma,
-                               [n], f_exact, fprime_exact, grid_points, trace)
-    value_error, deriv_error = (None if e is None else e[0] for e in errors)
+    basis = evaluate(H, w_norm, nodes, n, trace=trace)
+    coeff = (basis.values.conj() * (node_weights * f_values)).sum(axis=1)
+    if gamma > 0:
+        coeff += gamma * (basis.derivs.conj() * (node_weights * fprime_values)).sum(axis=1)
+    value_error = deriv_error = None
+    interpolation = _interpolation(max(n, 1), grid_points, f_exact, fprime_exact)
+    if interpolation is not None:
+        errors = _fit(H, w_norm, coeff, [n], interpolation, trace)
+        value_error, deriv_error = (None if e is None else e[0] for e in errors)
     return LsqFit(
         coefficients=coeff, degree=n, value_error=value_error, deriv_error=deriv_error
     )

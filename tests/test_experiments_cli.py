@@ -288,6 +288,30 @@ class TestCmdLeastSquares:
                 assert_reported_errors(reported, basis.values[: d + 1], basis.derivs[: d + 1],
                                        bump, bump_prime, grid)
 
+    @pytest.mark.parametrize("family, product, degrees", [
+        ("plain", [1.0], [1, 17, 39]), ("sobolev", [1.0, 0.01], [1, 17, 39, 79]),
+    ])
+    def test_node_fit_errors_are_those_of_each_degree_alone(self, family, product, degrees):
+        # criterion 8's reference path: the rows that one top-degree fit
+        # gives for several degrees, against hermite_least_squares fitted
+        # at each degree alone; the plain basis ends at degree m - 1
+        bump, bump_prime = sobolev.experiments._gauss_bump, sobolev.experiments._gauss_bump_prime
+        gamma = product[-1] if len(product) > 1 else 0.0
+        rule = golub_welsch(legendre_jacobi(40))
+        Z, w = build_same_measure(rule, product)
+        H = solve_hessenberg(Z, w, max(degrees) + 1)
+        rows = sobolev.experiments._fit_errors(H, w.norm(), rule, gamma, degrees, 2001, family)
+        assert len(rows) == len(degrees)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        basis = evaluate(H, w.norm(), grid, max(degrees))
+        for d, row in zip(degrees, rows):
+            fit = hermite_least_squares(H, w.norm(), rule.nodes, rule.weights, bump(rule.nodes),
+                                        bump_prime(rule.nodes), gamma, d)
+            reported = dataclasses.replace(fit, value_error=row[f"value_error_{family}"],
+                                           deriv_error=row[f"deriv_error_{family}"])
+            assert_reported_errors(reported, basis.values[: d + 1], basis.derivs[: d + 1],
+                                   bump, bump_prime, grid)
+
     @pytest.mark.parametrize("degrees", [[1], [14], [20, 3, 9], list(range(1, 30, 2))])
     def test_one_fit_and_one_grid_evaluation_per_family(self, monkeypatch, degrees):
         calls = Counter()
@@ -365,7 +389,9 @@ class TestCmdLeastSquares:
 
     def test_rejects_non_integral_degrees(self):
         # truncation would report degrees 1 and 3 under a config of [1.5, 3.9]
-        for degrees, name in (([1.5, 3.9], "1.5"), ([2, np.float64(3.0)], "3.0")):
+        # a bool is an int to Python, and would report degree True as 1
+        for degrees, name in (([1.5, 3.9], "1.5"), ([2, np.float64(3.0)], "3.0"),
+                              ([True, 3], "True")):
             with pytest.raises(ValueError, match=f"degree {name} must be an integer"):
                 cmd_least_squares(m=15, degrees=degrees)
         report, _ = cmd_least_squares(m=15, degrees=np.array([2, 5]))
@@ -589,6 +615,14 @@ class TestCmdCompareSolvers:
             (cmd_least_squares, {"m": 10.5}, "^m=10.5 must be an integer"),
             (cmd_least_squares, {"grid_points": 10.5}, "^grid_points=10.5 must be an integer"),
             (cmd_penta, {"m": 2.5}, "^m=2.5 must be an integer"),
+            # a bool is an int to Python: these used to end in numpy's
+            # TypeError, or to run and echo True in the config
+            (cmd_laguerre_roots, {"k_max": True}, "^k_max=True must be an integer"),
+            (cmd_laguerre_roots, {"n_quad": True}, "^n_quad=True must be an integer"),
+            (cmd_althammer_roots, {"n": True}, "^n=True must be an integer"),
+            (cmd_althammer_roots, {"n": 5, "n_quad": True}, "^n_quad=True must be an integer"),
+            (cmd_penta, {"m": True}, "^m=True must be an integer"),
+            (cmd_compare_solvers, {"count": True}, "^count=True must be an integer"),
         ],
     )
     def test_drivers_reject_non_integral_point_counts(self, driver, kwargs, message):
