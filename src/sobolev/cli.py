@@ -100,9 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=SOLVER_NAMES,
         default=DEFAULT_SOLVER,
-        help=f"inverse-problem solver (default: {DEFAULT_SOLVER}); an Arnoldi breakdown before the "
-        "needed column ends in exit code 3; update-hh can print wrong results with exit 0, "
-        "e.g. laguerre-roots --gamma 1e300 (see README)",
+        help=f"inverse-problem solver (default: {DEFAULT_SOLVER}; least-squares solves its Sobolev "
+        "family only with it); an Arnoldi breakdown before the needed column ends in exit code 3; "
+        "update-hh and update-rot can print wrong results with exit 0, e.g. laguerre-roots "
+        "--gamma 1e300 --solver update-hh, or least-squares --gamma 1e30 --degrees 101,201 "
+        "--solver update-rot, whose degree-201 Sobolev value error reads 3.2e3 (see README)",
     )
     solving.add_argument(
         "--dump-spectral",

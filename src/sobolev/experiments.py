@@ -21,8 +21,8 @@ import numpy as np
 
 from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
-from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, _solve, solve_hessenberg
-from .quadrature import _check_count, golub_welsch, laguerre_jacobi, legendre_jacobi
+from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, _gauss_basis, _solve, solve_hessenberg
+from .quadrature import _check_count, _golub_welsch, golub_welsch, laguerre_jacobi, legendre_jacobi
 from .sop import _fit, _interpolation, hermite_least_squares, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
@@ -300,12 +300,16 @@ def cmd_least_squares(
     value-only basis ends at degree m-1 (the m-point discrete product
     cannot separate higher degrees), so such degrees are clamped and the
     clamp recorded per row.  Each family's coefficients come from its
-    solve's Krylov basis, c = Q^H f(Z) w (column j+1 of Q is p_j(Z) w),
-    not from the nodes; its basis is then evaluated only at the
-    max(top, 1) + 1 Chebyshev points, which both families share with one
-    barycentric interpolation to one grid (see :func:`sop._fit`).  Under
-    an updating solver the solve accumulates the full Q.  ``trace`` goes
-    to both solves and to the two basis evaluations, one per family.
+    Krylov basis, c = Q^H f(Z) w (column j+1 of Q is p_j(Z) w), not from
+    the nodes; its basis is then evaluated only at the max(top, 1) + 1
+    Chebyshev points, which both families share with one barycentric
+    interpolation to one grid (see :func:`sop._fit`).  ``solver`` solves
+    the Sobolev family only, and under an updating solver that solve
+    accumulates the full Q.  The plain family's H and Q are the Jacobi
+    matrix and the sign-fixed eigenvectors of the Gauss rule's own
+    eigendecomposition (see :func:`hiep._gauss_basis`), so its rows are
+    the same under every solver.  ``trace`` goes to the Sobolev solve and
+    to the two basis evaluations, one per family.
     """
     _check_count(m=m, grid_points=grid_points)
     if m < 1:
@@ -324,7 +328,8 @@ def cmd_least_squares(
         raise ValueError(f"gamma={gamma} must be positive and finite (the gamma=0 fit is always run)")
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points} must be at least 1")
-    rule = golub_welsch(legendre_jacobi(m))
+    jac = legendre_jacobi(m)
+    rule, vectors = _golub_welsch(jac)
     top = max(degrees)
     degrees0 = [min(d, m - 1) for d in degrees]
     # one interpolation from max(top, 1) + 1 Chebyshev points serves both
@@ -334,7 +339,8 @@ def cmd_least_squares(
     for family, product, family_degrees in (("plain", [1.0], degrees0),
                                             ("sobolev", [1.0, gamma], degrees)):
         Z, w = build_same_measure(rule, product)
-        H, Q = _solve(Z, w, max(family_degrees) + 1, solver, trace)
+        k = max(family_degrees) + 1
+        H, Q = _gauss_basis(jac, vectors, k) if family == "plain" else _solve(Z, w, k, solver, trace)
         # column j+1 of Q is p_j(Z) w, so c_j = q_{j+1}^H f(Z) w
         coeff = Q.conj().T @ _function_times_weight(Z, w, _gauss_bump, _gauss_bump_prime)
         families[family] = _rows(family, *_fit(H, w.norm(), coeff, family_degrees,

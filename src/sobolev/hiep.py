@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
+from .quadrature import JacobiCoefficients
 from .spectral import JordanOperator, WeightVector, _norm, jordan_matvec
 
 __all__ = [
@@ -148,19 +149,42 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
             q_next = v / hn
 
     QT = QT[:ncols]
-    gram = QH[:ncols] @ QT.T
+    _check_orthonormal(QH[:ncols], QT, "orthogonality lost beyond recovery despite reorthogonalization")
+    Q = np.ascontiguousarray(QT.T)
+    H = np.ascontiguousarray(HT[:ncols, :ncols].T)
+    return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
+
+
+def _check_orthonormal(QH: np.ndarray, QT: np.ndarray, message: str) -> None:
+    """Raise NumericalFailure(message) with ``orthogonality`` ||Q^H Q - I||_F
+    and ``columns`` unless it is at most 1e-8.  Q^H Q is one Gram product of
+    the rows QH of Q^H with the transpose of the rows QT of Q^T, which
+    numpy runs as a symmetric rank-k update for real data (QH is QT)."""
+    ncols = QT.shape[0]
+    gram = QH @ QT.T
     gram[np.diag_indices(ncols)] -= 1.0
     ortho = float(np.linalg.norm(gram))
     # a NaN orthogonality fails too: no NaN is <= 1e-8
     if not ortho <= 1e-8:
-        raise NumericalFailure(
-            "orthogonality lost beyond recovery despite reorthogonalization",
-            orthogonality=ortho,
-            columns=ncols,
-        )
-    Q = np.ascontiguousarray(QT.T)
-    H = np.ascontiguousarray(HT[:ncols, :ncols].T)
-    return ArnoldiResult(Q=Q, H=H, h_next=h_next, q_next=q_next)
+        raise NumericalFailure(message, orthogonality=ortho, columns=ncols)
+
+
+def _gauss_basis(jac: JacobiCoefficients, vectors: np.ndarray, k: int):
+    """(H, Q) of the plain product of a Gauss rule, k columns, read off the
+    rule's own eigendecomposition instead of solved for.
+
+    For Z = X, the diagonal of the rule's nodes, and w the square roots of
+    its weights (``build_same_measure(rule, [1.0])``), the Jacobi matrix
+    J = V X V^T the rule was built from is the recurrence matrix H, and
+    Q = V_s^T, V_s being V with each column multiplied by the sign of its
+    first entry: then Q e_1 = w / ||w||_2 and Q^T Z Q = V X V^T = J
+    (Golub & Welsch 1969, read backwards as by Gragg & Harrod 1984).
+    ``vectors`` is V as :func:`quadrature._golub_welsch` returns it.  Q^T Q
+    gets Arnoldi's closing check.  H and Q are float64, H C-contiguous.
+    """
+    QT = vectors[:k] * np.copysign(1.0, vectors[0])
+    _check_orthonormal(QT, QT, "eigenvectors of the Jacobi matrix are not orthonormal")
+    return np.ascontiguousarray(jac.matrix()[:k, :k]), QT.T
 
 
 @functools.cache

@@ -185,6 +185,13 @@ def golub_welsch(jac: JacobiCoefficients) -> QuadratureRule:
     below the double range) the whole weight vector is reevaluated through
     the orthonormal recurrence, which preserves relative accuracy there.
     """
+    return _golub_welsch(jac)[0]
+
+
+def _golub_welsch(jac: JacobiCoefficients):
+    """(rule, V): the rule of :func:`golub_welsch` and the orthonormal
+    eigenvectors of the Jacobi matrix J = V X V^T, column j of V for node
+    j, as ``eigh`` returns them, each with the sign it chose."""
     try:
         nodes, vectors = np.linalg.eigh(jac.matrix())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -195,7 +202,7 @@ def golub_welsch(jac: JacobiCoefficients) -> QuadratureRule:
     weights = jac.moment0 * vectors[0, :] ** 2
     if weights.min() < 1e-12 * jac.moment0:
         weights = _recurrence_weights(jac, nodes)
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(nodes, weights), vectors
 
 
 def gauss_radau_right(n_free: int, endpoint: float = 1.0) -> QuadratureRule:

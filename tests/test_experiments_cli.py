@@ -372,6 +372,17 @@ class TestCmdLeastSquares:
                                          bump_prime(rule.nodes), g, coeff.size - 1).coefficients
             assert np.max(np.abs(coeff - node)) <= 1e-14 * np.max(np.abs(coeff))
 
+    def test_plain_columns_are_the_same_under_every_solver(self):
+        # the plain family comes from the Gauss rule's eigendecomposition,
+        # whatever --solver names; the Sobolev columns are the solver's own
+        plain = ("value_error_plain", "deriv_error_plain", "effective_degree_plain")
+        reports = [cmd_least_squares(m=40, degrees=range(1, 80, 3), solver=name)[0]
+                   for name in sobolev.hiep.SOLVER_NAMES]
+        columns = [[[row[key] for key in plain] for row in report.rows] for report in reports]
+        assert all(c == columns[0] for c in columns[1:])
+        sobolev_columns = [[row["deriv_error_sobolev"] for row in report.rows] for report in reports]
+        assert any(c != sobolev_columns[0] for c in sobolev_columns[1:])
+
     def test_degrees_from_a_generator(self):
         # the generator is read once: the rows and the echoed config share it
         report, _ = cmd_least_squares(m=10, degrees=(d for d in (1, 5)), grid_points=11)
@@ -495,9 +506,12 @@ class TestCmdPenta:
     def test_offband_diagnostic_matches_entry_loop(self):
         report, _ = cmd_penta()
         m = report.config["m"]
-        B = np.zeros((m, m), dtype=complex)
+        # B in the rows' dtype: the norm of a complex copy of a real B can
+        # differ from the real norm in the last bit
+        real = all(row["im"] == 0.0 for row in report.rows)
+        B = np.zeros((m, m), dtype=float if real else complex)
         for row in report.rows:
-            B[row["i"] - 1, row["j"] - 1] = complex(row["re"], row["im"])
+            B[row["i"] - 1, row["j"] - 1] = row["re"] if real else complex(row["re"], row["im"])
         offband = 0.0
         for i in range(m):
             for j in range(m):
@@ -799,6 +813,21 @@ class TestCli:
         assert {e["event"] for e in events} == {"arnoldi-step", "evaluate"}
         evaluations = [(e["k"], e["points"], e["real"]) for e in events if e["event"] == "evaluate"]
         assert evaluations == [(13, 14, True)] * 2
+
+    @pytest.mark.parametrize("solver", sobolev.hiep.SOLVER_NAMES)
+    def test_least_squares_traces_the_sobolev_solve_only(self, capsys, solver):
+        # top degree 13: the solver events are those of the 14-column
+        # Sobolev solve alone, one Arnoldi step per column under Arnoldi;
+        # the plain family is not solved for
+        args = ["least-squares", "--m", "15", "--degrees", "1:13:6", "--solver", solver, "--trace"]
+        assert main(args) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        alone = []
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(15)), [1.0, 0.01])
+        sobolev.hiep._solve(Z, w, 14, solver, alone.append)
+        assert [e for e in events if e["event"] != "evaluate"] == sobolev.experiments._jsonable(alone)
+        steps = [e["column"] for e in alone if e["event"] == "arnoldi-step"]
+        assert steps == (list(range(1, 15)) if solver == "arnoldi" else [])
 
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

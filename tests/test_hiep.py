@@ -23,7 +23,7 @@ from sobolev import (
     solve_hessenberg,
     update_solve,
 )
-from sobolev import hiep
+from sobolev import hiep, quadrature
 from sobolev.experiments import random_spectral_data
 
 
@@ -849,6 +849,49 @@ class TestSolveWithBasis:
         assert exc.value.details == {"column": 11, "k": 20}
         with pytest.raises(ValueError, match="unknown solver"):
             hiep._solve(Z, w, 5, "lanczos", None)
+
+
+class TestGaussBasis:
+    """The plain product's (H, Q) read off the Gauss rule's own
+    eigendecomposition: H the Jacobi matrix, Q the sign-fixed eigenvectors."""
+
+    @staticmethod
+    def plain(m, k=None):
+        jac = legendre_jacobi(m)
+        rule, vectors = quadrature._golub_welsch(jac)
+        Z, w = build_same_measure(rule, [1.0])
+        return jac, Z, w, hiep._gauss_basis(jac, vectors, m if k is None else k)
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 201, 1000])
+    def test_contract(self, m):
+        # measured: Q e_1 within 1.1e-16 of w / ||w||, ||Q^T Q - I|| 1.1e-13
+        # at m 1000 (2.6e-14 at m 201), ||Q^T Z Q - J|| / ||J|| 3.4e-15
+        jac, Z, w, (H, Q) = self.plain(m)
+        J = jac.matrix()
+        assert np.array_equal(H, J) and H.flags.c_contiguous
+        assert Q.shape == (m, m) and Q.dtype == np.float64
+        assert np.max(np.abs(Q[:, 0] - w.dense(Z) / w.norm())) <= 2.3e-16
+        assert np.linalg.norm(Q.T @ Q - np.eye(m)) <= 5e-16 * m
+        assert np.linalg.norm(Q.T @ Z.dense().real @ Q - J) <= 1e-14 * np.linalg.norm(J)
+
+    def test_is_the_arnoldi_basis(self):
+        # column j+1 of Q is p_j(Z) w, as for any solver; k < m cuts both
+        _, Z, w, (H, Q) = self.plain(40, k=25)
+        res = arnoldi(Z, w, 25)
+        assert H.shape == (25, 25) and Q.shape == (40, 25)
+        assert np.max(np.abs(Q - res.Q)) <= 1e-13
+        assert np.max(np.abs(H - res.H)) <= 1e-14
+
+    def test_lost_orthogonality_fails(self):
+        # two equal eigenvectors: Arnoldi's closing check, with its details
+        jac = legendre_jacobi(5)
+        _, vectors = quadrature._golub_welsch(jac)
+        vectors[:, 1] = vectors[:, 0]
+        with pytest.raises(NumericalFailure, match="not orthonormal") as exc:
+            hiep._gauss_basis(jac, vectors, 5)
+        assert set(exc.value.details) == {"orthogonality", "columns"}
+        assert exc.value.details["columns"] == 5
+        assert exc.value.details["orthogonality"] > 1e-8
 
 
 class TestHessenbergDefect:
