@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .hiep import hessenberg_defect
+from .quadrature import _check_count
 
 __all__ = ["hessenberg_eigenvalues", "smallest_root", "smallest_roots"]
 
@@ -63,7 +64,9 @@ def _as_float_matrix(H) -> np.ndarray:
 
 
 def _leading(H, k: int, name: str) -> np.ndarray:
-    """H as an array whose leading k x k section exists, else a ValueError."""
+    """H as an array whose leading k x k section exists, else a ValueError,
+    which also names a k that is not an integer."""
+    _check_count(**{name: k})
     A = np.asarray(H)
     if A.ndim != 2 or not 1 <= k <= min(A.shape):
         raise ValueError(f"leading dimension {name}={k} must lie in 1..{min(A.shape, default=0)}")

@@ -305,7 +305,8 @@ def cmd_least_squares(
     Chebyshev points, which both families share with one barycentric
     interpolation to one grid (see :func:`sop._fit`).  ``solver`` solves
     the Sobolev family only, and under an updating solver that solve
-    accumulates the full Q.  The plain family's H and Q are the Jacobi
+    stops at column top + 1 and accumulates only those columns of Q, as
+    :func:`hiep._solve` says.  The plain family's H and Q are the Jacobi
     matrix and the sign-fixed eigenvectors of the Gauss rule's own
     eigendecomposition (see :func:`hiep._gauss_basis`), so its rows are
     the same under every solver.  ``trace`` goes to the Sobolev solve and

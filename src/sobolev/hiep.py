@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .quadrature import JacobiCoefficients
+from .quadrature import JacobiCoefficients, _check_count
 from .spectral import JordanOperator, WeightVector, _norm, jordan_matvec
 
 __all__ = [
@@ -99,6 +99,7 @@ def arnoldi(Z: JordanOperator, w: WeightVector, k: int, trace=None) -> ArnoldiRe
     k : number of columns requested, 1 <= k <= m.
     trace : optional callable receiving one dict per step.
     """
+    _check_count(k=k)
     m = Z.m
     if not 1 <= k <= m:
         raise ValueError(f"column count k={k} must lie in 1..{m}")
@@ -360,7 +361,7 @@ def _schedule(ends: np.ndarray, r: int, k: int):
 # fails on NaN, so numpy's warnings would only interleave with --trace's lines
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations", trace=None,
-                 *, _leading: int | None = None):
+                 *, _leading: int | None = None, _basis: bool = True):
     """Solve the inverse problem by updating with one Jordan block at a time.
 
     (1) The closed-form single-block solutions are laid out once on the
@@ -429,16 +430,17 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     head row, the entries the elimination discards, without a product of
     its own.
 
-    A caller that keeps only the leading k x k section needs only columns
-    0 .. k-2 restored, so every merge stops there.  The skipped restores
-    act on rows and columns >= k, and later merges mix into a column
-    c+1 < k only their own new-block columns, so nothing skipped flows
-    back into H[:k, :k].  A step groups only the windows it keeps, so a
+    A caller that keeps only the leading k x k section of H and the first
+    k columns of Q needs only columns 0 .. k-2 restored, so every merge
+    stops there.  The skipped restores act on rows and columns >= k of H
+    and on columns >= k of Q, and later merges mix into a column c+1 < k
+    only their own new-block columns, so nothing skipped flows back into
+    H[:k, :k] or Q[:, :k].  A step groups only the windows it keeps, so a
     window kept may share its group, and with it the columns of its left
     product, with other windows than in the full solve.  Its bits stay:
     inside the batched product each window is its own BLAS call on its own
     operands, and any rounded cut rounds as the product over all columns.
-    So the section is bitwise the one of the full solve.
+    So the section and the k columns are bitwise those of the full solve.
 
     Accuracy is that of the leading section only while the subdiagonal of
     H stays large.  On Legendre m=201 with gamma=0.01 (dimension 402), the
@@ -459,10 +461,11 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     -------
     (H, Q) : m x m Hessenberg matrix and unitary basis, contiguous, in the
     workspace dtype (float64 for real data).  With the private
-    ``_leading=k``, H is only the leading k x k section and Q is None, not
-    accumulated; :func:`solve_hessenberg` sets it because it only needs
-    that section, and calls through this function so that a ``trace``
-    hook on it sees every updating solve.
+    ``_leading=k``, H is the leading k x k section and Q the first k
+    columns of the basis; with the private ``_basis=False``, Q is None,
+    not accumulated.  :func:`_solve` sets both for its callers, which
+    need only the section, and calls through this function so that a
+    ``trace`` hook on it sees every updating solve.
     """
     kernels_of = _KERNELS.get(strategy)
     if kernels_of is None:
@@ -478,7 +481,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     # Q^T in rows m+1..2m+1, so that every product on columns of H or Q is
     # a product on rows of S; index m is the scratch index that pads every
     # window.  H is the transposed view of the H^T plane.
-    planes = 2 if _leading is None else 1
+    planes = 2 if _basis else 1
     S = np.zeros((planes * (m + 1), m + 1), dtype=dtype)
     H = S[: m + 1].T
     QT = S[m + 1 :] if planes == 2 else None
@@ -585,7 +588,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     H *= phases
     H *= phases.conj()[:, None]
     sub[:] = size
-    Q = None if QT is None else np.multiply(QT[:m, :m].T, phases, order="C")
+    Q = None if QT is None else np.multiply(QT[:k, :m].T, phases, order="C")
     return H, Q
 
 
@@ -613,11 +616,10 @@ def solve_hessenberg(Z: JordanOperator, w: WeightVector, k: int, method: str = D
 def _solve(Z: JordanOperator, w: WeightVector, k: int, method: str, trace, basis: bool = True):
     """(H, Q) of the named solver: H as :func:`solve_hessenberg` returns
     it, and Q the first k columns of the basis, column j+1 being p_j(Z) w.
-    Arnoldi's Q is the one it builds.  The updating solvers run the full
-    :func:`update_solve` with Q accumulated and cut H and Q to k columns,
-    so H is bitwise the section of the leading solve, at the cost of the
-    restores past it.  With ``basis=False`` they run the leading solve
-    only and Q is None.
+    Arnoldi's Q is the one it builds.  The updating solvers run the
+    leading :func:`update_solve`, which stops every merge at column k and
+    accumulates Q only when ``basis`` asks for it; with ``basis=False``, Q
+    is None.  H and Q are bitwise the sections of the full solve.
     """
     if method not in _STRATEGIES:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
@@ -631,9 +633,7 @@ def _solve(Z: JordanOperator, w: WeightVector, k: int, method: str, trace, basis
                 k=k,
             )
         return result.H, result.Q
+    _check_count(k=k)
     if not 1 <= k <= Z.m:
         raise ValueError(f"column count k={k} must lie in 1..{Z.m}")
-    if not basis:
-        return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k)
-    H, Q = update_solve(Z, w, strategy=strategy, trace=trace)
-    return H[:k, :k], Q[:, :k]
+    return update_solve(Z, w, strategy=strategy, trace=trace, _leading=k, _basis=basis)

@@ -327,9 +327,10 @@ def _c2pair(value) -> list:
 
 
 def _pair2c(pair) -> complex:
-    """The complex number of one [re, im] pair of real numbers."""
+    """The complex number of one [re, im] pair of real numbers; a JSON
+    boolean is no number here, though Python counts bool as one."""
     if not (isinstance(pair, _ARRAY) and len(pair) == 2
-            and all(isinstance(x, numbers.Real) for x in pair)):
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)):
         raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
     return complex(*pair)
 

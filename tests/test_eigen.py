@@ -194,6 +194,21 @@ class TestSmallestRoot:
         with pytest.raises(ValueError):
             smallest_root(H, 4)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda H: smallest_roots(H, True), "k_max"),
+            (lambda H: smallest_roots(H, 3.0), "k_max"),
+            (lambda H: smallest_root(H, 2.0), "k"),
+            (lambda H: smallest_root(H, False), "k"),
+        ],
+        ids=["roots-bool", "roots-float", "root-float", "root-bool"],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, call, name):
+        # named, not numpy's or Python's TypeError from a slice
+        with pytest.raises(ValueError, match=rf"^{name}=.* must be an integer$"):
+            call(np.eye(3))
+
     @pytest.mark.parametrize("H", [np.float64(1.0), np.ones(3)], ids=["0-d", "1-d"])
     def test_rejects_non_matrix_like_smallest_roots(self, H):
         with pytest.raises(ValueError, match="leading dimension k=1 must lie in"):

@@ -829,6 +829,17 @@ class TestCli:
         steps = [e["column"] for e in alone if e["event"] == "arnoldi-step"]
         assert steps == (list(range(1, 15)) if solver == "arnoldi" else [])
 
+    def test_least_squares_basis_solve_stops_at_column_k(self, capsys):
+        # at the defaults the Sobolev basis solve restores what the 202 x 202
+        # section solve restores, not the 40,200 columns of the full solve
+        assert main(["least-squares", "--solver", "update-rot", "--trace"]) == 0
+        events = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+        section = []
+        Z, w = build_same_measure(golub_welsch(legendre_jacobi(201)), [1.0, 0.01])
+        solve_hessenberg(Z, w, 202, method="update-rot", trace=section.append)
+        restores = sum(e["event"] == "update-restore" for e in events)
+        assert restores == len(section) == 30200
+
     def test_non_finite_argument_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["penta", "--c", "nan"])

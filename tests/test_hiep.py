@@ -725,6 +725,25 @@ class TestSolveHessenberg:
                 solve_hessenberg(Z, w, k, method=method)
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda Z, w: solve_hessenberg(Z, w, 3.0),
+            lambda Z, w: solve_hessenberg(Z, w, True, method="arnoldi"),
+            lambda Z, w: solve_hessenberg(Z, w, True, method="update-rot"),
+            lambda Z, w: solve_hessenberg(Z, w, np.float64(2.0), method="update-hh"),
+            lambda Z, w: hiep._solve(Z, w, 2.0, "update-rot", None),
+            lambda Z, w: arnoldi(Z, w, 2.5),
+        ],
+        ids=["float", "bool-arnoldi", "bool-update-rot", "numpy-float-update-hh", "float-basis",
+             "float-arnoldi"],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, call):
+        # named, not numpy's or Python's TypeError from a slice or an array shape
+        Z, w = legendre_instance(m=3)
+        with pytest.raises(ValueError, match=r"^k=.* must be an integer$"):
+            call(Z, w)
+
+    @pytest.mark.parametrize(
         "method, strategy", [("update-hh", "householder"), ("update-rot", "rotations")]
     )
     def test_q_and_no_q_paths_share_arithmetic(self, method, strategy):
@@ -834,11 +853,28 @@ class TestSolveWithBasis:
                 assert np.linalg.norm(Q.conj().T @ Z.dense() @ Q - H) <= 1e-11 * Z.frobenius_norm()
                 assert np.linalg.norm(Q[:, 0] - w.dense(Z) / w.norm()) <= 1e-13
 
-    def test_updating_q_is_the_full_solve_cut_to_k(self):
-        Z, w = legendre_instance()
-        H, Q = update_solve(Z, w, strategy="rotations")
-        Hk, Qk = hiep._solve(Z, w, 7, "update-rot", None)
-        assert np.array_equal(Hk, H[:7, :7]) and np.array_equal(Qk, Q[:, :7])
+    @pytest.mark.parametrize("method", ["update-rot", "update-hh"])
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            legendre_instance,
+            # graded: weights and scalings hundreds of orders of magnitude apart
+            lambda: build_same_measure(golub_welsch(laguerre_jacobi(40, -0.5)), [1.0, 1e300]),
+            lambda: random_spectral_data(np.random.default_rng(0)),
+            lambda: random_spectral_data(np.random.default_rng(3)),
+        ],
+        ids=["legendre", "laguerre-graded", "random-0", "random-3"],
+    )
+    def test_updating_q_is_the_full_solve_cut_to_k(self, method, instance):
+        # the leading solve with Q restores only columns 0 .. k-2, which is
+        # all that H[:k, :k] and Q[:, :k] depend on, so both are bitwise
+        # those of the full solve
+        Z, w = instance()
+        H, Q = update_solve(Z, w, strategy=hiep._STRATEGIES[method])
+        for k in (1, 2, Z.m // 2, Z.m):
+            Hk, Qk = hiep._solve(Z, w, k, method, None)
+            assert np.array_equal(Hk, H[:k, :k]) and np.array_equal(Qk, Q[:, :k])
+            assert Hk.flags.c_contiguous and Qk.flags.c_contiguous
 
     def test_keeps_the_arnoldi_breakdown_failure(self):
         # as with solve_hessenberg (see test_arnoldi_breakdown_before_k_raises);

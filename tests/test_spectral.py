@@ -580,9 +580,12 @@ class TestJsonRoundTrip:
             (lambda obj: obj["blocks"][0].update(z=[1.0, 2.0, 3.0]), r"\[re, im\] pair"),
             (lambda obj: obj["blocks"][2]["alphas"].append(["1", "0"]), r"\[re, im\] pair"),
             (lambda obj: obj["betas"].__setitem__(0, 1.0), r"\[re, im\] pair"),
+            # JSON true and false, which Python counts as the numbers 1 and 0
+            (lambda obj: obj["blocks"][0].update(json.loads('{"z": [true, false]}')), r"\[re, im\] pair"),
+            (lambda obj: obj["betas"].__setitem__(1, [1.0, False]), r"\[re, im\] pair"),
         ],
         ids=["extra-beta", "missing-beta", "no-betas", "no-alphas", "scalar-alphas", "scalar-blocks",
-             "dict-betas", "z-triple", "string-alpha", "scalar-beta"],
+             "dict-betas", "z-triple", "string-alpha", "scalar-beta", "bool-z", "bool-beta"],
     )
     def test_rejects_malformed_data(self, edit, match):
         blocks = (JordanBlockSpec(0.0, [1.0]), JordanBlockSpec(1.0, []),
