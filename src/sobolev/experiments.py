@@ -23,7 +23,7 @@ from .eigen import hessenberg_eigenvalues, smallest_roots
 from .errors import NumericalFailure
 from .hiep import DEFAULT_SOLVER, SOLVER_NAMES, _gauss_basis, _solve, solve_hessenberg
 from .quadrature import _check_count, _golub_welsch, golub_welsch, laguerre_jacobi, legendre_jacobi
-from .sop import _fit, _interpolation, hermite_least_squares, pentadiagonal_recurrence
+from .sop import _fit, _interpolation, pentadiagonal_recurrence
 from .spectral import (
     JordanBlockSpec,
     JordanOperator,
@@ -266,21 +266,6 @@ def _gauss_bump_prime(x):
 def _rows(family, value, deriv):
     """One dict per degree of a family's errors, keys suffixed by ``family``."""
     return [{f"value_error_{family}": v, f"deriv_error_{family}": d} for v, d in zip(value, deriv)]
-
-
-def _fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
-    """Max-norm value and derivative errors of the bump fits of the given
-    degrees, one dict per degree with keys suffixed by ``family``, with
-    the coefficients of the top degree formed at the rule's nodes from H
-    alone (see :func:`sop.hermite_least_squares`), as for an H, such as a
-    reference one, that comes without a Krylov basis."""
-    nodes, top = rule.nodes, max(degrees)
-    coeff = hermite_least_squares(
-        H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma, top,
-        trace=trace,
-    ).coefficients
-    interpolation = _interpolation(max(top, 1), grid_points, _gauss_bump, _gauss_bump_prime)
-    return _rows(family, *_fit(H, w_norm, coeff, degrees, interpolation, trace))
 
 
 @_experiment("least-squares")

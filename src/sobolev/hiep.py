@@ -18,7 +18,7 @@ k x k section of H by either method.  Both solvers compute in the dtype of
 Z's bands and w combined, float64 for real data and complex128 otherwise,
 and return H and Q in that dtype.
 
-Complex H is bitwise reproducible only under the same numpy SIMD
+Complex H and Q are bitwise reproducible only under the same numpy SIMD
 dispatch: numpy's vectorized complex loops (``np.abs``, products,
 ``np.cumprod``) round differently from scalar arithmetic, and the kernel
 numpy picks depends on the CPU.  Complex products also depend on operand
@@ -467,7 +467,7 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     need only the section, and calls through this function so that a
     ``trace`` hook on it sees every updating solve.
     """
-    kernels_of = _KERNELS.get(strategy)
+    kernels_of = _KERNELS.get(strategy) if isinstance(strategy, str) else None
     if kernels_of is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if Z._ends.size != w.betas.size:
@@ -501,15 +501,14 @@ def update_solve(Z: JordanOperator, w: WeightVector, strategy: str = "rotations"
     H[idx, idx] = Z._diag
     H[idx + 1, idx] = np.hypot(scalings.real, scalings.imag)
     if QT is not None:
-        # row j: beta_j, alpha_1 .. alpha_{s-1} of block j.  Phases t * (1/|t|)
-        # round as numpy's complex division, in either dtype; np.hypot and the
-        # product over numpy scalars (object entries) round alike on every
-        # CPU, unlike numpy's SIMD-dispatched complex abs and product loops.
+        # row j: beta_j, alpha_1 .. alpha_{s-1} of block j, each scaled to a
+        # unit phase t * (1/|t|); the running products of a row are the
+        # phases of the block's columns.
         turns = np.ones((sizes.size, sizes.max()), dtype=dtype)
         turns[block, pos] = scalings[idx - 1]
         turns[:, 0] = w.betas
         units = turns * (1.0 / np.hypot(turns.real, turns.imag))
-        QT[idx, flip] = units.astype(object).cumprod(axis=1)[block, pos]
+        QT[idx, flip] = np.cumprod(units, axis=1)[block, pos]
 
     # plane rotation of merge j on rows and columns (0, d_{j-1}), turning the
     # first basis column into w/||w||; the phase of beta already sits in the
@@ -621,7 +620,7 @@ def _solve(Z: JordanOperator, w: WeightVector, k: int, method: str, trace, basis
     accumulates Q only when ``basis`` asks for it; with ``basis=False``, Q
     is None.  H and Q are bitwise the sections of the full solve.
     """
-    if method not in _STRATEGIES:
+    if not isinstance(method, str) or method not in _STRATEGIES:
         raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
     strategy = _STRATEGIES[method]
     if strategy is None:

@@ -10,6 +10,7 @@ the Legendre measure with one node pinned at an endpoint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,13 @@ def _check_count(**counts):
             raise ValueError(f"{name}={value!r} must be an integer")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool, which Python
+    counts as an int; numpy reads True as 1 and, converting to float, the
+    string "1" as 1.0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def legendre_jacobi(n: int) -> JacobiCoefficients:
     """Recurrence data of the Legendre measure on [-1, 1] (mass 2).
 
@@ -131,7 +139,7 @@ def laguerre_jacobi(n: int, alpha: float = 0.0) -> JacobiCoefficients:
     _check_count(n=n)
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    if not (alpha > -1.0 and math.isfinite(alpha)):
+    if not (_is_real(alpha) and alpha > -1.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
     try:
         moment0 = math.exp(math.lgamma(alpha + 1.0))

@@ -215,9 +215,9 @@ def _fit(H, w_norm, coeff, degrees, interpolation: _Interpolation, trace):
     those of its own coefficients, within rounding, not bitwise those of
     a separate fit.  An interpolation of s >= n serves every family fitted
     to degree at most s, so several share one set of points, one ``R``
-    and one grid.  The caller forms the coefficients: ``cmd_least_squares``
-    from the solver's Krylov basis, Q^H f(Z) w, :func:`hermite_least_squares`
-    at the nodes.
+    and one grid.  Each of its two callers forms the coefficients:
+    ``cmd_least_squares`` from the solver's Krylov basis, Q^H f(Z) w, and
+    :func:`hermite_least_squares` at the nodes.
     """
     on, g, s = interpolation.on, interpolation.g, interpolation.points.size - 1
     basis = evaluate(H, w_norm, interpolation.points, max(degrees), trace=trace)

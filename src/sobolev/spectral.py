@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _is_real
 
 __all__ = [
     "JordanBlockSpec",
@@ -209,6 +208,15 @@ class WeightVector:
         return w
 
 
+def _check_finite(**values):
+    """Reject, by name, a value that is not a finite real number (see
+    :func:`quadrature._is_real`); an infinite point mass would reach the
+    band check as a zero or infinite scaling, reported under that name."""
+    for name, value in values.items():
+        if not (_is_real(value) and math.isfinite(value)):
+            raise ValueError(f"{name}={value!r} must be a finite real number")
+
+
 def build_same_measure(rule: QuadratureRule, gammas):
     """Spectral data for a product with one measure shared by all derivatives.
 
@@ -229,9 +237,11 @@ def build_same_measure(rule: QuadratureRule, gammas):
     -------
     (JordanOperator, WeightVector)
     """
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if gammas.ndim != 1 or gammas.size == 0:
+    if np.ndim(gammas) > 1 or np.size(gammas) == 0:
         raise ValueError("gammas must form a non-empty 1-d sequence")
+    if not all(map(_is_real, gammas if np.ndim(gammas) else [gammas])):
+        raise ValueError(f"gammas={gammas!r} must be real numbers")
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     if not np.isfinite(gammas).all():
         raise ValueError("all gamma factors must be finite")
     if np.any(gammas <= 0):
@@ -255,6 +265,7 @@ def build_discrete_laguerre_sobolev(rule: QuadratureRule, c: float, M: float, N:
     sqrt(N/M) and weight sqrt(M); the quadrature rule contributes one 1x1
     block per node.
     """
+    _check_finite(c=c, M=M, N=N)
     if not (M > 0 and N > 0):
         raise ValueError("point masses M and N must be positive")
     if np.any(rule.nodes == c):
@@ -273,6 +284,7 @@ def build_radau_endpoint(rule: QuadratureRule, gamma: float, endpoint: float = 1
     the derivative term gamma (see :func:`build_discrete_laguerre_sobolev`):
     a 2x2 block with scaling sqrt(gamma)/beta_0; the remaining nodes stay 1x1.
     """
+    _check_finite(gamma=gamma, endpoint=endpoint)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     hits = np.flatnonzero(rule.nodes == endpoint)
@@ -330,7 +342,7 @@ def _pair2c(pair) -> complex:
     """The complex number of one [re, im] pair of real numbers; a JSON
     boolean is no number here, though Python counts bool as one."""
     if not (isinstance(pair, _ARRAY) and len(pair) == 2
-            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)):
+            and all(map(_is_real, pair))):
         raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
     return complex(*pair)
 

@@ -2,8 +2,10 @@
 
 The symbolic form of a discretized Sobolev product (one node with its
 derivative weights per term), the product evaluated by differentiating
-at the nodes, the last column of p(J) for one Jordan block, and the
-monomial coefficients of p_0..p_k read off H.  Polynomials are
+at the nodes, the last column of p(J) for one Jordan block, the
+monomial coefficients of p_0..p_k read off H, and the least-squares
+errors of the ``least-squares`` experiment's bump fits from node
+coefficients, for an H that comes without a Krylov basis.  Polynomials are
 ``numpy.polynomial.Polynomial`` with the default domain and window, so
 calling one and ``deriv`` are plain monomial evaluation and
 differentiation.
@@ -14,6 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+
+from sobolev import hermite_least_squares
+from sobolev.experiments import _gauss_bump, _gauss_bump_prime, _rows
+from sobolev.sop import _fit, _interpolation
 
 
 @dataclass(frozen=True)
@@ -91,3 +97,18 @@ def coefficients(H, w_norm: float, k: int) -> list:
             c[: i + 1] -= H[i, j - 1] * coeff[i]
         coeff.append(c / H[j, j - 1].real)
     return [Polynomial(c) for c in coeff]
+
+
+def fit_errors(H, w_norm, rule, gamma, degrees, grid_points, family, trace=None):
+    """Max-norm value and derivative errors of the bump fits of the given
+    degrees, one dict per degree with keys suffixed by ``family``, with
+    the coefficients of the top degree formed at the rule's nodes from H
+    alone (see :func:`sop.hermite_least_squares`), as for an H, such as a
+    reference one, that comes without a Krylov basis."""
+    nodes, top = rule.nodes, max(degrees)
+    coeff = hermite_least_squares(
+        H, w_norm, nodes, rule.weights, _gauss_bump(nodes), _gauss_bump_prime(nodes), gamma, top,
+        trace=trace,
+    ).coefficients
+    interpolation = _interpolation(max(top, 1), grid_points, _gauss_bump, _gauss_bump_prime)
+    return _rows(family, *_fit(H, w_norm, coeff, degrees, interpolation, trace))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import log_criterion
 from numpy.polynomial import Polynomial
-from oracles import inner_product_direct, spec_of
+from oracles import fit_errors, inner_product_direct, spec_of
 
 from sobolev import (
     arnoldi,
@@ -26,7 +26,6 @@ from sobolev import (
 )
 from sobolev.hiep import SOLVER_NAMES
 from sobolev.experiments import (
-    _fit_errors,
     cmd_althammer_roots,
     cmd_compare_solvers,
     cmd_laguerre_roots,
@@ -250,12 +249,12 @@ class TestAcceptance:
         # reference curve falls to a rounding floor (~1.3e-15), and the
         # degrees where both stay above ten times it are resolved
         rule = golub_welsch(legendre_jacobi(201))
-        ref_plain = _fit_errors(
+        ref_plain = fit_errors(
             legendre_references["plain"].astype(complex),
             build_same_measure(rule, [1.0])[1].norm(), rule, 0.0,
             [row["effective_degree_plain"] for row in report.rows], 2001, "plain",
         )
-        ref_sobolev = _fit_errors(
+        ref_sobolev = fit_errors(
             legendre_references["sobolev"].astype(complex),
             build_same_measure(rule, [1.0, 0.01])[1].norm(), rule, 0.01,
             [row["degree"] for row in report.rows], 2001, "sobolev",

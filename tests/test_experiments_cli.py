@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import assert_reported_errors
 from numpy.testing import assert_allclose
+from oracles import fit_errors
 
 import sobolev.cli
 import sobolev.experiments
@@ -300,7 +301,7 @@ class TestCmdLeastSquares:
         rule = golub_welsch(legendre_jacobi(40))
         Z, w = build_same_measure(rule, product)
         H = solve_hessenberg(Z, w, max(degrees) + 1)
-        rows = sobolev.experiments._fit_errors(H, w.norm(), rule, gamma, degrees, 2001, family)
+        rows = fit_errors(H, w.norm(), rule, gamma, degrees, 2001, family)
         assert len(rows) == len(degrees)
         grid = np.linspace(-1.0, 1.0, 2001)
         basis = evaluate(H, w.norm(), grid, max(degrees))

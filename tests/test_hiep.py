@@ -396,10 +396,13 @@ class TestUpdateSolve:
         assert_allclose(H, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
         check_contract(Z, w, H, Q)
 
-    def test_rejects_unknown_strategy(self):
+    # an unhashable strategy used to fail the kernel lookup with a TypeError
+    @pytest.mark.parametrize("strategy", ["cayley", ["rotations"], {"householder": 1},
+                                          np.array("rotations"), None])
+    def test_rejects_unknown_strategy(self, strategy):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
-        with pytest.raises(ValueError):
-            update_solve(Z, WeightVector([1.0]), strategy="cayley")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            update_solve(Z, WeightVector([1.0]), strategy=strategy)
 
     def test_rejects_weight_count_mismatch(self):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
@@ -775,10 +778,13 @@ class TestSolveHessenberg:
             for k in ks:
                 assert np.array_equal(solve_hessenberg(Z, w, k, method=method), H[:k, :k])
 
-    def test_rejects_unknown_method(self):
+    # an unhashable method used to fail the solver lookup with a TypeError
+    @pytest.mark.parametrize("method", ["lanczos", ["arnoldi"], {"update-rot": 1},
+                                        np.array("arnoldi"), None])
+    def test_rejects_unknown_method(self, method):
         Z = JordanOperator((JordanBlockSpec(0.0, []),))
-        with pytest.raises(ValueError):
-            solve_hessenberg(Z, WeightVector([1.0]), 1, method="lanczos")
+        with pytest.raises(ValueError, match="unknown solver"):
+            solve_hessenberg(Z, WeightVector([1.0]), 1, method=method)
 
     def test_arnoldi_breakdown_follows_the_column_scale(self):
         # a derivative weight of 1e300 puts ~1e150 scalings into Z; the

@@ -136,6 +136,12 @@ class TestLaguerreJacobi:
         with pytest.raises(ValueError):
             laguerre_jacobi(3, alpha)
 
+    @pytest.mark.parametrize("alpha", [True, False, np.True_, "1", 1j, None])
+    def test_rejects_an_alpha_that_is_not_a_real_number(self, alpha):
+        # a bool used to build alpha = 1 (or 0), and a string to fail a comparison
+        with pytest.raises(ValueError, match="alpha must be finite and exceed -1"):
+            laguerre_jacobi(5, alpha)
+
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError, match="need at least one point, got n=0"):
             laguerre_jacobi(0)

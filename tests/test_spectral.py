@@ -250,11 +250,44 @@ class TestJordanOperator:
             (lambda: JordanOperator([0.0]), "blocks must be JordanBlockSpec instances"),
             (lambda: WeightVector([]), "betas must form a non-empty 1-d sequence"),
             (lambda: WeightVector([[1.0], [2.0]]), "betas must form a non-empty 1-d sequence"),
+            # np.asarray read True and "1" as gamma = 1
+            (lambda: build_same_measure(_RULE, [1.0, True]), "gammas=.* must be real numbers"),
+            (lambda: build_same_measure(_RULE, [1.0, "1"]), "gammas=.* must be real numbers"),
+            (lambda: build_same_measure(_RULE, np.array([True, True])),
+             "gammas=.* must be real numbers"),
+            (lambda: build_same_measure(_RULE, "1"), "gammas=.* must be real numbers"),
+            # comparing the string with 0 raised a TypeError
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, "1", 1.0),
+             "M='1' must be a finite real number"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, 1.0, True),
+             "N=True must be a finite real number"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, "-1", 1.0, 1.0),
+             "c='-1' must be a finite real number"),
+            # an infinite M made a zero scaling, reported as "must be nonzero"
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, np.inf, 1.0),
+             "M=inf must be a finite real number"),
+            (lambda: build_discrete_laguerre_sobolev(_RULE, -1.0, 1.0, np.inf),
+             "N=inf must be a finite real number"),
+            (lambda: build_radau_endpoint(gauss_radau_right(4), True),
+             "gamma=True must be a finite real number"),
+            (lambda: build_radau_endpoint(gauss_radau_right(4), np.inf),
+             "gamma=inf must be a finite real number"),
+            (lambda: build_radau_endpoint(gauss_radau_right(4), 1.0, endpoint=True),
+             "endpoint=True must be a finite real number"),
         ],
     )
     def test_builders_reject_invalid_data(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+    def test_builders_take_numpy_and_integer_scalars(self):
+        # the type check keeps every real number: ints, numpy floats and ints
+        ref = build_same_measure(_RULE, [1.0, 2.0])
+        for gammas in ([1, 2], [np.float32(1.0), np.int64(2)]):
+            Z, w = build_same_measure(_RULE, gammas)
+            assert np.array_equal(Z._sup, ref[0]._sup) and np.array_equal(w.betas, ref[1].betas)
+        Z, _ = build_discrete_laguerre_sobolev(_RULE, -1, np.int64(4), np.float64(1.0))
+        assert Z.blocks[0].superdiag.tolist() == [0.5]
 
 
 class TestWeightVector:
